@@ -33,10 +33,17 @@ type DataSet struct {
 	Y []float64
 }
 
-// Validate checks the data set's shape.
+// Validate checks the data set's shape and that no event name repeats.
 func (d *DataSet) Validate() error {
 	if len(d.Events) == 0 {
 		return errors.New("counterminer: data set without events")
+	}
+	seen := make(map[string]int, len(d.Events))
+	for j, ev := range d.Events {
+		if k, dup := seen[ev]; dup {
+			return fmt.Errorf("counterminer: duplicate event %q (columns %d and %d)", ev, k, j)
+		}
+		seen[ev] = j
 	}
 	if len(d.X) == 0 {
 		return errors.New("counterminer: data set without rows")

@@ -88,43 +88,120 @@ func Fit(X [][]float64, y []float64, events []string, opts Options) (*Model, err
 }
 
 // FitCtx is Fit with cooperative cancellation, inherited from the
-// underlying sgbrt.FitCtx: a done context aborts between boosting
-// stages and surfaces as ctx.Err().
+// underlying sgbrt fit: a done context aborts between boosting stages
+// and surfaces as ctx.Err().
 func FitCtx(ctx context.Context, X [][]float64, y []float64, events []string, opts Options) (*Model, error) {
+	opts = opts.withDefaults()
+	d, err := newDataset(X, y, events, opts)
+	if err != nil {
+		return nil, err
+	}
+	return d.fit(ctx, d.allColumns(), opts)
+}
+
+// dataset is one train/test split of a ranking problem, made once:
+// the training rows are presorted for sgbrt, so every model fitted on
+// a subset of the events — each EIR round — reuses the same view.
+type dataset struct {
+	events []string
+	train  *sgbrt.Presorted
+	trainY []float64
+	testX  [][]float64
+	testY  []float64
+	// testRows and testBuf back the test rows restricted to a round's
+	// columns; the model predicts from vectors of just those columns.
+	testRows [][]float64
+	testBuf  []float64
+}
+
+// newDataset validates the problem — rows, targets and one unique
+// name per column — splits it, and presorts the training rows.
+func newDataset(X [][]float64, y []float64, events []string, opts Options) (*dataset, error) {
 	if len(X) == 0 {
 		return nil, errors.New("rank: empty training set")
 	}
-	if len(X[0]) != len(events) {
-		return nil, fmt.Errorf("rank: %d columns but %d event names", len(X[0]), len(events))
+	for i, row := range X {
+		if len(row) != len(events) {
+			return nil, fmt.Errorf("rank: row %d has %d columns but there are %d event names", i, len(row), len(events))
+		}
 	}
-	opts = opts.withDefaults()
-
+	seen := make(map[string]int, len(events))
+	for i, ev := range events {
+		if j, dup := seen[ev]; dup {
+			return nil, fmt.Errorf("rank: duplicate event %q (columns %d and %d)", ev, j, i)
+		}
+		seen[ev] = i
+	}
 	trainX, trainY, testX, testY, err := split(X, y, opts.TestFraction, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ens, err := sgbrt.FitCtx(ctx, trainX, trainY, opts.Params)
+	train, err := sgbrt.Presort(trainX, opts.Params.Workers)
 	if err != nil {
 		return nil, err
 	}
-	testErr, err := ens.MAPE(testX, testY)
+	return &dataset{
+		events: events,
+		train:  train, trainY: trainY,
+		testX: testX, testY: testY,
+		testRows: make([][]float64, len(testX)),
+		testBuf:  make([]float64, len(testX)*len(events)),
+	}, nil
+}
+
+// allColumns lists every column index in order.
+func (d *dataset) allColumns() []int {
+	cols := make([]int, len(d.events))
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// fit trains a model on the columns in cols (ascending column indices)
+// and scores it on the held-out rows.
+func (d *dataset) fit(ctx context.Context, cols []int, opts Options) (*Model, error) {
+	ens, err := d.train.FitCtx(ctx, cols, d.trainY, opts.Params)
+	if err != nil {
+		return nil, err
+	}
+	testErr, err := ens.MAPE(d.test(cols), d.testY)
 	if err != nil {
 		return nil, err
 	}
 	imp := ens.Importances()
 	m := &Model{
-		Events:    append([]string(nil), events...),
+		Events:    make([]string, len(cols)),
 		Ensemble:  ens,
 		TestError: testErr,
-		Ranking:   make([]EventImportance, len(events)),
+		Ranking:   make([]EventImportance, len(cols)),
 	}
-	for i, ev := range events {
-		m.Ranking[i] = EventImportance{Event: ev, Importance: imp[i]}
+	for j, c := range cols {
+		m.Events[j] = d.events[c]
+		m.Ranking[j] = EventImportance{Event: d.events[c], Importance: imp[j]}
 	}
 	sort.SliceStable(m.Ranking, func(a, b int) bool {
 		return m.Ranking[a].Importance > m.Ranking[b].Importance
 	})
 	return m, nil
+}
+
+// test returns the held-out rows restricted to cols. Every column
+// selected means the rows as given; otherwise they are gathered into
+// the dataset's reused buffer, valid until the next call.
+func (d *dataset) test(cols []int) [][]float64 {
+	if len(cols) == len(d.events) {
+		return d.testX
+	}
+	k := len(cols)
+	for r, row := range d.testX {
+		sub := d.testBuf[r*k : (r+1)*k]
+		for j, c := range cols {
+			sub[j] = row[c]
+		}
+		d.testRows[r] = sub
+	}
+	return d.testRows
 }
 
 // split shuffles row indices deterministically and carves off the test
@@ -194,28 +271,26 @@ func EIR(X [][]float64, y []float64, events []string, opts Options) (*EIRResult,
 // EIRCtx is EIR with cooperative cancellation: the refinement loop
 // checks the context between prune rounds (and each fit aborts between
 // boosting stages), so a done context surfaces as ctx.Err() within one
-// round of work.
+// round of work. The train/test split and the presorted training view
+// are built once; each round fits on the indices of its surviving
+// columns.
 func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, opts Options) (*EIRResult, error) {
 	opts = opts.withDefaults()
 	if len(events) == 0 {
 		return nil, errors.New("rank: EIR with no events")
 	}
-	cur := append([]string(nil), events...)
-	colIdx := make(map[string]int, len(events))
-	for i, ev := range events {
-		colIdx[ev] = i
+	d, err := newDataset(X, y, events, opts)
+	if err != nil {
+		return nil, err
 	}
+	cur := d.allColumns()
 
 	res := &EIRResult{}
 	for len(cur) >= opts.MinEvents {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		subX, err := columns(X, cur, colIdx)
-		if err != nil {
-			return nil, err
-		}
-		m, err := FitCtx(ctx, subX, y, cur, opts)
+		m, err := d.fit(ctx, cur, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -233,9 +308,9 @@ func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, op
 			keep[ei.Event] = true
 		}
 		next := cur[:0]
-		for _, ev := range cur {
-			if keep[ev] {
-				next = append(next, ev)
+		for _, c := range cur {
+			if keep[events[c]] {
+				next = append(next, c)
 			}
 		}
 		cur = next
@@ -249,28 +324,6 @@ func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, op
 		}
 	}
 	return res, nil
-}
-
-// columns extracts the named columns of X (by the original column
-// index map) into a new matrix.
-func columns(X [][]float64, events []string, colIdx map[string]int) ([][]float64, error) {
-	cols := make([]int, len(events))
-	for j, ev := range events {
-		i, ok := colIdx[ev]
-		if !ok {
-			return nil, fmt.Errorf("rank: event %q not in original matrix", ev)
-		}
-		cols[j] = i
-	}
-	out := make([][]float64, len(X))
-	for r, row := range X {
-		sub := make([]float64, len(cols))
-		for j, c := range cols {
-			sub[j] = row[c]
-		}
-		out[r] = sub
-	}
-	return out, nil
 }
 
 // TopK returns the k most important events of the model (fewer if the

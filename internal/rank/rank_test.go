@@ -2,6 +2,7 @@ package rank
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"counterminer/internal/sgbrt"
@@ -81,6 +82,15 @@ func TestFitValidation(t *testing.T) {
 	if _, err := Fit(X, []float64{1, 2}, []string{"a", "b"}, Options{Params: fastParams}); err == nil {
 		t.Error("2 samples should be too few")
 	}
+	if _, err := Fit([][]float64{{1, 2}, {3}}, []float64{1, 2}, []string{"a", "b"}, Options{}); err == nil {
+		t.Error("ragged rows should error")
+	}
+	rng := rand.New(rand.NewSource(6))
+	X, y, events := synthData(rng, 100, 2, 2)
+	events[3] = events[1]
+	if _, err := Fit(X, y, events, Options{Params: fastParams}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("duplicate event names: err = %v, want a duplicate-event error", err)
+	}
 }
 
 func TestFitTestErrorReasonable(t *testing.T) {
@@ -134,6 +144,14 @@ func TestEIRPrunesNoiseFirst(t *testing.T) {
 func TestEIRValidation(t *testing.T) {
 	if _, err := EIR(nil, nil, nil, Options{}); err == nil {
 		t.Error("no events should error")
+	}
+	// A repeated name would survive every prune by name, so the event
+	// set never shrank and EIR never ended; it must be rejected instead.
+	rng := rand.New(rand.NewSource(7))
+	X, y, events := synthData(rng, 200, 2, 20)
+	events[15] = events[4]
+	if _, err := EIR(X, y, events, Options{Params: fastParams, PruneStep: 5}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("duplicate event names: err = %v, want a duplicate-event error", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"counterminer/internal/parallel"
@@ -81,22 +82,48 @@ func Fit(X [][]float64, y []float64, params Params) (*Ensemble, error) {
 // bounded by one tree induction, and a done context surfaces as
 // ctx.Err() with no partial ensemble.
 func FitCtx(ctx context.Context, X [][]float64, y []float64, params Params) (*Ensemble, error) {
-	n := len(X)
-	if n == 0 {
-		return nil, errors.New("sgbrt: empty training set")
+	if len(X) != len(y) {
+		return nil, fmt.Errorf("sgbrt: %d rows but %d targets", len(X), len(y))
 	}
+	ps, err := Presort(X, params.Workers)
+	if err != nil {
+		return nil, err
+	}
+	features := make([]int, len(ps.cols))
+	for f := range features {
+		features[f] = f
+	}
+	return ps.FitCtx(ctx, features, y, params)
+}
+
+// FitCtx trains an ensemble on the columns listed in features: feature
+// j of the model is column features[j] of the matrix, so the model
+// predicts from vectors holding just those columns, in that order. y
+// holds one finite target per row. Cancellation behaves as in the
+// package-level FitCtx, and the result equals FitCtx on the matrix of
+// the selected columns.
+func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, params Params) (*Ensemble, error) {
+	n := len(ps.orders[0])
 	if len(y) != n {
 		return nil, fmt.Errorf("sgbrt: %d rows but %d targets", n, len(y))
 	}
-	p := len(X[0])
-	for i, row := range X {
-		if len(row) != p {
-			return nil, fmt.Errorf("sgbrt: ragged row %d", i)
-		}
-		if !validRow(row) {
-			return nil, fmt.Errorf("sgbrt: row %d contains NaN/Inf", i)
+	for i, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("sgbrt: target %d is %v", i, v)
 		}
 	}
+	if len(features) == 0 {
+		return nil, errors.New("sgbrt: no features to fit")
+	}
+	cols := make([][]float64, len(features))
+	full := make([][]int32, len(features))
+	for j, f := range features {
+		if f < 0 || f >= len(ps.cols) {
+			return nil, fmt.Errorf("sgbrt: feature %d out of range [0,%d)", f, len(ps.cols))
+		}
+		cols[j], full[j] = ps.cols[f], ps.orders[f]
+	}
+	p := len(features)
 	params = params.withDefaults()
 	rng := rand.New(rand.NewSource(params.Seed))
 	workers := parallel.Workers(params.Workers)
@@ -122,19 +149,9 @@ func FitCtx(ctx context.Context, X [][]float64, y []float64, params Params) (*En
 		sampleSize = n
 	}
 
-	// Column-major copy of the training matrix: split scans and
-	// stage-update traversals walk one contiguous slice per feature.
-	cols := toColumns(X)
-
-	// Pre-sort every feature once; each stage filters the global order
-	// down to its subsample instead of re-sorting (the standard
-	// presorted-CART optimisation).
-	fullOrders := sortOrdersCols(cols, n, workers)
-	keep := make([]bool, n)
-
 	// One builder reused for every stage: trees fit the residuals, so
 	// the builder's target is the residual buffer updated in place.
-	tb := newBuilder(cols, residual, TreeParams{
+	tb := newBuilder(cols, full, residual, TreeParams{
 		MaxDepth: params.MaxDepth,
 		MinLeaf:  params.MinLeaf,
 		Workers:  params.Workers,
@@ -171,20 +188,7 @@ func FitCtx(ctx context.Context, X [][]float64, y []float64, params Params) (*En
 		}
 		// Stochastic row subsample without replacement.
 		rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		idx := perm[:sampleSize]
-		for i := range keep {
-			keep[i] = false
-		}
-		for _, i := range idx {
-			keep[i] = true
-		}
-
-		if sampleSize == n {
-			tb.load(fullOrders)
-		} else {
-			tb.loadFiltered(fullOrders, keep)
-		}
-		tree, err := tb.build()
+		tree, err := tb.build(perm[:sampleSize])
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package sgbrt
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,6 +157,22 @@ func TestFitValidation(t *testing.T) {
 	}
 	if _, err := Fit([][]float64{{math.Inf(1)}}, []float64{1}, Params{}); err == nil {
 		t.Error("Inf input should error")
+	}
+	// A non-finite target used to fit "successfully": every prediction
+	// NaN, every importance 0.
+	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+		if _, err := Fit([][]float64{{1}, {2}, {3}}, []float64{1, bad, 3}, Params{Trees: 2}); err == nil {
+			t.Errorf("target %v should error", bad)
+		}
+	}
+	ps, err := Presort([][]float64{{1, 2}, {3, 4}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, features := range [][]int{nil, {2}, {-1}} {
+		if _, err := ps.FitCtx(context.Background(), features, []float64{1, 2}, Params{Trees: 1}); err == nil {
+			t.Errorf("features %v should error", features)
+		}
 	}
 }
 

@@ -78,6 +78,94 @@ func TestLoadRejectsBadIndices(t *testing.T) {
 	}
 }
 
+// loadWire encodes img and loads it back.
+func loadWire(t *testing.T, img wireEnsemble) (*Ensemble, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeWire(&buf, &img); err != nil {
+		t.Fatal(err)
+	}
+	return Load(&buf)
+}
+
+// TestLoadRejectsTreeFeatureMismatch: a tree wider than its ensemble
+// used to load, and Predict, which checks only the ensemble's width,
+// then indexed past the end of the input vector.
+func TestLoadRejectsTreeFeatureMismatch(t *testing.T) {
+	_, err := loadWire(t, wireEnsemble{
+		Version:   wireVersion,
+		NFeatures: 2,
+		Trees: []wireTree{{
+			NFeatures: 6,
+			Nodes: []wireNode{
+				{Feature: 5, Threshold: 1, Left: 1, Right: 2},
+				{Feature: -1, Left: -1, Right: -1},
+				{Feature: -1, Left: -1, Right: -1},
+			},
+		}},
+	})
+	if err == nil {
+		t.Error("a tree whose feature count differs from the model's should not load")
+	}
+}
+
+// TestLoadRejectsChildCycle: a split node pointing at itself (or at any
+// earlier node) used to load, and Predict then looped forever. Save
+// writes depth-first preorder, so every child index exceeds its
+// parent's.
+func TestLoadRejectsChildCycle(t *testing.T) {
+	leaf := wireNode{Feature: -1, Left: -1, Right: -1}
+	for name, nodes := range map[string][]wireNode{
+		"self-loop": {{Feature: 0, Left: 0, Right: 0}},
+		"back-edge": {{Feature: 0, Left: 1, Right: 2}, leaf, {Feature: 0, Left: 3, Right: 0}, leaf},
+	} {
+		_, err := loadWire(t, wireEnsemble{
+			Version:   wireVersion,
+			NFeatures: 1,
+			Trees:     []wireTree{{NFeatures: 1, Nodes: nodes}},
+		})
+		if err == nil {
+			t.Errorf("%s: a child index not after its parent should not load", name)
+		}
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load. It must return an error or a
+// model whose predictions finish without panicking, and a model it
+// accepts must survive a Save/Load round trip.
+func FuzzLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if e.NumFeatures() > 1<<12 {
+			return // well-formed but too wide to build an input for
+		}
+		x := make([]float64, e.NumFeatures())
+		p1, err := e.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Importances()
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("reloading a saved model: %v", err)
+		}
+		p2, err := again.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p1 != p2 && !(math.IsNaN(p1) && math.IsNaN(p2)) {
+			t.Fatalf("prediction changed across a round trip: %v vs %v", p1, p2)
+		}
+	})
+}
+
 func TestStagedPredictMatchesFinal(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	X, y := friedmanData(rng, 200, 1)

@@ -1,6 +1,7 @@
 package sgbrt
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -103,20 +104,29 @@ func withWorkers(p Params, w int) Params {
 	return p
 }
 
-// TestBuildTreeOrderedDoesNotMutateOrders guards the presorted-orders
-// contract: Fit shares fullOrders across stages, so induction must
-// leave its input intact.
+// TestBuildTreeOrderedDoesNotMutateOrders guards the presort-once
+// contract: every stage of a fit, and every fit of an EIR loop, reads
+// the same Presorted columns and orders, so induction must leave them
+// intact.
 func TestBuildTreeOrderedDoesNotMutateOrders(t *testing.T) {
 	X, y := benchMatrix(50, 4)
-	orders := sortOrders(X, allIdx(50))
-	want := make([][]int, len(orders))
-	for f := range orders {
-		want[f] = append([]int(nil), orders[f]...)
-	}
-	if _, err := buildTreeOrdered(X, y, orders, TreeParams{MaxDepth: 4}); err != nil {
+	ps, err := Presort(X, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(orders, want) {
-		t.Error("buildTreeOrdered mutated its input orders")
+	wantOrders := make([][]int32, len(ps.orders))
+	wantCols := make([][]float64, len(ps.cols))
+	for f := range ps.orders {
+		wantOrders[f] = append([]int32(nil), ps.orders[f]...)
+		wantCols[f] = append([]float64(nil), ps.cols[f]...)
+	}
+	if _, err := newBuilder(ps.cols, ps.orders, y, TreeParams{MaxDepth: 4}).build(allIdx(50)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.FitCtx(context.Background(), []int{3, 1, 2}, y, Params{Trees: 5, MaxDepth: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ps.orders, wantOrders) || !reflect.DeepEqual(ps.cols, wantCols) {
+		t.Error("induction mutated the presorted view")
 	}
 }

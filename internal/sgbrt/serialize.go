@@ -73,15 +73,21 @@ func Load(r io.Reader) (*Ensemble, error) {
 		return nil, errors.New("sgbrt: load: invalid feature count")
 	}
 	e := &Ensemble{params: img.Params, base: img.Base, nFeatures: img.NFeatures}
-	for _, wt := range img.Trees {
+	for k, wt := range img.Trees {
+		if wt.NFeatures != img.NFeatures {
+			return nil, fmt.Errorf("sgbrt: load: tree %d has %d features, model has %d", k, wt.NFeatures, img.NFeatures)
+		}
 		t := &Tree{nFeatures: wt.NFeatures}
-		for _, wn := range wt.Nodes {
+		for i, wn := range wt.Nodes {
 			if wn.Feature >= t.nFeatures {
 				return nil, fmt.Errorf("sgbrt: load: split feature %d out of range", wn.Feature)
 			}
+			// Save writes nodes in depth-first preorder, so every child
+			// follows its parent; a child at or before its parent would
+			// make prediction loop forever.
 			if wn.Feature >= 0 &&
-				(wn.Left < 0 || wn.Left >= len(wt.Nodes) || wn.Right < 0 || wn.Right >= len(wt.Nodes)) {
-				return nil, errors.New("sgbrt: load: child index out of range")
+				(wn.Left <= i || wn.Left >= len(wt.Nodes) || wn.Right <= i || wn.Right >= len(wt.Nodes)) {
+				return nil, fmt.Errorf("sgbrt: load: tree %d node %d: child index out of range", k, i)
 			}
 			t.nodes = append(t.nodes, node{
 				feature: wn.Feature, threshold: wn.Threshold,

@@ -6,12 +6,19 @@
 // splits on that feature, averaged across the ensemble and normalised
 // to percentages.
 //
-// Tree induction runs over a column-major copy of the training matrix
-// (split scans walk one contiguous slice per feature) and reuses all
-// partition buffers across nodes and boosting stages. The split search
-// is feature-parallel with a deterministic tie-break — equal-gain
-// splits go to the lowest feature index, then the lowest threshold —
-// so the induced tree is identical for every worker count.
+// Training runs over a Presorted matrix: the rows are validated,
+// transposed to column-major storage and every column's row order is
+// sorted once, so an ensemble — or a sequence of ensembles over
+// shrinking column subsets, as in EIR — never sorts again. Each tree
+// grows level-synchronously. Per depth, one serial pass partitions
+// feature 0's order and sums every node's targets; one feature-parallel
+// phase stably partitions each feature's order under the previous
+// level's splits (branch-free, on byte side flags) and scans it for the
+// best split of every node of the level; and a serial reduce picks each
+// node's split in ascending feature order. Equal-gain splits go to the
+// lowest feature index, then the lowest threshold, so the induced tree
+// is identical for every worker count. Nodes are stored in depth-first
+// preorder.
 package sgbrt
 
 import (
@@ -28,10 +35,10 @@ import (
 // (lower-threshold, then lower-feature-index) candidate.
 const gainEpsilon = 1e-12
 
-// parallelNodeThreshold is the minimum segment-rows × features product
-// before a node's split search and partition fan out to the pool;
-// below it the goroutine handoff costs more than the scan.
-const parallelNodeThreshold = 4096
+// parallelLevelThreshold is the minimum sample-rows × features product
+// before a level's feature tasks fan out to the pool; below it the
+// goroutine handoff costs more than the scans.
+const parallelLevelThreshold = 4096
 
 // node is one node of a CART regression tree stored in a flat slice.
 type node struct {
@@ -67,7 +74,7 @@ type TreeParams struct {
 	// FeatureMask, when non-nil, restricts splits to features with
 	// mask[f] == true (per-tree column subsampling).
 	FeatureMask []bool
-	// Workers bounds the feature-parallel split search and partition;
+	// Workers bounds the feature-parallel partition and split search;
 	// <= 0 uses GOMAXPROCS. The induced tree is identical for every
 	// worker count.
 	Workers int
@@ -83,268 +90,419 @@ func (p TreeParams) withDefaults() TreeParams {
 	return p
 }
 
-// toColumns transposes the row-major training matrix into column-major
-// storage (one backing array) so split scans and tree traversals walk
-// contiguous memory per feature.
-func toColumns(X [][]float64) [][]float64 {
-	if len(X) == 0 {
-		return nil
+// Presorted is a validated, column-major copy of a training matrix
+// with every column's row order sorted once. Ensembles fit on any
+// subset of its columns (Presorted.FitCtx) without transposing or
+// sorting again. It is read-only after Presort and safe to share
+// between concurrent fits.
+type Presorted struct {
+	// cols[f][row] is the value of feature f in training row row.
+	cols [][]float64
+	// orders[f] lists every row id in ascending order of cols[f].
+	orders [][]int32
+}
+
+// Presort validates X — non-empty, rectangular, every value finite —
+// transposes it and sorts each column once, on at most workers
+// goroutines (<= 0: GOMAXPROCS). The sorted orders do not depend on the
+// worker count.
+func Presort(X [][]float64, workers int) (*Presorted, error) {
+	n := len(X)
+	if n == 0 {
+		return nil, errors.New("sgbrt: empty training set")
 	}
-	n, nf := len(X), len(X[0])
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("sgbrt: %d rows exceed the row-index range", n)
+	}
+	nf := len(X[0])
+	if nf == 0 {
+		return nil, errors.New("sgbrt: training rows have no features")
+	}
+	for i, row := range X {
+		if len(row) != nf {
+			return nil, fmt.Errorf("sgbrt: ragged row %d", i)
+		}
+		if !validRow(row) {
+			return nil, fmt.Errorf("sgbrt: row %d contains NaN/Inf", i)
+		}
+	}
+	ps := &Presorted{cols: make([][]float64, nf), orders: make([][]int32, nf)}
 	buf := make([]float64, nf*n)
-	cols := make([][]float64, nf)
-	for f := range cols {
-		cols[f] = buf[f*n : (f+1)*n]
+	for f := range ps.cols {
+		ps.cols[f] = buf[f*n : (f+1)*n]
 	}
 	for i, row := range X {
 		for f, v := range row {
-			cols[f][i] = v
+			ps.cols[f][i] = v
 		}
 	}
-	return cols
-}
-
-// sortOrders returns, for every feature, the indices in idx sorted by
-// that feature's value. The boosting driver computes this once over the
-// full training set and filters per stage, so tree induction never
-// sorts.
-func sortOrders(X [][]float64, idx []int) [][]int {
-	nf := len(X[idx[0]])
-	orders := make([][]int, nf)
-	for f := 0; f < nf; f++ {
-		o := append([]int(nil), idx...)
-		sort.Slice(o, func(a, b int) bool { return X[o[a]][f] < X[o[b]][f] })
-		orders[f] = o
-	}
-	return orders
-}
-
-// sortOrdersCols is sortOrders over the column-major view, sorting the
-// features concurrently (each feature's sort is independent, so the
-// result does not depend on the worker count).
-func sortOrdersCols(cols [][]float64, n, workers int) [][]int {
-	orders := make([][]int, len(cols))
-	sortOne := func(f int) {
-		o := make([]int, n)
+	idx := make([]int32, nf*n)
+	parallel.ForEach(nf, workers, func(f int) error {
+		o := idx[f*n : (f+1)*n]
 		for i := range o {
-			o[i] = i
+			o[i] = int32(i)
 		}
-		col := cols[f]
+		col := ps.cols[f]
 		sort.Slice(o, func(a, b int) bool { return col[o[a]] < col[o[b]] })
-		orders[f] = o
-	}
-	if workers > 1 && len(cols) > 1 {
-		parallel.ForEach(len(cols), workers, func(f int) error { sortOne(f); return nil })
-	} else {
-		for f := range cols {
-			sortOne(f)
-		}
-	}
-	return orders
+		ps.orders[f] = o
+		return nil
+	})
+	return ps, nil
 }
 
-// builder grows trees over the column-major training view, reusing all
-// induction buffers (working orders, partition scratch, split-side
-// cache, candidate slots) across nodes and across trees, so fitting a
-// tree allocates only its node slice.
+// builder grows trees over the columns of one fit, reusing every
+// induction buffer across levels and trees, so fitting a tree allocates
+// only its node slice.
 type builder struct {
-	cols    [][]float64 // cols[f][rowID]
-	y       []float64   // fit target, indexed by rowID
+	cols    [][]float64 // cols[f][row] of the fitted features
+	full    [][]int32   // full[f]: every row, ascending by cols[f]; never written
+	y       []float64   // fit target, indexed by row
 	p       TreeParams
 	workers int
+	// inv[k] = 1/k for k in [1, rows]: the reciprocals behind
+	// scanFeature's division screen.
+	inv []float64
 
-	// orders holds, per feature, the working sample order of the tree
-	// being grown; grow partitions subranges of it in place.
-	orders [][]int
-	// scratch holds one stable-partition buffer per worker.
-	scratch [][]int
-	// goLeft caches, per row id, which side of the current split the
-	// row falls on, so each feature's partition is a flag lookup.
-	goLeft []bool
-	// cands holds the per-feature split candidates of the current node.
+	// orders holds, per feature, the working row order of the tree
+	// being grown: the sample's rows, stably partitioned level by level
+	// so every node's rows form one contiguous segment, sorted by the
+	// feature. Each level partitions spare's orders into orders after
+	// swapping the two.
+	orders, spare [][]int32
+	// keep flags the rows of the tree's sample (1 = in the sample).
+	keep []uint8
+	// right flags, per row, the side of the split its node took at the
+	// previous level (1 = right). Nodes of one level own disjoint rows,
+	// so one array serves the whole level.
+	right []uint8
+	// active lists, ascending, the features the tree may split on.
+	active []int
+	// level holds the nodes of the depth being grown, children of one
+	// parent adjacent and left first; next collects their children.
+	level, next []segment
+	// cands[k*len(cols)+f] is feature f's best split of level node k.
 	cands []splitCand
+	// nodes collects the tree in level order before renumbering.
+	nodes []node
 }
 
-// splitCand is one feature's best split of the current node.
+// segment is one node of a level: its rows are [lo, hi) of every
+// active feature's working order.
+type segment struct {
+	lo, hi int
+	// sum and sq are the node's target sum and sum of squares,
+	// accumulated in feature 0's order; sse is its squared error.
+	sum, sq, sse float64
+	// id indexes the node in builder.nodes; parent indexes its parent
+	// (-1 at the root) and isLeft says which child it is.
+	id, parent int
+	isLeft     bool
+	// open says the node may split: depth and MinLeaf allow it.
+	open bool
+}
+
+// splitCand is one feature's best split of a node.
 type splitCand struct {
 	gain float64
 	thr  float64
 	ok   bool
 }
 
-// newBuilder sizes all working buffers for a training set of len(y)
-// rows and len(cols) features.
-func newBuilder(cols [][]float64, y []float64, p TreeParams) *builder {
+// newBuilder sizes all working buffers for len(y) rows and len(cols)
+// features; full[f] must list every row in ascending order of cols[f].
+func newBuilder(cols [][]float64, full [][]int32, y []float64, p TreeParams) *builder {
 	p = p.withDefaults()
 	n, nf := len(y), len(cols)
 	workers := parallel.Workers(p.Workers)
-	b := &builder{cols: cols, y: y, p: p, workers: workers}
-	buf := make([]int, nf*n)
-	b.orders = make([][]int, nf)
+	b := &builder{cols: cols, full: full, y: y, p: p, workers: workers}
+	b.inv = make([]float64, n+1)
+	for k := 1; k <= n; k++ {
+		b.inv[k] = 1 / float64(k)
+	}
+	buf := make([]int32, 2*nf*n)
+	b.orders, b.spare = make([][]int32, nf), make([][]int32, nf)
 	for f := range b.orders {
-		b.orders[f] = buf[f*n : f*n : (f+1)*n]
+		b.orders[f] = buf[2*f*n : (2*f+1)*n]
+		b.spare[f] = buf[(2*f+1)*n : (2*f+2)*n]
 	}
-	b.scratch = make([][]int, workers)
-	for w := range b.scratch {
-		b.scratch[w] = make([]int, n)
-	}
-	b.goLeft = make([]bool, n)
-	b.cands = make([]splitCand, nf)
+	b.keep = make([]uint8, n)
+	b.right = make([]uint8, n)
+	b.active = make([]int, 0, nf)
 	return b
 }
 
-// load copies the caller's per-feature sample orders into the working
-// buffers (build partitions them in place, so the input stays intact).
-func (b *builder) load(orders [][]int) {
-	for f, o := range orders {
-		b.orders[f] = append(b.orders[f][:0], o...)
+// build grows one tree on the rows listed in sample, one level at a
+// time, and returns it with nodes in depth-first preorder.
+func (b *builder) build(sample []int) (*Tree, error) {
+	clear(b.keep)
+	for _, i := range sample {
+		b.keep[i] = 1
 	}
-}
-
-// loadFiltered projects full-sample orders down to the rows marked in
-// keep, preserving per-feature sortedness.
-func (b *builder) loadFiltered(full [][]int, keep []bool) {
-	fill := func(f int) {
-		dst := b.orders[f][:0]
-		for _, i := range full[f] {
-			if keep[i] {
-				dst = append(dst, i)
-			}
-		}
-		b.orders[f] = dst
-	}
-	if b.workers > 1 && len(full) > 1 {
-		parallel.ForEach(len(full), b.workers, func(f int) error { fill(f); return nil })
-	} else {
-		for f := range full {
-			fill(f)
-		}
-	}
-}
-
-// build grows one tree over the currently loaded sample orders.
-func (b *builder) build() (*Tree, error) {
-	if len(b.orders) == 0 || len(b.orders[0]) == 0 {
+	n := filterInto(b.orders[0], b.full[0], b.keep)
+	if n == 0 {
 		return nil, errors.New("sgbrt: empty sample index")
 	}
-	n := len(b.orders[0])
-	maxNodes := 1
-	for d := 0; d <= b.p.MaxDepth && maxNodes < 2*n-1; d++ {
-		maxNodes = 2*maxNodes + 1
+	b.active = b.active[:0]
+	for f := range b.cols {
+		if b.p.FeatureMask == nil || b.p.FeatureMask[f] {
+			b.active = append(b.active, f)
+		}
 	}
-	if maxNodes > 2*n-1 {
-		maxNodes = 2*n - 1
+	b.nodes = b.nodes[:0]
+	b.level = append(b.level[:0], segment{lo: 0, hi: n, parent: -1})
+	for depth := 1; len(b.level) > 0; depth++ {
+		if depth > 1 {
+			b.orders, b.spare = b.spare, b.orders
+			b.partition(0)
+		}
+		if b.open(depth) == 0 {
+			break
+		}
+		b.scan(n, depth == 1)
+		b.reduce()
+		b.level, b.next = b.next, b.level[:0]
 	}
-	t := &Tree{nFeatures: len(b.cols), nodes: make([]node, 0, maxNodes)}
-	b.grow(t, 0, n, 1)
+	t := &Tree{nFeatures: len(b.cols), nodes: make([]node, 0, len(b.nodes))}
+	b.emit(t, 0)
 	return t, nil
 }
 
-// grow builds the subtree for the sample segment [lo, hi) of the
-// working orders and returns its node index.
-func (b *builder) grow(t *Tree, lo, hi, depth int) int {
-	seg := b.orders[0][lo:hi]
-	sum := 0.0
-	for _, i := range seg {
-		sum += b.y[i]
+// open sums every node of the level over feature 0's order, records it
+// in level order, links it to its parent, and returns how many nodes
+// may split.
+func (b *builder) open(depth int) int {
+	o := b.orders[0]
+	splittable := 0
+	for k := range b.level {
+		s := &b.level[k]
+		sum, sq := 0.0, 0.0
+		for _, i := range o[s.lo:s.hi] {
+			yi := b.y[i]
+			sum += yi
+			sq += yi * yi
+		}
+		cnt := s.hi - s.lo
+		s.sum, s.sq = sum, sq
+		s.id = len(b.nodes)
+		b.nodes = append(b.nodes, node{
+			feature: -1, left: -1, right: -1,
+			value: sum / float64(cnt), samples: cnt,
+		})
+		if s.parent >= 0 {
+			if s.isLeft {
+				b.nodes[s.parent].left = s.id
+			} else {
+				b.nodes[s.parent].right = s.id
+			}
+		}
+		s.open = depth <= b.p.MaxDepth && cnt >= 2*b.p.MinLeaf
+		if s.open {
+			s.sse = sq - sum*sum/float64(cnt)
+			splittable++
+		}
 	}
-	mean := sum / float64(len(seg))
+	return splittable
+}
 
+// scan is the level's parallel phase over the n sample rows: one task
+// per active feature brings the feature's order up to this level —
+// projecting the sample at the root, partitioning under the previous
+// level's splits below it; feature 0's order is already current — and
+// scans it for the feature's best split of every open node.
+func (b *builder) scan(n int, root bool) {
+	nf := len(b.cols)
+	if need := len(b.level) * nf; cap(b.cands) < need {
+		b.cands = make([]splitCand, need)
+	} else {
+		b.cands = b.cands[:need]
+	}
+	task := func(f int) {
+		if f != 0 {
+			if root {
+				filterInto(b.orders[f], b.full[f], b.keep)
+			} else {
+				b.partition(f)
+			}
+		}
+		col, o := b.cols[f], b.orders[f]
+		for k := range b.level {
+			s := &b.level[k]
+			if !s.open {
+				continue
+			}
+			b.cands[k*nf+f] = scanFeature(col, b.y, o[s.lo:s.hi], s.sum, s.sq, s.sse, b.p.MinLeaf, b.inv)
+		}
+	}
+	if b.workers > 1 && n*len(b.active) >= parallelLevelThreshold {
+		parallel.ForEach(len(b.active), b.workers, func(k int) error {
+			task(b.active[k])
+			return nil
+		})
+		return
+	}
+	for _, f := range b.active {
+		task(f)
+	}
+}
+
+// reduce picks every open node's split — the best candidate in
+// ascending feature order, later features winning only by more than
+// gainEpsilon — flags each of the node's rows with its side, and queues
+// the children when both meet MinLeaf.
+func (b *builder) reduce() {
+	nf := len(b.cols)
+	for k := range b.level {
+		s := &b.level[k]
+		if !s.open {
+			continue
+		}
+		var best splitCand
+		feat := 0
+		for _, f := range b.active {
+			c := b.cands[k*nf+f]
+			if c.ok && (!best.ok || c.gain > best.gain+gainEpsilon) {
+				best, feat = c, f
+			}
+		}
+		if !best.ok {
+			continue
+		}
+		col := b.cols[feat]
+		nl := 0
+		for _, i := range b.orders[feat][s.lo:s.hi] {
+			var r uint8
+			if !(col[i] <= best.thr) {
+				r = 1
+			}
+			b.right[i] = r
+			nl += 1 - int(r)
+		}
+		if nl < b.p.MinLeaf || (s.hi-s.lo)-nl < b.p.MinLeaf {
+			continue
+		}
+		nd := &b.nodes[s.id]
+		nd.feature, nd.threshold, nd.improvement = feat, best.thr, best.gain
+		b.next = append(b.next,
+			segment{lo: s.lo, hi: s.lo + nl, parent: s.id, isLeft: true},
+			segment{lo: s.lo + nl, hi: s.hi, parent: s.id})
+	}
+}
+
+// partition brings feature f's order from spare down to this level:
+// each pair of sibling segments is its parent's rows, stably split into
+// the left child's rows followed by the right child's.
+func (b *builder) partition(f int) {
+	src, dst := b.spare[f], b.orders[f]
+	for k := 0; k+1 < len(b.level); k += 2 {
+		l, r := b.level[k], b.level[k+1]
+		partitionInto(dst[l.lo:r.hi], src[l.lo:r.hi], l.hi-l.lo, b.right)
+	}
+}
+
+// partitionInto stably copies the rows of src to dst: the nl rows with
+// right[i] == 0 first, then the rows with right[i] == 1. Each row's
+// destination is selected arithmetically from the flag, so the loop has
+// no data-dependent branch.
+func partitionInto(dst, src []int32, nl int, right []uint8) {
+	l, r := 0, nl
+	for _, i := range src {
+		s := int(right[i])
+		dst[l+(r-l)*s] = i
+		l += 1 - s
+		r += s
+	}
+}
+
+// filterInto copies the rows of src flagged in keep to the front of dst,
+// preserving their order, and returns how many it copied. It writes
+// every row and advances the cursor by the flag, so like partitionInto
+// it has no data-dependent branch. dst must be at least len(src) long.
+func filterInto(dst, src []int32, keep []uint8) int {
+	k := 0
+	for _, i := range src {
+		dst[k] = i
+		k += int(keep[i])
+	}
+	return k
+}
+
+// emit appends node i of the level-ordered tree and its subtree to t in
+// depth-first preorder (left before right) and returns its new index.
+func (b *builder) emit(t *Tree, i int) int {
 	self := len(t.nodes)
-	t.nodes = append(t.nodes, node{
-		feature: -1, left: -1, right: -1,
-		value: mean, samples: len(seg),
-	})
-
-	if depth > b.p.MaxDepth || len(seg) < 2*b.p.MinLeaf {
-		return self
+	nd := b.nodes[i]
+	t.nodes = append(t.nodes, nd)
+	if nd.feature >= 0 {
+		l := b.emit(t, nd.left)
+		r := b.emit(t, nd.right)
+		t.nodes[self].left, t.nodes[self].right = l, r
 	}
-	feat, thr, improvement, ok := b.bestSplit(lo, hi)
-	if !ok {
-		return self
-	}
-	nl := b.partition(lo, hi, feat, thr)
-	if nl < b.p.MinLeaf || (hi-lo)-nl < b.p.MinLeaf {
-		return self
-	}
-	l := b.grow(t, lo, lo+nl, depth+1)
-	r := b.grow(t, lo+nl, hi, depth+1)
-	t.nodes[self].feature = feat
-	t.nodes[self].threshold = thr
-	t.nodes[self].left = l
-	t.nodes[self].right = r
-	t.nodes[self].improvement = improvement
 	return self
 }
 
-// bestSplit scans all features over the segment [lo, hi) for the split
-// that maximises the squared-error improvement. Features scan
-// concurrently into per-feature candidate slots; the reduce runs
-// serially in ascending feature order, so equal-gain splits resolve to
-// the lowest feature index (then, within a feature, the lowest
-// threshold) no matter how many workers ran the scans.
-func (b *builder) bestSplit(lo, hi int) (feat int, thr, improvement float64, ok bool) {
-	n := hi - lo
-	if n < 2 {
-		return 0, 0, 0, false
-	}
-	totalSum, totalSq := 0.0, 0.0
-	for _, i := range b.orders[0][lo:hi] {
-		yi := b.y[i]
-		totalSum += yi
-		totalSq += yi * yi
-	}
-	parentSSE := totalSq - totalSum*totalSum/float64(n)
-
-	nf := len(b.cols)
-	scan := func(f int) {
-		if b.p.FeatureMask != nil && !b.p.FeatureMask[f] {
-			b.cands[f] = splitCand{}
-			return
-		}
-		b.cands[f] = scanFeature(b.cols[f], b.y, b.orders[f][lo:hi], totalSum, totalSq, parentSSE, b.p.MinLeaf)
-	}
-	if b.workers > 1 && n*nf >= parallelNodeThreshold {
-		parallel.ForEach(nf, b.workers, func(f int) error { scan(f); return nil })
-	} else {
-		for f := 0; f < nf; f++ {
-			scan(f)
-		}
-	}
-
-	var best splitCand
-	bestFeat := 0
-	for f := 0; f < nf; f++ {
-		c := b.cands[f]
-		if !c.ok {
-			continue
-		}
-		if !best.ok || c.gain > best.gain+gainEpsilon {
-			best, bestFeat = c, f
-		}
-	}
-	if !best.ok {
-		return 0, 0, 0, false
-	}
-	return bestFeat, best.thr, best.gain, true
-}
-
-// scanFeature finds one feature's best split over its pre-sorted
-// segment order. Candidates must beat the running best by more than
-// gainEpsilon, so near-equal gains keep the earlier — lower —
-// threshold.
-func scanFeature(col, y []float64, order []int, totalSum, totalSq, parentSSE float64, minLeaf int) splitCand {
+// scanFeature finds one feature's best split over a node's segment of
+// the feature's sorted order. A candidate must beat the running best by
+// more than gainEpsilon, so near-equal gains keep the earlier — lower —
+// threshold. inv[k] must hold 1/k for k in [1, len(order)).
+//
+// Division screen. The exact gain of a candidate is
+//
+//	gain = parentSSE − ((leftSq − L²/nl) + (rightSq − R²/nr))
+//
+// with L, R the side sums. Each candidate is first scored as
+// approx = L²·inv[nl] + R²·inv[nr] − base, where base = totalSq −
+// parentSSE, which equals gain in exact arithmetic, and rejected when
+// approx + margin <= best + gainEpsilon. Only a survivor pays for the
+// two divisions, and only the exact gain is compared against the best,
+// so every decision is made on the exact value. With u = 2⁻⁵³,
+// S = totalSq and P = |parentSSE|, |gain − approx| is at most:
+//
+//   - 3u·(L²/nl + R²/nr) ≤ 3u·S from the two reciprocal products,
+//     each rounding twice where a quotient rounds once (by
+//     Cauchy–Schwarz L²/nl ≤ leftSq and R²/nr ≤ rightSq);
+//   - u·S for the sum of the two products;
+//   - u·(3S + P) for the four roundings of the exact expression;
+//   - u·S each for rightSq = totalSq − leftSq and for base;
+//
+// up to factors 1 + O(n·u) from the accumulated sums, so 9u·S + u·P
+// in all. Rounding best + gainEpsilon + base − margin adds at most
+// 2u·(S + P) + u·margin. margin = 64u·(S + P) covers the 11u·S + 3u·P
+// total with room to spare: a rejected candidate's exact gain cannot
+// beat the running best, and the scan returns bit for bit what a
+// division-only scan returns. The bound assumes no overflow; past
+// S = MaxFloat64/16 the margin is +Inf, which disables the screen (a
+// NaN or −Inf bar rejects nothing).
+func scanFeature(col, y []float64, order []int32, totalSum, totalSq, parentSSE float64, minLeaf int, inv []float64) splitCand {
 	n := len(order)
 	var c splitCand
+	if n < 2 {
+		return c
+	}
+	margin := 64 * 0x1p-53 * (totalSq + math.Abs(parentSSE))
+	if !(totalSq <= math.MaxFloat64/16) {
+		margin = math.Inf(1)
+	}
+	base := totalSq - parentSSE
+	// bar is best + gainEpsilon + base − margin: a candidate whose
+	// reciprocal score L²/nl + R²/nr does not exceed it cannot win.
+	bar := (c.gain + gainEpsilon + base) - margin
+	rest := order[1:]
+	// invL[k] = 1/(k+1) and invL[len(rest)-1-k] = 1/(n-1-k): the
+	// reciprocals of the side counts of the split after position k.
+	invL := inv[1:n]
+	invL = invL[:len(rest)]
 	leftSum, leftSq := 0.0, 0.0
-	for k := 0; k < n-1; k++ {
-		i := order[k]
-		yi := y[i]
+	prev := order[0]
+	v := col[prev]
+	for k, j := range rest {
+		yi := y[prev]
+		prev = j
 		leftSum += yi
 		leftSq += yi * yi
-		v := col[i]
+		cur, next := v, col[j]
+		v = next
 		// Can't split between equal feature values.
-		if v == col[order[k+1]] {
+		if cur == next {
 			continue
 		}
 		nl, nr := k+1, n-k-1
@@ -352,84 +510,21 @@ func scanFeature(col, y []float64, order []int, totalSum, totalSq, parentSSE flo
 			continue
 		}
 		rightSum := totalSum - leftSum
+		if leftSum*leftSum*invL[k]+rightSum*rightSum*invL[len(invL)-1-k] <= bar {
+			continue
+		}
 		rightSq := totalSq - leftSq
 		sse := (leftSq - leftSum*leftSum/float64(nl)) +
 			(rightSq - rightSum*rightSum/float64(nr))
 		gain := parentSSE - sse
 		if gain > c.gain+gainEpsilon {
 			c.gain = gain
-			c.thr = (v + col[order[k+1]]) / 2
+			c.thr = (cur + next) / 2
 			c.ok = true
+			bar = (c.gain + gainEpsilon + base) - margin
 		}
 	}
 	return c
-}
-
-// partition reorders every feature's segment [lo, hi) so rows going
-// left of the split precede rows going right, preserving per-feature
-// sortedness, and returns the left count. The side of each row is
-// computed once into goLeft; each worker partitions its features with
-// its own scratch buffer, so no memory is allocated.
-func (b *builder) partition(lo, hi int, feat int, thr float64) int {
-	col := b.cols[feat]
-	nl := 0
-	for _, i := range b.orders[feat][lo:hi] {
-		left := col[i] <= thr
-		b.goLeft[i] = left
-		if left {
-			nl++
-		}
-	}
-	part := func(w, f int) {
-		o := b.orders[f][lo:hi]
-		scratch := b.scratch[w]
-		nr, k := 0, 0
-		for _, i := range o {
-			if b.goLeft[i] {
-				o[k] = i
-				k++
-			} else {
-				scratch[nr] = i
-				nr++
-			}
-		}
-		copy(o[k:], scratch[:nr])
-	}
-	nf := len(b.orders)
-	if b.workers > 1 && (hi-lo)*nf >= parallelNodeThreshold {
-		parallel.ForEachWorker(nf, b.workers, func(w, f int) error { part(w, f); return nil })
-	} else {
-		for f := 0; f < nf; f++ {
-			part(0, f)
-		}
-	}
-	return nl
-}
-
-// buildTree fits a regression tree on the rows of X indexed by idx.
-func buildTree(X [][]float64, y []float64, idx []int, p TreeParams) (*Tree, error) {
-	if len(X) == 0 {
-		return nil, errors.New("sgbrt: empty training set")
-	}
-	if len(X) != len(y) {
-		return nil, fmt.Errorf("sgbrt: %d rows but %d targets", len(X), len(y))
-	}
-	if len(idx) == 0 {
-		return nil, errors.New("sgbrt: empty sample index")
-	}
-	return buildTreeOrdered(X, y, sortOrders(X, idx), p)
-}
-
-// buildTreeOrdered fits a tree given per-feature pre-sorted sample
-// orders (all features must cover the same sample set). The input
-// orders are not modified.
-func buildTreeOrdered(X [][]float64, y []float64, orders [][]int, p TreeParams) (*Tree, error) {
-	if len(orders) == 0 || len(orders[0]) == 0 {
-		return nil, errors.New("sgbrt: empty sample index")
-	}
-	b := newBuilder(toColumns(X), y, p)
-	b.load(orders)
-	return b.build()
 }
 
 // Predict returns the tree's prediction for one feature vector.

@@ -1,6 +1,8 @@
 package sgbrt
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,6 +16,21 @@ func allIdx(n int) []int {
 		idx[i] = i
 	}
 	return idx
+}
+
+// buildTree fits one regression tree on the rows of X indexed by idx.
+func buildTree(X [][]float64, y []float64, idx []int, p TreeParams) (*Tree, error) {
+	if len(X) != len(y) {
+		return nil, fmt.Errorf("sgbrt: %d rows but %d targets", len(X), len(y))
+	}
+	if len(idx) == 0 {
+		return nil, errors.New("sgbrt: empty sample index")
+	}
+	ps, err := Presort(X, p.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return newBuilder(ps.cols, ps.orders, y, p).build(idx)
 }
 
 func TestTreeFitsStepFunction(t *testing.T) {

@@ -3,8 +3,10 @@
 #
 # Usage: scripts/bench.sh [count]
 #
-# Runs the same sweep as `make bench` with -count=<count> (default 3)
-# and writes BENCH_<n>.json in the repo root, where <n> is the first
+# Runs the same sweep as `make bench`, but at the default -benchtime
+# (each entry averages at least a second of iterations, where `make
+# bench` runs one) and with -count=<count> (default 3), and writes
+# BENCH_<n>.json in the repo root, where <n> is the first
 # unused number — earlier reports are never overwritten, so a series of
 # runs across commits forms a comparable history. Each benchmark
 # contributes one result entry per repetition; consumers aggregate
@@ -28,8 +30,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
-PATTERN="${BENCH_PATTERN:-Fit|BuildTreeOrdered|PredictAll|RankPairs|Distance|BatchSchedule|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout}"
-PKGS="${BENCH_PKGS:-./internal/sgbrt/ ./internal/interact/ ./internal/dtw/ ./internal/batch/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/}"
+PATTERN="${BENCH_PATTERN:-Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|BatchSchedule|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout}"
+PKGS="${BENCH_PKGS:-./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/batch/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/}"
 
 n=1
 while [ -e "BENCH_${n}.json" ]; do
@@ -41,7 +43,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 # shellcheck disable=SC2086 # PKGS is a deliberate word list
-go test -run='^$' -bench="$PATTERN" -benchtime=1x -benchmem -count="$COUNT" $PKGS | tee "$raw"
+go test -run='^$' -bench="$PATTERN" -benchmem -count="$COUNT" $PKGS | tee "$raw"
 
 awk -v count="$COUNT" \
     -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" '
