@@ -189,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	d("requests", before.Requests.Total, after.Requests.Total)
 	d("analyses executed", before.Analyses.Completed, after.Analyses.Completed)
 	d("cache hits", before.Requests.CacheHits, after.Requests.CacheHits)
-	d("coalesced/deduped", before.Batch.Deduped, after.Batch.Deduped)
+	d("deduped", before.Batch.Deduped, after.Batch.Deduped)
 	d("generator builds", before.Collector.Builds, after.Collector.Builds)
 	d("generator memo hits", before.Collector.MemoHits, after.Collector.MemoHits)
 	d("queue rejections", before.Requests.RejectedQueueFull, after.Requests.RejectedQueueFull)

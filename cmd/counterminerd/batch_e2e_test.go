@@ -207,7 +207,6 @@ func TestDaemonBatchFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-batch-max", "0"},
 		{"-batch-max", "-4"},
-		{"-coalesce-window", "-1s"},
 	}
 	for _, args := range cases {
 		var out, errOut syncBuffer

@@ -83,8 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeMem      = fs.String("store-mem", "", "store memory budget (e.g. 64MiB, 100MB): clean shards beyond it evict LRU and reload lazily (empty = unlimited)")
 		storeWB       = fs.Duration("store-writeback", 0, "background flush interval for dirty store shards (0 = store default, -1ns = off)")
 		anaWorkers    = fs.Int("analysis-workers", 0, "per-analysis worker count (0 = GOMAXPROCS); never changes results")
-		batchMax      = fs.Int("batch-max", 64, "max jobs one /analyze/batch request (or one coalescing window) may carry")
-		coalesce      = fs.Duration("coalesce-window", 0, "merge single /analyze submissions arriving within this window into one scheduled batch (0 = off)")
+		batchMax      = fs.Int("batch-max", 64, "max jobs one /analyze/batch request may carry")
 		cleanerDef    = fs.String("cleaner", "", "default data cleaner for requests that don't name one (threshold-knn or bayes; empty = threshold-knn)")
 		streamHandles = fs.Int("stream-handles", 32, "async batch handles open at once; beyond it /analyze/batch?async=1 answers 429")
 		streamRing    = fs.Int("stream-ring", 256, "per-handle event ring size; older events are rebuilt from stored results on resume")
@@ -121,9 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	case *batchMax <= 0:
 		fmt.Fprintln(stderr, "counterminerd: -batch-max must be > 0")
-		return 2
-	case *coalesce < 0:
-		fmt.Fprintln(stderr, "counterminerd: -coalesce-window must be >= 0")
 		return 2
 	case *streamHandles <= 0 || *streamRing <= 0:
 		fmt.Fprintln(stderr, "counterminerd: -stream-handles and -stream-ring must be > 0")
@@ -169,7 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		StoreWriteback:  *storeWB,
 		AnalysisWorkers: *anaWorkers,
 		BatchMax:        *batchMax,
-		CoalesceWindow:  *coalesce,
 		DefaultCleaner:  *cleanerDef,
 		StreamHandles:   *streamHandles,
 		StreamRing:      *streamRing,

@@ -281,7 +281,8 @@ func TestDaemonFlagValidation(t *testing.T) {
 		{"-cleaner", "nope"},
 		{"-store-mem", "-5MiB"},
 		{"-store-mem", "bogus"},
-		{"-coalesce-window", "-1s"},
+		{"-store-mem", "nan"},
+		{"-store-mem", "1kbb"},
 		{"-no-such-flag"},
 	}
 	for _, args := range cases {

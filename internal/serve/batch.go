@@ -5,29 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	counterminer "counterminer"
-	"counterminer/internal/batch"
 )
-
-// pendingJob is one admitted-but-not-yet-dispatched analysis: the
-// cache leadership (key + call) acquired by the HTTP handler, the
-// resolved spec, and the deadline carved from the server budget at
-// arrival. Both the coalescing window and the batch endpoint dispatch
-// these.
-type pendingJob struct {
-	key      string
-	call     *Call[*counterminer.Analysis]
-	spec     jobSpec
-	deadline time.Time
-}
-
-// groupKey is the scheduler's grouping key: the benchmark identity
-// (including co-location), the unit of collector memoization. Jobs
-// sharing it are dispatched adjacently so the expensive trace
-// generator is built once and then hit in the memo.
-func (j jobSpec) groupKey() string { return j.benchmark + "\x00" + j.colocate }
 
 // specKey is the spec's content address: the canonical request hash,
 // prefixed with the job kind so a fingerprint job and the full
@@ -40,120 +22,187 @@ func specKey(spec jobSpec) string {
 	return k
 }
 
-// startJob submits one leader job to the admission queue under its
-// deadline, filed under its benchmark-identity grouping key so the
-// cross-batch priority scheduler keeps it adjacent to other work on
-// the same benchmark. Admission failures complete the call with the
-// typed rejection so every waiter (single request, batch entry, or
-// singleflight follower) observes it instead of hanging.
-func (s *Server) startJob(pj pendingJob) {
-	_, err := s.queue.SubmitGrouped(pj.spec.groupKey(), pj.deadline, func(ctx context.Context) {
+// startJob is the one way work enters the admission queue: it submits
+// the cache leader for key under deadline, filed under the job's
+// grouping key so stream.Scheduler keeps it adjacent to other work on
+// the same benchmark. The job records its outcome in /metrics and hands
+// the cache completion back to the queue, which publishes it only after
+// counting the job, so whoever the result wakes sees queue.executed
+// already include it. An admission rejection completes the call with
+// the typed error, so every waiter (single request, batch entry, or
+// singleflight follower) observes it instead of hanging. cancel fails
+// the job only while it is still queued.
+func (s *Server) startJob(key string, call *Call[*counterminer.Analysis], spec jobSpec, deadline time.Time) (cancel func(), err error) {
+	group := Job{Benchmark: spec.benchmark, Colocate: spec.colocate}.GroupKey()
+	cancel, err = s.queue.Submit(group, deadline, func(ctx context.Context) func() {
 		start := time.Now()
-		a, aerr := s.analyze(ctx, pj.spec)
-		if pj.spec.kind == KindFingerprint {
+		a, aerr := s.analyze(ctx, spec)
+		if spec.kind == KindFingerprint {
 			s.metrics.ObserveEmbed(aerr, time.Since(start))
 		} else {
 			s.metrics.ObserveAnalysis(a, aerr)
-			s.syncFingerprint(pj.spec, aerr)
+			s.syncFingerprint(spec, aerr)
 		}
-		s.cache.Complete(pj.key, pj.call, a, aerr)
+		return func() { s.cache.Complete(key, call, a, aerr) }
 	})
 	if err != nil {
-		s.metrics.IncRejected(err)
-		s.cache.Complete(pj.key, pj.call, nil, err)
+		s.cache.Complete(key, call, nil, err)
 	}
+	return cancel, err
 }
 
-// dispatchCoalesced is the coalescer's flush callback: the single
-// /analyze submissions that arrived within the window are scheduled as
-// one batch — grouped by benchmark identity — and dispatched in plan
-// order. Keys are unique here (identical concurrent requests share one
-// singleflight leader before ever reaching the coalescer), so the plan
-// covers every job; the leader-map walk below is a safety net for that
-// invariant, not a code path.
-func (s *Server) dispatchCoalesced(jobs []pendingJob) {
-	s.metrics.ObserveCoalesce(len(jobs))
-	if len(jobs) == 1 {
-		s.startJob(jobs[0])
-		return
-	}
-	items := make([]batch.Item, len(jobs))
-	for i, j := range jobs {
-		items[i] = batch.Item{Index: i, Key: j.key, Group: j.spec.groupKey()}
-	}
-	plan := batch.Schedule(items)
-	for _, idx := range plan.Order {
-		s.startJob(jobs[idx])
-	}
-	for i := range jobs {
-		if plan.Leader[i] != i {
-			s.startJob(jobs[i])
+// acquire is the admission step /analyze and Execute share: look key up
+// in the result cache, count the outcome in the request counters, and —
+// when this caller leads — start the job under a deadline carved from
+// the server budget now, so queue wait counts against it.
+func (s *Server) acquire(key string, spec jobSpec) (ana *counterminer.Analysis, ok bool, call *Call[*counterminer.Analysis], leader bool) {
+	ana, ok, call, leader = s.cache.Acquire(key)
+	switch {
+	case ok:
+		s.metrics.IncCacheHit()
+	case leader:
+		s.metrics.IncCacheMiss()
+		if _, err := s.startJob(key, call, spec, time.Now().Add(s.cfg.Budget)); err != nil {
+			s.metrics.IncRejected(err)
 		}
+	default:
+		s.metrics.IncShared()
 	}
+	return ana, ok, call, leader
 }
 
-// batchJob is one resolved batch member's execution state: the spec,
-// its content address, and — once dispatched — the singleflight call
-// carrying its result.
+// batchJob is one valid batch member: its resolved spec, its content
+// address, the index of the job that executes on its behalf (itself
+// for the first job with its key), and — once dispatched, unless
+// served from the LRU — the singleflight call carrying its result.
 type batchJob struct {
 	spec jobSpec
 	key  string
+	lead int
 	call *Call[*counterminer.Analysis]
 }
 
-// plannedBatch is the shared front half of both batch endpoints
-// (synchronous and async handle): every job resolved, invalid ones
-// parked as typed per-job errors, the rest planned by the batch
-// scheduler, with the admission-time accounting started.
+// plannedBatch is one batch from planning to delivery: every job
+// resolved (invalid ones parked as typed per-job errors in results),
+// exact duplicates pointed at their leader, and the batch's accounting.
 type plannedBatch struct {
 	results []BatchJobResult
-	states  []*batchJob
-	plan    batch.Plan
+	states  []*batchJob // nil for invalid jobs
 	stats   BatchStats
 }
 
 // planBatch resolves every job independently (a bad job is a typed
-// per-job error, never a batch failure) and schedules the valid ones:
-// exact duplicates collapse onto one execution, the remainder grouped
-// by benchmark identity.
-func (s *Server) planBatch(jobs []AnalyzeRequest) plannedBatch {
-	results := make([]BatchJobResult, len(jobs))
-	states := make([]*batchJob, len(jobs))
-	items := make([]batch.Item, 0, len(jobs))
+// per-job error, never a batch failure) and collapses exact duplicates
+// — equal content addresses — onto the first job with their key. That
+// is the whole plan: the distinct jobs enter the admission queue in
+// request order, and stream.Scheduler keeps each benchmark's jobs
+// adjacent from there.
+func (s *Server) planBatch(jobs []AnalyzeRequest) *plannedBatch {
+	pb := &plannedBatch{
+		results: make([]BatchJobResult, len(jobs)),
+		states:  make([]*batchJob, len(jobs)),
+		stats:   BatchStats{Submitted: len(jobs), ScheduleOrder: []int{}},
+	}
+	leaders := make(map[string]int, len(jobs))
+	groups := make(map[string]bool)
 	for i, jr := range jobs {
-		results[i].Index = i
+		pb.results[i].Index = i
 		spec, herr := s.resolve(jr)
 		if herr != nil {
-			results[i].Error = &ErrorResponse{Error: herr.code, Message: herr.msg}
+			pb.results[i].Error = &ErrorResponse{Error: herr.code, Message: herr.msg}
 			continue
 		}
 		key := specKey(spec)
-		states[i] = &batchJob{spec: spec, key: key}
-		results[i].Key = key
-		items = append(items, batch.Item{Index: i, Key: key, Group: spec.groupKey()})
+		pb.results[i].Key = key
+		lead, dup := leaders[key]
+		if dup {
+			pb.stats.Deduped++
+		} else {
+			lead = i
+			leaders[key] = i
+			groups[Job{Benchmark: spec.benchmark, Colocate: spec.colocate}.GroupKey()] = true
+			pb.stats.ScheduleOrder = append(pb.stats.ScheduleOrder, i)
+		}
+		pb.states[i] = &batchJob{spec: spec, key: key, lead: lead}
 	}
-	plan := batch.Schedule(items)
-	return plannedBatch{
-		results: results,
-		states:  states,
-		plan:    plan,
-		stats: BatchStats{
-			Submitted:     len(jobs),
-			Deduped:       plan.Deduped,
-			Groups:        plan.Groups,
-			ScheduleOrder: append([]int{}, plan.Order...),
-		},
+	pb.stats.Groups = len(groups)
+	return pb
+}
+
+// dispatch is the one dispatch loop of both batch endpoints: every
+// distinct job is acquired in request order under one batch-level
+// deadline carved from the server budget, so the whole sweep can hold
+// the workers no longer than a single request could. A job served from
+// the LRU gets its result here; the others share a call, started
+// through startJob when this batch leads it or joined when identical
+// work is already in flight. It returns the cancel functions of the
+// jobs this batch queued.
+func (s *Server) dispatch(pb *plannedBatch) []func() {
+	var cancels []func()
+	deadline := time.Now().Add(s.cfg.Budget)
+	for _, idx := range pb.stats.ScheduleOrder {
+		st := pb.states[idx]
+		ana, ok, call, leader := s.cache.Acquire(st.key)
+		if ok {
+			pb.results[idx].Cached = true
+			pb.results[idx].Analysis = ana
+			pb.stats.CacheHits++
+			continue
+		}
+		st.call = call
+		if !leader {
+			continue
+		}
+		if cancel, err := s.startJob(st.key, call, st.spec, deadline); err == nil {
+			pb.stats.Executed++
+			cancels = append(cancels, cancel)
+		}
 	}
+	return cancels
+}
+
+// deliver hands every job's final result to complete exactly once:
+// invalid jobs, LRU hits and their duplicates at once, and jobs riding
+// a call — duplicates included — from their own goroutine when the
+// call finishes. The returned WaitGroup is done after the last
+// delivery.
+func (pb *plannedBatch) deliver(complete func(int, BatchJobResult)) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for i, st := range pb.states {
+		if st == nil {
+			complete(i, pb.results[i])
+			continue
+		}
+		res := pb.results[st.lead]
+		res.Index = i
+		res.Deduped = i != st.lead
+		call := pb.states[st.lead].call
+		if call == nil {
+			complete(i, res)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-call.Done
+			if call.Err != nil {
+				res.Error = jobError(call.Err)
+			} else {
+				res.Analysis = call.Val
+			}
+			complete(i, res)
+		}()
+	}
+	return &wg
 }
 
 // handleAnalyzeBatch is POST /analyze/batch: a whole sweep in one
 // round-trip. Jobs are resolved individually (a bad job is a typed
 // per-job error, never a batch failure), exact duplicates collapse
-// onto one execution, the remainder is grouped by benchmark identity
-// and dispatched through the admission queue under one batch-level
-// deadline carved from the server budget, and results return as a
-// per-job array in request order with the schedule's accounting in the
-// envelope.
+// onto one execution, the distinct jobs are dispatched through the
+// admission queue under one batch-level deadline carved from the server
+// budget, and results return as a per-job array in request order with
+// the batch's accounting in the envelope.
 //
 // With ?async=1 the batch becomes a streaming handle instead: the
 // response is an immediate 202 with the handle, and per-job results
@@ -189,106 +238,61 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining", ErrDraining.Error())
 		return
 	}
-	if async := r.URL.Query().Get("async"); async != "" && async != "0" && async != "false" {
-		s.handleBatchAsync(w, req)
-		return
-	}
-
 	start := time.Now()
 	pb := s.planBatch(req.Jobs)
-	results, states, plan, stats := pb.results, pb.states, pb.plan, pb.stats
-
-	// Dispatch leaders in plan order under one batch-level deadline:
-	// the whole sweep can hold the workers no longer than a single
-	// request could. Each job is filed under its plan grouping key, so
-	// it dispatches adjacent to same-benchmark work from other batches
-	// too.
-	deadline := time.Now().Add(s.cfg.Budget)
-	for _, idx := range plan.Order {
-		st := states[idx]
-		ana, ok, call, leader := s.cache.Acquire(st.key)
-		if ok {
-			results[idx].Cached = true
-			results[idx].Analysis = ana
-			stats.CacheHits++
-			continue
-		}
-		st.call = call
-		if !leader {
-			// An identical request (or another batch) is already
-			// executing this key; share its call.
-			continue
-		}
-		_, err := s.queue.SubmitGrouped(plan.GroupOf[idx], deadline, func(ctx context.Context) {
-			a, aerr := s.analyze(ctx, st.spec)
-			s.metrics.ObserveAnalysis(a, aerr)
-			s.syncFingerprint(st.spec, aerr)
-			s.cache.Complete(st.key, st.call, a, aerr)
-		})
-		if err != nil {
-			s.cache.Complete(st.key, st.call, nil, err)
-		} else {
-			stats.Executed++
-		}
-	}
-
-	// Wait for every in-flight job. A disconnected client abandons the
-	// wait; executions continue for the cache and other waiters.
-	for _, idx := range plan.Order {
-		st := states[idx]
-		if st.call == nil {
-			continue // served from the LRU
-		}
-		select {
-		case <-st.call.Done:
-		case <-r.Context().Done():
-			return
-		}
-		if st.call.Err != nil {
-			results[idx].Error = jobError(st.call.Err)
-		} else {
-			results[idx].Analysis = st.call.Val
-		}
-	}
-
-	// Exact duplicates share their leader's outcome.
-	for i, st := range states {
-		if st == nil {
-			continue
-		}
-		lead := plan.Leader[i]
-		if lead == i {
-			continue
-		}
-		results[i].Deduped = true
-		results[i].Cached = results[lead].Cached
-		results[i].Error = results[lead].Error
-		results[i].Analysis = results[lead].Analysis
-	}
-	for i := range results {
-		if results[i].Error != nil {
-			stats.Errors++
-		}
-	}
-
-	// Whole-batch overload mirrors the single-job rejection: when
-	// every scheduled job died at admission, the batch answers 429/503
-	// with Retry-After instead of a per-job result array.
-	if code, all := uniformAdmissionFailure(results, plan.Order); all {
-		s.metrics.IncBatchRejected()
-		status := http.StatusTooManyRequests
-		if code == "draining" {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, code,
-			fmt.Sprintf("all %d scheduled jobs rejected at admission", len(plan.Order)))
+	if async := r.URL.Query().Get("async"); async != "" && async != "0" && async != "false" {
+		s.handleBatchAsync(w, pb)
 		return
 	}
 
-	s.metrics.ObserveBatch(stats)
+	s.dispatch(pb)
+	// A fresh slice: deliver still reads pb.results while its
+	// goroutines complete.
+	results := make([]BatchJobResult, len(pb.results))
+	wg := pb.deliver(func(i int, res BatchJobResult) { results[i] = res })
+
+	// The batch is settled — folded into /metrics — once its last call
+	// completes, whether or not the client is still waiting: a
+	// disconnected client abandons only the response, while executions
+	// continue for the cache and other waiters.
+	rejected := ""
+	settled := make(chan struct{})
+	go func() {
+		defer close(settled)
+		wg.Wait()
+		for i := range results {
+			if results[i].Error != nil {
+				pb.stats.Errors++
+			}
+		}
+		// Whole-batch overload mirrors the single-job rejection: when
+		// every scheduled job died at admission, the batch answers
+		// 429/503 with Retry-After instead of a per-job result array.
+		if code, all := uniformAdmissionFailure(results, pb.stats.ScheduleOrder); all {
+			rejected = code
+			s.metrics.IncBatchRejected()
+			return
+		}
+		s.metrics.ObserveBatch(pb.stats)
+	}()
+	select {
+	case <-settled:
+	case <-r.Context().Done():
+		return
+	}
+
+	if rejected != "" {
+		status := http.StatusTooManyRequests
+		if rejected == "draining" {
+			status = http.StatusServiceUnavailable
+		}
+		writeError(w, status, rejected,
+			fmt.Sprintf("all %d scheduled jobs rejected at admission", len(pb.stats.ScheduleOrder)))
+		return
+	}
 	writeJSON(w, http.StatusOK, BatchResponse{
 		Jobs:      results,
-		Stats:     stats,
+		Stats:     pb.stats,
 		ElapsedMs: msSince(start),
 	})
 }

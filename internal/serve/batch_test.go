@@ -106,10 +106,8 @@ func TestBatchDedupGroupingAndPerJobErrors(t *testing.T) {
 	}
 	want := BatchStats{
 		Submitted: 8, Deduped: 3, CacheHits: 0, Executed: 4, Errors: 1, Groups: 3,
-		// wordcount's group has two distinct jobs, so it dispatches
-		// first; sort and pagerank tie at one job each and follow in
-		// first-appearance order.
-		ScheduleOrder: []int{0, 6, 1, 3},
+		// The distinct jobs, in request order.
+		ScheduleOrder: []int{0, 1, 3, 6},
 	}
 	if !reflect.DeepEqual(br.Stats, want) {
 		t.Errorf("stats = %+v, want %+v", br.Stats, want)
@@ -408,11 +406,10 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestBatchMetricsPreRegistered: the whole batch/coalesce/collector
-// surface is present (zeroed) in /metrics before the first batch
-// arrives.
+// TestBatchMetricsPreRegistered: the whole batch/collector surface is
+// present (zeroed) in /metrics before the first batch arrives.
 func TestBatchMetricsPreRegistered(t *testing.T) {
-	s, err := New(Config{CoalesceWindow: time.Hour})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +433,7 @@ func TestBatchMetricsPreRegistered(t *testing.T) {
 	}
 	for _, k := range []string{
 		"batches", "rejected", "jobs", "deduped", "cache_hits", "executed",
-		"job_errors", "coalesce_flushes", "coalesced_jobs", "coalesce_pending",
+		"job_errors",
 	} {
 		if _, ok := batchKeys[k]; !ok {
 			t.Errorf("batch metrics missing pre-registered key %q", k)
@@ -453,63 +450,129 @@ func TestBatchMetricsPreRegistered(t *testing.T) {
 	}
 }
 
-// TestBatchCoalesceWindowMergesSingles: with a coalescing window
-// configured, single /analyze submissions wait in the window, dispatch
-// together as one scheduled batch, and both complete.
-func TestBatchCoalesceWindowMergesSingles(t *testing.T) {
-	s, g := newGatedServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 8, CoalesceWindow: time.Hour})
+// TestBatchQueuedGroupsDispatchContiguously pins where same-benchmark
+// adjacency lives: with the only worker busy, an async batch whose
+// benchmarks interleave queues whole in request order, and the
+// admission queue's scheduler still dispatches each benchmark's jobs
+// back to back. No group is split, so every job after a group's first
+// finds its trace generator warm.
+func TestBatchQueuedGroupsDispatchContiguously(t *testing.T) {
+	s, g := newGatedServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.queue.Drain()
 
-	type res struct {
-		status int
-		ar     AnalyzeResponse
-	}
-	results := make(chan res, 2)
-	for _, bench := range []string{"wordcount", "sort"} {
-		go func(bench string) {
-			resp, b := postAnalyze(t, ts.URL, fmt.Sprintf(`{"benchmark":%q}`, bench))
-			var ar AnalyzeResponse
-			json.Unmarshal(b, &ar)
-			results <- res{resp.StatusCode, ar}
-		}(bench)
-	}
-	waitFor(t, "two jobs pending in the window", func() bool { return s.coalescer.Pending() == 2 })
-	if got := g.count.Load(); got != 0 {
-		t.Fatalf("executions before the window closed = %d, want 0", got)
-	}
-	if snap := s.snapshot(); snap.Batch.CoalescePending != 2 {
-		t.Errorf("coalesce_pending gauge = %d, want 2", snap.Batch.CoalescePending)
+	// Occupy the only worker so the whole batch queues before any of
+	// it dispatches.
+	go func() {
+		resp, err := http.Post(ts.URL+"/analyze", "application/json",
+			strings.NewReader(`{"benchmark":"kmeans"}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	if got := <-g.entered; got != "kmeans" {
+		t.Fatalf("first job = %q, want kmeans", got)
 	}
 
-	s.coalescer.Flush()
+	body := batchBody(t,
+		AnalyzeRequest{Benchmark: "sort", Seed: 1},
+		AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
+		AnalyzeRequest{Benchmark: "sort", Seed: 2},
+		AnalyzeRequest{Benchmark: "pagerank", Seed: 1},
+		AnalyzeRequest{Benchmark: "wordcount", Seed: 2},
+	)
+	resp, _, b := postAsyncBatch(t, ts.URL, body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit status = %d: %s", resp.StatusCode, b)
+	}
+	waitFor(t, "batch queued", func() bool { return s.queue.Depth() == 5 })
+
 	close(g.release)
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.status != http.StatusOK || r.ar.Analysis == nil {
-			t.Errorf("coalesced request %d: status %d, analysis %v", i, r.status, r.ar.Analysis)
+	waitFor(t, "batch executed", func() bool { return s.queue.Executed() == 6 })
+	var order []string
+	for i := 0; i < 5; i++ {
+		order = append(order, <-g.entered)
+	}
+	left := map[string]bool{}
+	for i, bench := range order {
+		if i > 0 && bench != order[i-1] {
+			left[order[i-1]] = true
 		}
-	}
-	snap := s.snapshot()
-	if snap.Batch.CoalesceFlushes != 1 || snap.Batch.CoalescedJobs != 2 {
-		t.Errorf("coalesce metrics = %+v, want 1 flush of 2 jobs", snap.Batch)
-	}
-	if got := g.count.Load(); got != 2 {
-		t.Errorf("executions after flush = %d, want 2", got)
+		if left[bench] {
+			t.Fatalf("dispatch order %v splits the %s group", order, bench)
+		}
 	}
 }
 
-// TestBatchSubmitDeadline pins SubmitDeadline: the job context expires
-// at the explicit deadline, the batch-level budget the scheduler
-// carves once per batch.
+// TestBatchAbandonedSyncBatchCounted: a synchronous batch whose client
+// disconnects still runs every job, and is folded into /metrics.batch
+// once its last call completes — the same accounting an async batch
+// always gets.
+func TestBatchAbandonedSyncBatchCounted(t *testing.T) {
+	s, g := newGatedServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
+	// Signal when the server has seen the client go away, so the jobs
+	// finish strictly after the handler stopped waiting for them.
+	gone := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/analyze/batch" {
+			go func() {
+				<-r.Context().Done()
+				close(gone)
+			}()
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	defer s.queue.Drain()
+
+	body := batchBody(t,
+		AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
+		AnalyzeRequest{Benchmark: "sort", Seed: 1},
+		AnalyzeRequest{Benchmark: "wordcount", Seed: 1}, // duplicate
+	)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/analyze/batch", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	<-g.entered
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("canceled batch request got a response")
+	}
+	<-gone
+	close(g.release)
+
+	waitFor(t, "abandoned batch counted", func() bool { return s.snapshot().Batch.Batches == 1 })
+	snap := s.snapshot()
+	if snap.Batch.Jobs != 3 || snap.Batch.Deduped != 1 || snap.Batch.Executed != 2 || snap.Batch.JobErrors != 0 {
+		t.Errorf("abandoned batch metrics = %+v, want 3 jobs, 1 deduped, 2 executed, 0 errors", snap.Batch)
+	}
+	if got := g.count.Load(); got != 2 {
+		t.Errorf("pipeline executions = %d, want 2", got)
+	}
+}
+
+// TestBatchSubmitDeadline: a batch job, filed under its benchmark group
+// the way startJob files it, runs under the explicit deadline the batch
+// carved at arrival, not under one of its own.
 func TestBatchSubmitDeadline(t *testing.T) {
-	q := NewQueue(1, 0, 0)
+	q := NewQueue(1, 0)
 	errc := make(chan error, 1)
 	waitFor(t, "deadline job admitted", func() bool {
-		err := q.SubmitDeadline(time.Now().Add(20*time.Millisecond), func(ctx context.Context) {
+		_, err := q.Submit("wordcount", time.Now().Add(20*time.Millisecond), func(ctx context.Context) func() {
 			<-ctx.Done()
 			errc <- ctx.Err()
+			return nil
 		})
 		return err == nil
 	})

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"counterminer/internal/collector"
 	"counterminer/internal/sim"
@@ -19,7 +18,6 @@ import (
 
 func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	cases := []Config{
-		{CoalesceWindow: -time.Second},
 		{StoreMemBytes: -1},
 	}
 	for _, cfg := range cases {
@@ -34,8 +32,8 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 			t.Errorf("New(%+v) returned a server alongside the error", cfg)
 		}
 	}
-	// Zero remains the documented "off" value for both.
-	s, err := New(Config{CoalesceWindow: 0, StoreMemBytes: 0})
+	// Zero remains the documented "unlimited" memory budget.
+	s, err := New(Config{StoreMemBytes: 0})
 	if err != nil {
 		t.Fatalf("zero-valued knobs rejected: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"time"
 
 	counterminer "counterminer"
 	"counterminer/internal/clean"
@@ -72,9 +71,11 @@ type Job struct {
 	Cleaner string `json:"cleaner,omitempty"`
 }
 
-// GroupKey is the job's scheduler grouping key: the benchmark identity,
-// the unit of collector memoization. The cluster layer routes by it so
-// jobs sharing a memoized trace generator land on the same worker.
+// GroupKey is the job's grouping key: the benchmark identity, the unit
+// of collector memoization. The admission queue files jobs under it so
+// stream.Scheduler dispatches them adjacently, and the cluster layer
+// routes by it so jobs sharing a memoized trace generator land on the
+// same worker.
 func (j Job) GroupKey() string { return j.Benchmark + "\x00" + j.Colocate }
 
 // jobFromSpec converts a resolved jobSpec into its wire form.
@@ -120,9 +121,9 @@ func (s *Server) specFromJob(j Job) jobSpec {
 }
 
 // SetDispatch replaces local pipeline execution with a remote
-// dispatcher: every admitted analysis — single, batch, or coalesced —
-// is handed to d as a wire Job instead of running on this node's
-// pipeline. The server keeps everything else: admission control, the
+// dispatcher: every admitted analysis — single or batch — is handed to
+// d as a wire Job instead of running on this node's pipeline. The
+// server keeps everything else: admission control, the
 // content-addressed cache and singleflight, batch planning, and
 // metrics. This is how a coordinator serves the same /analyze contract
 // as a standalone daemon while the compute happens on workers.
@@ -142,23 +143,12 @@ func (s *Server) SetDispatch(d func(ctx context.Context, job Job) (*counterminer
 // from the job's content, re-deliveries of the same Job — a
 // coordinator retrying after a lost reply, or two coordinators racing
 // across a failover — deduplicate onto one execution per node.
-//
-// The coalescing window is deliberately bypassed: a dispatched job was
-// already scheduled by the coordinator's planner.
 func (s *Server) Execute(ctx context.Context, job Job) (*counterminer.Analysis, error) {
 	s.metrics.IncRequest()
 	spec := s.specFromJob(job)
-	key := specKey(spec)
-	ana, ok, call, leader := s.cache.Acquire(key)
+	ana, ok, call, _ := s.acquire(specKey(spec), spec)
 	if ok {
-		s.metrics.IncCacheHit()
 		return ana, nil
-	}
-	if leader {
-		s.metrics.IncCacheMiss()
-		s.startJob(pendingJob{key: key, call: call, spec: spec, deadline: time.Now().Add(s.cfg.Budget)})
-	} else {
-		s.metrics.IncShared()
 	}
 	select {
 	case <-call.Done:

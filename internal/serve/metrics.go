@@ -18,9 +18,9 @@ import (
 // histogram per pipeline stage, fed from Analysis.Stages. Everything is
 // exported as one JSON document by GET /metrics (the client.Snapshot
 // wire type), so any scraper that speaks JSON can consume it without a
-// client library. The whole surface — batch and coalesce counters
-// included — is pre-registered: every field is present (zeroed) before
-// the first request arrives.
+// client library. The whole surface — batch counters included — is
+// pre-registered: every field is present (zeroed) before the first
+// request arrives.
 type Metrics struct {
 	start time.Time
 
@@ -41,8 +41,6 @@ type Metrics struct {
 	batchCacheHits uint64
 	batchExecuted  uint64
 	batchJobErrors uint64
-	coalesceFlush  uint64
-	coalescedJobs  uint64
 	// analysis outcomes
 	completed uint64
 	failed    uint64
@@ -150,15 +148,6 @@ func (m *Metrics) ObserveBatch(st BatchStats) {
 // 503).
 func (m *Metrics) IncBatchRejected() { m.inc(&m.batchRejected) }
 
-// ObserveCoalesce counts one coalescing-window flush merging n single
-// submissions.
-func (m *Metrics) ObserveCoalesce(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.coalesceFlush++
-	m.coalescedJobs += uint64(n)
-}
-
 func (m *Metrics) inc(c *uint64) {
 	m.mu.Lock()
 	*c++
@@ -259,17 +248,16 @@ func (m *Metrics) ObserveAnalysis(ana *counterminer.Analysis, err error) {
 // gauges bundles the live-state sources SnapshotFrom reads alongside
 // the counters; any field may be nil.
 type gauges struct {
-	queue     *Queue
-	cache     *Cache[*counterminer.Analysis]
-	coll      *collector.Collector
-	db        *store.DB
-	index     *fingerprint.Index
-	coalescer interface{ Pending() int }
-	cluster   func() client.ClusterCounters
+	queue   *Queue
+	cache   *Cache[*counterminer.Analysis]
+	coll    *collector.Collector
+	db      *store.DB
+	index   *fingerprint.Index
+	cluster func() client.ClusterCounters
 }
 
 // SnapshotFrom assembles the full metrics document from the registry
-// plus the queue, cache, coalescer, and collector gauges.
+// plus the queue, cache, and collector gauges.
 func (m *Metrics) SnapshotFrom(g gauges) Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -285,15 +273,13 @@ func (m *Metrics) SnapshotFrom(g gauges) Snapshot {
 			SingleflightShared: m.shared,
 		},
 		Batch: BatchCounters{
-			Batches:         m.batches,
-			Rejected:        m.batchRejected,
-			Jobs:            m.batchJobs,
-			Deduped:         m.batchDeduped,
-			CacheHits:       m.batchCacheHits,
-			Executed:        m.batchExecuted,
-			JobErrors:       m.batchJobErrors,
-			CoalesceFlushes: m.coalesceFlush,
-			CoalescedJobs:   m.coalescedJobs,
+			Batches:   m.batches,
+			Rejected:  m.batchRejected,
+			Jobs:      m.batchJobs,
+			Deduped:   m.batchDeduped,
+			CacheHits: m.batchCacheHits,
+			Executed:  m.batchExecuted,
+			JobErrors: m.batchJobErrors,
 		},
 		Analyses: AnalysisCounters{
 			Completed:         m.completed,
@@ -340,9 +326,6 @@ func (m *Metrics) SnapshotFrom(g gauges) Snapshot {
 	if g.coll != nil {
 		builds, hits := g.coll.MemoStats()
 		snap.Collector = CollectorCounters{Builds: builds, MemoHits: hits}
-	}
-	if g.coalescer != nil {
-		snap.Batch.CoalescePending = g.coalescer.Pending()
 	}
 	if g.cluster != nil {
 		cc := g.cluster()

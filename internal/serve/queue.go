@@ -27,14 +27,14 @@ var (
 // Queue is the admission-controlled job queue in front of the analysis
 // pipeline: a bounded cross-batch priority scheduler feeding a fixed
 // worker pool (run on internal/parallel, the same pool primitive as
-// the analysis engine itself). Jobs are keyed by the batch planner's
-// benchmark-identity grouping key, so jobs from different requests —
-// or different batch handles — that share a benchmark dispatch
-// adjacently and the collector's memoized trace generators stay warm
-// across clients (see stream.Scheduler for the ordering invariants).
-// Every admitted job gets its own deadline derived from the server's
-// per-request budget, so one slow analysis can never hold a worker
-// forever.
+// the analysis engine itself). Jobs are filed under their
+// benchmark-identity grouping key (Job.GroupKey), so jobs from
+// different requests — or different batch handles — that share a
+// benchmark dispatch adjacently and the collector's memoized trace
+// generators stay warm across clients (see stream.Scheduler for the
+// ordering invariants). Every job runs under the deadline its caller
+// carved from the server budget, so one slow analysis can never hold a
+// worker forever.
 //
 // Shutdown is graceful and split by state: Drain lets jobs that are
 // already executing finish, while jobs still waiting in the scheduler
@@ -42,10 +42,9 @@ var (
 // ordinary *CancelError path and their waiters see a typed
 // cancellation, not a hang.
 type Queue struct {
-	sched  *stream.Scheduler[*queuedJob]
-	budget time.Duration
-	depth  int
-	done   chan struct{}
+	sched *stream.Scheduler[*queuedJob]
+	depth int
+	done  chan struct{}
 
 	mu       sync.Mutex
 	draining bool
@@ -54,21 +53,20 @@ type Queue struct {
 	executed atomic.Int64
 }
 
-// queuedJob is one admitted unit of work with its budget context.
+// queuedJob is one admitted unit of work with its deadline context.
 // popped flips when a worker claims the job: a cancel-if-queued (batch
 // handle cancellation) only fires while it is still false.
 type queuedJob struct {
 	ctx    context.Context
 	cancel context.CancelFunc
-	run    func(context.Context)
+	run    func(context.Context) func()
 	popped atomic.Bool
 }
 
-// NewQueue starts a queue with the given worker pool size, buffer
+// NewQueue starts a queue with the given worker pool size and buffer
 // depth (jobs waiting beyond the ones executing; 0 means a job is only
-// admitted when a worker is idle), and per-job budget (<= 0 means no
-// deadline).
-func NewQueue(workers, depth int, budget time.Duration) *Queue {
+// admitted when a worker is idle).
+func NewQueue(workers, depth int) *Queue {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -76,10 +74,9 @@ func NewQueue(workers, depth int, budget time.Duration) *Queue {
 		depth = 0
 	}
 	q := &Queue{
-		sched:  stream.NewScheduler[*queuedJob](),
-		budget: budget,
-		depth:  depth,
-		done:   make(chan struct{}),
+		sched: stream.NewScheduler[*queuedJob](),
+		depth: depth,
+		done:  make(chan struct{}),
 	}
 	go func() {
 		defer close(q.done)
@@ -95,8 +92,10 @@ func NewQueue(workers, depth int, budget time.Duration) *Queue {
 }
 
 // loop is one worker: pull the highest-priority job, claim it (so
-// Drain and handle cancellation no longer touch it), execute under the
-// job's budget context, release the timer, and mark the group idle.
+// Drain and handle cancellation no longer touch it), execute it under
+// its deadline context, release the timer, count it, and only then
+// publish its completion and mark the group idle — a caller woken by
+// the result always finds the job counted in Executed.
 func (q *Queue) loop() {
 	for {
 		j, group, ok := q.sched.Pop()
@@ -105,44 +104,30 @@ func (q *Queue) loop() {
 		}
 		j.popped.Store(true)
 		q.active.Add(1)
-		j.run(j.ctx)
+		complete := j.run(j.ctx)
 		j.cancel()
 		q.active.Add(-1)
 		q.executed.Add(1)
+		if complete != nil {
+			complete()
+		}
 		q.sched.Done(group)
 	}
 }
 
-// Submit admits run into the queue, or rejects it with ErrQueueFull /
-// ErrDraining without blocking. An admitted job runs exactly once on
-// some worker, under a context carrying the per-job budget deadline —
-// canceled early only if the queue drains before the job starts.
-func (q *Queue) Submit(run func(context.Context)) error {
-	var deadline time.Time
-	if q.budget > 0 {
-		deadline = time.Now().Add(q.budget)
-	}
-	return q.SubmitDeadline(deadline, run)
-}
-
-// SubmitDeadline is Submit under an explicit deadline (zero means
-// none) instead of one carved per job from the server budget. The
-// batch scheduler uses it to run every job of a batch under one
-// batch-level deadline, so a sweep's total hold on the workers is
-// bounded exactly like a single request's.
-func (q *Queue) SubmitDeadline(deadline time.Time, run func(context.Context)) error {
-	_, err := q.SubmitGrouped("", deadline, run)
-	return err
-}
-
-// SubmitGrouped is SubmitDeadline with the job filed under a
-// benchmark-identity grouping key for cross-batch priority dispatch.
-// On success it also returns a cancel function that cancels the job's
+// Submit admits run into the queue under the grouping key group, or
+// rejects it with ErrQueueFull / ErrDraining without blocking. An
+// admitted job runs exactly once on some worker, under a context that
+// expires at deadline (zero means none). run may return a completion —
+// the step that publishes its result — which the worker calls after the
+// job is counted in Executed.
+//
+// On success Submit also returns cancel, which cancels the job's
 // context only while it still waits in the scheduler — the batch-handle
 // cancellation path: a queued job then executes immediately into the
 // pipeline's *CancelError, while a job already claimed by a worker is
-// left to finish normally.
-func (q *Queue) SubmitGrouped(group string, deadline time.Time, run func(context.Context)) (func(), error) {
+// left to finish normally. Drain cancels every queued job the same way.
+func (q *Queue) Submit(group string, deadline time.Time, run func(context.Context) (complete func())) (cancel func(), err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.draining {
@@ -154,10 +139,7 @@ func (q *Queue) SubmitGrouped(group string, deadline time.Time, run func(context
 	if q.sched.Len() >= q.depth+q.sched.Waiters() {
 		return nil, ErrQueueFull
 	}
-	var (
-		ctx    context.Context
-		cancel context.CancelFunc
-	)
+	var ctx context.Context
 	if !deadline.IsZero() {
 		ctx, cancel = context.WithDeadline(context.Background(), deadline)
 	} else {

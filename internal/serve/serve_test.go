@@ -36,22 +36,26 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // --- queue -----------------------------------------------------------------
 
+// noopJob is a queue job that does nothing and publishes nothing.
+func noopJob(context.Context) func() { return nil }
+
 func TestQueueAdmissionOverload(t *testing.T) {
-	q := NewQueue(1, 1, 0)
+	q := NewQueue(1, 1)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if err := q.Submit(func(ctx context.Context) {
+	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) func() {
 		close(started)
 		<-release
+		return nil
 	}); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
 	<-started
-	if err := q.Submit(func(ctx context.Context) {}); err != nil {
+	if _, err := q.Submit("", time.Time{}, noopJob); err != nil {
 		t.Fatalf("buffered submit: %v", err)
 	}
 	// Worker busy, buffer full: the third job must be rejected, typed.
-	err := q.Submit(func(ctx context.Context) {})
+	_, err := q.Submit("", time.Time{}, noopJob)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overload submit error = %v, want ErrQueueFull", err)
 	}
@@ -63,12 +67,13 @@ func TestQueueAdmissionOverload(t *testing.T) {
 }
 
 func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
-	q := NewQueue(1, 2, 0)
+	q := NewQueue(1, 2)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if err := q.Submit(func(ctx context.Context) {
+	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) func() {
 		close(started)
 		<-release
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +87,10 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	if err := q.Submit(func(ctx context.Context) {
+	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) func() {
 		_, aerr := pipe.AnalyzeContext(ctx, "wordcount")
 		errc <- aerr
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,8 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 	// queued job under the same critical section), then let the active
 	// job finish so the worker reaches the queued, already-canceled one.
 	waitFor(t, "queue draining", func() bool {
-		return errors.Is(q.Submit(func(context.Context) {}), ErrDraining)
+		_, err := q.Submit("", time.Time{}, noopJob)
+		return errors.Is(err, ErrDraining)
 	})
 	close(release)
 	<-drained
@@ -114,18 +121,22 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 	if ce.Stage != counterminer.StageCollect {
 		t.Errorf("canceled stage = %q, want %q", ce.Stage, counterminer.StageCollect)
 	}
-	if err := q.Submit(func(ctx context.Context) {}); !errors.Is(err, ErrDraining) {
+	if _, err := q.Submit("", time.Time{}, noopJob); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain = %v, want ErrDraining", err)
 	}
 }
 
+// TestQueueBudgetDeadline: a job's context expires at the deadline
+// passed to Submit — the one deadline a request, or a whole batch,
+// carves from the server budget at arrival.
 func TestQueueBudgetDeadline(t *testing.T) {
-	q := NewQueue(1, 0, 20*time.Millisecond)
+	q := NewQueue(1, 0)
 	errc := make(chan error, 1)
 	waitFor(t, "budget job admitted", func() bool {
-		err := q.Submit(func(ctx context.Context) {
+		_, err := q.Submit("", time.Now().Add(20*time.Millisecond), func(ctx context.Context) func() {
 			<-ctx.Done()
 			errc <- ctx.Err()
+			return nil
 		})
 		return err == nil
 	})
@@ -718,5 +729,46 @@ func TestMetricsSnapshotStoreShardStats(t *testing.T) {
 	}
 	if got := bare.snapshot(); got.Store != nil {
 		t.Errorf("snapshot.Store = %+v without a store, want nil", got.Store)
+	}
+}
+
+// TestExecuteCountsJobBeforeResult: the queue counts a job as executed
+// before its result is published, so a caller that just got a result
+// from Execute always finds it in Queue.Executed (and /metrics).
+func TestExecuteCountsJobBeforeResult(t *testing.T) {
+	s, err := New(Config{Workers: 2, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.queue.Drain()
+	s.analyze = func(_ context.Context, spec jobSpec) (*counterminer.Analysis, error) {
+		return &counterminer.Analysis{Benchmark: spec.benchmark}, nil
+	}
+	for i := 1; i <= 2000; i++ {
+		if _, err := s.Execute(context.Background(), Job{Benchmark: "wordcount", Seed: int64(i)}); err != nil {
+			t.Fatalf("execute %d: %v", i, err)
+		}
+		if got := s.queue.Executed(); got != i {
+			t.Fatalf("after %d Execute calls the queue counts %d executed", i, got)
+		}
+	}
+}
+
+// TestServeBoundsSlowClients: the http.Server that Serve runs bounds
+// how long a client may take to send its headers and how long an idle
+// connection lives, and sets no read or write timeout that would cut
+// long SSE streams or large batch bodies.
+func TestServeBoundsSlowClients(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.queue.Drain()
+	hs := s.httpServer()
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v; both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; both must be 0", hs.ReadTimeout, hs.WriteTimeout)
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	counterminer "counterminer"
-	"counterminer/internal/batch"
 	"counterminer/internal/clean"
 	"counterminer/internal/collector"
 	"counterminer/internal/fault"
@@ -80,14 +79,8 @@ type Config struct {
 	// (default 0 = GOMAXPROCS). It never changes results, only speed.
 	AnalysisWorkers int
 	// BatchMax caps the jobs one /analyze/batch request may carry
-	// (default 64). It also caps a coalescing-window batch.
+	// (default 64).
 	BatchMax int
-	// CoalesceWindow, when positive, merges single /analyze
-	// submissions arriving within the window into one scheduled batch,
-	// so interactive traffic gets the batch scheduler's grouping
-	// benefits. Zero disables coalescing (submissions dispatch
-	// immediately).
-	CoalesceWindow time.Duration
 	// DefaultCleaner selects the Clean-stage strategy for requests that
 	// do not name one (default clean.DefaultCleaner). Must be a
 	// registered cleaner name; New rejects anything else.
@@ -114,13 +107,10 @@ var ErrConfig = errors.New("serve: invalid configuration")
 
 // validate rejects Config fields whose negative values have no
 // defined meaning. QueueDepth, CacheSize, and StoreWriteback encode
-// "none"/"off" as negatives by contract; CoalesceWindow and
-// StoreMemBytes do not, and used to fall through to surprising
-// defaults (a silently disabled window, an ignored memory budget).
+// "none"/"off" as negatives by contract; the others do not, and a
+// negative would otherwise fall through to a surprising default (an
+// ignored memory budget, for one).
 func (c Config) validate() error {
-	if c.CoalesceWindow < 0 {
-		return fmt.Errorf("%w: CoalesceWindow must be >= 0, got %v", ErrConfig, c.CoalesceWindow)
-	}
 	if c.StoreMemBytes < 0 {
 		return fmt.Errorf("%w: StoreMemBytes must be >= 0, got %d", ErrConfig, c.StoreMemBytes)
 	}
@@ -207,10 +197,6 @@ type Server struct {
 	// index version, so a rebuild naturally orphans stale entries.
 	fpCache *Cache[*client.Classification]
 
-	// coalescer, when non-nil, merges single /analyze submissions
-	// arriving within CoalesceWindow into one scheduled batch.
-	coalescer *batch.Coalescer[pendingJob]
-
 	// analyze executes one resolved request; tests substitute it to
 	// make concurrency scenarios deterministic, and SetDispatch
 	// replaces it with a cluster dispatcher on coordinators.
@@ -253,15 +239,12 @@ func New(cfg Config) (*Server, error) {
 		cat:     cat,
 		coll:    coll,
 		source:  coll,
-		queue:   NewQueue(cfg.Workers, cfg.QueueDepth, cfg.Budget),
+		queue:   NewQueue(cfg.Workers, cfg.QueueDepth),
 		cache:   NewCache[*counterminer.Analysis](cfg.CacheSize),
 		fpCache: NewCache[*client.Classification](cfg.CacheSize),
 		metrics: NewMetrics(),
 		extra:   make(map[string]http.Handler),
 		streams: stream.NewRegistry(cfg.StreamHandles, 2*cfg.StreamHandles, cfg.StreamRing),
-	}
-	if cfg.CoalesceWindow > 0 {
-		s.coalescer = batch.NewCoalescer[pendingJob](cfg.CoalesceWindow, cfg.BatchMax, s.dispatchCoalesced)
 	}
 	if cfg.StorePath != "" {
 		db, err := store.Open(cfg.StorePath)
@@ -313,7 +296,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	if s.db != nil && s.cfg.StoreWriteback >= 0 {
 		stopWB = s.db.StartWriteback(s.cfg.StoreWriteback)
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
@@ -344,16 +327,31 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return serveErr
 }
 
-// drainWork begins shutdown of the job plane: the coalescer flushes
-// its pending window into the queue first (so coalesced jobs reach
-// admission and travel the ordinary drain path instead of dangling),
-// then the queue drains — executing jobs finish, queued ones are
-// canceled through the pipeline's *CancelError path.
+// Slow-client bounds for the HTTP server: a client must finish its
+// request headers within readHeaderTimeout, and an idle keep-alive
+// connection closes after idleTimeout, so a client that never finishes
+// (slowloris) cannot hold a connection and a goroutine forever. There
+// is deliberately no ReadTimeout or WriteTimeout: they would cut long
+// SSE streams and large batch bodies.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer builds the http.Server that Serve runs.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// drainWork begins shutdown of the job plane: the queue drains —
+// executing jobs finish, queued ones are canceled through the
+// pipeline's *CancelError path.
 func (s *Server) drainWork() {
 	s.draining.Store(true)
-	if s.coalescer != nil {
-		s.coalescer.Close()
-	}
 	s.queue.Drain()
 	// With the queue drained every job has completed (canceled jobs
 	// through the *CancelError path), so handle watchers finish in
@@ -424,12 +422,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // snapshot assembles the full metrics document from the server's live
 // parts.
 func (s *Server) snapshot() Snapshot {
-	g := gauges{queue: s.queue, cache: s.cache, coll: s.coll, db: s.db, index: s.fpIndex}
-	if s.coalescer != nil {
-		g.coalescer = s.coalescer
-	}
-	g.cluster = s.clusterStats
-	snap := s.metrics.SnapshotFrom(g)
+	snap := s.metrics.SnapshotFrom(gauges{
+		queue: s.queue, cache: s.cache, coll: s.coll, db: s.db, index: s.fpIndex,
+		cluster: s.clusterStats,
+	})
 	snap.Stream = s.streams.Stats(streamGroupGauges(s.queue.GroupDepths()))
 	return snap
 }
@@ -485,32 +481,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	cacheKey := specKey(spec)
-	ana, ok, call, leader := s.cache.Acquire(cacheKey)
+	// Admission failures complete the call with the typed rejection
+	// (never cached), waking any followers.
+	ana, ok, call, leader := s.acquire(cacheKey, spec)
 	if ok {
-		s.metrics.IncCacheHit()
 		writeJSON(w, http.StatusOK, AnalyzeResponse{
 			Key: cacheKey, Cached: true,
 			ElapsedMs: msSince(start), Analysis: ana,
 		})
 		return
 	}
-	if leader {
-		s.metrics.IncCacheMiss()
-		// The deadline is carved from the server budget at arrival, so
-		// queue wait — and, when coalescing, window wait — counts
-		// against it. Admission failures inside startJob complete the
-		// call with the typed rejection (never cached), waking any
-		// followers.
-		pj := pendingJob{key: cacheKey, call: call, spec: spec, deadline: time.Now().Add(s.cfg.Budget)}
-		if s.coalescer != nil {
-			s.coalescer.Add(pj)
-		} else {
-			s.startJob(pj)
-		}
-	} else {
-		s.metrics.IncShared()
-	}
-
 	select {
 	case <-call.Done:
 	case <-r.Context().Done():

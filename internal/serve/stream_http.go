@@ -1,139 +1,49 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	counterminer "counterminer"
 	"counterminer/internal/stream"
 )
 
 // handleBatchAsync is POST /analyze/batch?async=1: the batch becomes a
-// streaming handle. The request is planned and dispatched exactly like
-// a synchronous batch — same resolution, deduplication, grouping, and
+// streaming handle. The planned batch is dispatched exactly like a
+// synchronous one — same dispatch loop, same deduplication and
 // admission — but instead of holding the connection until the slowest
 // job finishes, the server answers 202 with a handle immediately and
 // publishes each job's result as an event the moment it completes.
 // Consumers stream the events (GET /batch/{handle}/events, SSE), poll
 // the snapshot (GET /batch/{handle}), or cancel still-queued jobs
 // (DELETE /batch/{handle}).
-func (s *Server) handleBatchAsync(w http.ResponseWriter, req BatchRequest) {
-	pb := s.planBatch(req.Jobs)
-	h, err := s.streams.Open(len(req.Jobs), pb.stats)
+func (s *Server) handleBatchAsync(w http.ResponseWriter, pb *plannedBatch) {
+	h, err := s.streams.Open(len(pb.results), pb.stats)
 	if err != nil {
 		s.metrics.IncBatchRejected()
 		writeError(w, http.StatusTooManyRequests, "handle_limit", err.Error())
 		return
 	}
 
-	// Dispatch leaders in plan order under one batch-level deadline,
-	// each filed under its plan grouping key — from here on, the
-	// cross-batch priority scheduler interleaves this handle's jobs
-	// adjacently with same-benchmark work from every other client.
-	//
 	// Completions are deliberately deferred: nothing lands on the
 	// handle until the final stats are set, so even a cache hit that
 	// finishes the whole batch synchronously publishes a terminal event
 	// with complete accounting.
-	type watcher struct {
-		idx     int
-		call    *Call[*counterminer.Analysis]
-		deduped bool
-	}
-	var (
-		immediate []int // indexes completing with pb.results[idx] as-is
-		watchers  []watcher
-		cancels   []func()
-	)
-	stats := pb.stats
-	deadline := time.Now().Add(s.cfg.Budget)
-	for _, idx := range pb.plan.Order {
-		st := pb.states[idx]
-		ana, ok, call, leader := s.cache.Acquire(st.key)
-		if ok {
-			pb.results[idx].Cached = true
-			pb.results[idx].Analysis = ana
-			stats.CacheHits++
-			immediate = append(immediate, idx)
-			continue
-		}
-		st.call = call
-		if leader {
-			cancelJob, err := s.queue.SubmitGrouped(pb.plan.GroupOf[idx], deadline, func(ctx context.Context) {
-				a, aerr := s.analyze(ctx, st.spec)
-				s.metrics.ObserveAnalysis(a, aerr)
-				s.syncFingerprint(st.spec, aerr)
-				s.cache.Complete(st.key, st.call, a, aerr)
-			})
-			if err != nil {
-				// The typed rejection completes the call; the watcher
-				// below turns it into this job's event.
-				s.cache.Complete(st.key, st.call, nil, err)
-			} else {
-				stats.Executed++
-				cancels = append(cancels, cancelJob)
-			}
-		}
-		watchers = append(watchers, watcher{idx: idx, call: call})
-	}
-	// Invalid jobs complete immediately with their typed resolve error;
-	// exact duplicates ride their leader's outcome — an event of their
-	// own when the leader executes, an immediate completion when it was
-	// served from the LRU.
-	for i, st := range pb.states {
-		if st == nil {
-			immediate = append(immediate, i)
-			continue
-		}
-		lead := pb.plan.Leader[i]
-		if lead == i {
-			continue
-		}
-		if c := pb.states[lead].call; c != nil {
-			watchers = append(watchers, watcher{idx: i, call: c, deduped: true})
-		} else {
-			res := pb.results[lead]
-			res.Index = i
-			res.Deduped = true
-			pb.results[i] = res
-			immediate = append(immediate, i)
-		}
-	}
-
-	h.SetStats(stats)
+	cancels := s.dispatch(pb)
+	h.SetStats(pb.stats)
 	h.SetOnCancel(func() {
 		// Cancel only this handle's still-queued jobs: they execute
 		// immediately into the pipeline's *CancelError and complete
-		// through the ordinary watcher path. Executing jobs — and
+		// through the ordinary delivery path. Executing jobs — and
 		// followers sharing another request's execution — finish
 		// normally.
 		for _, cancel := range cancels {
 			cancel()
 		}
 	})
-	for _, idx := range immediate {
-		h.Complete(idx, pb.results[idx])
-	}
-	var wg sync.WaitGroup
-	for _, wt := range watchers {
-		wg.Add(1)
-		go func(wt watcher) {
-			defer wg.Done()
-			<-wt.call.Done
-			res := BatchJobResult{Index: wt.idx, Key: pb.states[wt.idx].key, Deduped: wt.deduped}
-			if wt.call.Err != nil {
-				res.Error = jobError(wt.call.Err)
-			} else {
-				res.Analysis = wt.call.Val
-			}
-			h.Complete(wt.idx, res)
-		}(wt)
-	}
+	wg := pb.deliver(h.Complete)
 	go func() {
 		// Fold the batch into /metrics once every event has landed, so
 		// the error count is final (a drain force-finish races benignly:

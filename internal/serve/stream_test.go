@@ -332,7 +332,7 @@ func TestAsyncBatchDrainDeliversTerminal(t *testing.T) {
 		close(drained)
 	}()
 	waitFor(t, "queue draining", func() bool {
-		_, err := s.queue.SubmitGrouped("", time.Time{}, func(context.Context) {})
+		_, err := s.queue.Submit("", time.Time{}, noopJob)
 		return err == ErrDraining
 	})
 	g.release <- struct{}{} // executing job finishes; queued one cancels
@@ -367,12 +367,11 @@ func TestStreamMetricsGroupGauges(t *testing.T) {
 	defer close(g.release) // before Drain: the gated executing job must finish
 	defer ts.Close()
 
-	// sort's group has two distinct jobs, so the planner dispatches it
-	// first: one sort job executes on the single worker, one sort job
-	// and the wordcount job wait in the queue under their own keys.
+	// The first sort job executes on the single worker; the second sort
+	// job and the wordcount job wait in the queue under their own keys.
 	body := batchBody(t,
-		AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
 		AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
+		AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
 		AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 2},
 	)
 	resp, _, b := postAsyncBatch(t, ts.URL, body)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,39 +159,43 @@ func (db *DB) StartWriteback(interval time.Duration) (stop func()) {
 	}
 }
 
+// byteUnits are ParseByteSize's suffixes, longest first so "kib" is
+// never read as "k".
+var byteUnits = []struct {
+	suffix string
+	mult   int64
+}{
+	{"kib", 1 << 10}, {"mib", 1 << 20}, {"gib", 1 << 30},
+	{"kb", 1e3}, {"mb", 1e6}, {"gb", 1e9},
+	{"k", 1 << 10}, {"m", 1 << 20}, {"g", 1 << 30},
+}
+
 // ParseByteSize parses a human-readable byte size: a plain integer is
 // bytes, and the suffixes KB/MB/GB (decimal) and KiB/MiB/GiB (binary,
 // also accepted as K/M/G) scale it. Parsing is case-insensitive and a
-// fractional value like "1.5GiB" is allowed. Used by counterminerd's
-// -store-mem flag.
+// fractional value like "1.5GiB" is allowed. Any other suffix, a
+// negative or non-finite number, and a size beyond int64 are errors.
+// Used by counterminerd's -store-mem flag.
 func ParseByteSize(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToLower(s))
-	if t == "" {
-		return 0, fmt.Errorf("store: empty byte size")
+	num, mult := t, int64(1)
+	for _, u := range byteUnits {
+		if strings.HasSuffix(t, u.suffix) {
+			num, mult = strings.TrimSpace(strings.TrimSuffix(t, u.suffix)), u.mult
+			break
+		}
 	}
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(t, "kib"), strings.HasSuffix(t, "k"):
-		mult = 1 << 10
-	case strings.HasSuffix(t, "mib"), strings.HasSuffix(t, "m"):
-		mult = 1 << 20
-	case strings.HasSuffix(t, "gib"), strings.HasSuffix(t, "g"):
-		mult = 1 << 30
-	case strings.HasSuffix(t, "kb"):
-		mult = 1000
-	case strings.HasSuffix(t, "mb"):
-		mult = 1000 * 1000
-	case strings.HasSuffix(t, "gb"):
-		mult = 1000 * 1000 * 1000
+	// An integer parses exactly, so every in-range plain size
+	// round-trips; anything else must scale to a finite value in
+	// [0, 2^63).
+	if n, err := strconv.ParseInt(num, 10, 64); err == nil {
+		if n >= 0 && n <= math.MaxInt64/mult {
+			return n * mult, nil
+		}
+	} else if f, err := strconv.ParseFloat(num, 64); err == nil {
+		if v := f * float64(mult); v >= 0 && v < 0x1p63 {
+			return int64(v), nil
+		}
 	}
-	num := strings.TrimRight(t, "kmgib")
-	num = strings.TrimSpace(num)
-	if num == "" {
-		return 0, fmt.Errorf("store: invalid byte size %q", s)
-	}
-	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("store: invalid byte size %q", s)
-	}
-	return int64(f * float64(mult)), nil
+	return 0, fmt.Errorf("store: invalid byte size %q", s)
 }

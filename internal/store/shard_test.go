@@ -5,10 +5,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -732,6 +734,23 @@ func TestParseByteSize(t *testing.T) {
 		{"x", 0, true},
 		{"-5", 0, true},
 		{"MiB", 0, true},
+		// Exact integers up to the int64 limit; nothing beyond it.
+		{"9223372036854775807", math.MaxInt64, false},
+		{"9223372036854775808", 0, true},
+		{"8589934591GiB", 8589934591 << 30, false},
+		{"8589934592GiB", 0, true},
+		{"1e3", 1000, false},
+		{"1e30", 0, true},
+		// Non-finite values.
+		{"nan", 0, true},
+		{"inf", 0, true},
+		{"-inf", 0, true},
+		{"-0.5", 0, true},
+		// Only the documented suffixes, matched exactly.
+		{"1kbb", 0, true},
+		{"5mk", 0, true},
+		{"100b", 0, true},
+		{"2gib2", 0, true},
 	}
 	for _, c := range cases {
 		got, err := ParseByteSize(c.in)
@@ -743,4 +762,18 @@ func TestParseByteSize(t *testing.T) {
 			t.Errorf("ParseByteSize(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
+}
+
+// FuzzParseByteSize: whatever the input, a nil error means a
+// non-negative size, and a plain in-range integer parses to itself.
+func FuzzParseByteSize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := ParseByteSize(s)
+		if err == nil && n < 0 {
+			t.Fatalf("ParseByteSize(%q) = %d with a nil error", s, n)
+		}
+		if want, perr := strconv.ParseInt(s, 10, 64); perr == nil && want >= 0 && (err != nil || n != want) {
+			t.Fatalf("ParseByteSize(%q) = %d, %v; want %d", s, n, err, want)
+		}
+	})
 }

@@ -230,13 +230,6 @@ func (s *Scheduler[T]) Waiters() int {
 	return s.waiters
 }
 
-// Popped reports how many jobs have been dispatched since creation.
-func (s *Scheduler[T]) Popped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.popped
-}
-
 // ForEach visits every queued (not yet popped) job under the
 // scheduler's lock, in no particular order. The queue's drain path uses
 // it to cancel pending contexts atomically with the draining flag.

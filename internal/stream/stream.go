@@ -191,9 +191,15 @@ func (r *Registry) Drain(grace time.Duration) {
 
 func (r *Registry) openHandles() []*Handle {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []*Handle
+	all := make([]*Handle, 0, len(r.handles))
 	for _, h := range r.handles {
+		all = append(all, h)
+	}
+	r.mu.Unlock()
+	// Terminal takes h.mu, and a handle calls into the registry while
+	// holding h.mu, so it must not be called under r.mu.
+	var out []*Handle
+	for _, h := range all {
 		if !h.Terminal() {
 			out = append(out, h)
 		}
@@ -348,18 +354,13 @@ func (h *Handle) SetOnCancel(f func()) { h.onCancel = f }
 // immediately.
 func (h *Handle) Complete(idx int, res client.BatchJobResult) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if idx < 0 || idx >= len(h.jobs) || h.done[idx] {
-		h.mu.Unlock()
 		h.reg.addLateCompletion()
 		return
 	}
 	h.completeLocked(idx, res)
-	finished, canceled := h.terminal, h.canceled
 	h.notifyLocked()
-	h.mu.Unlock()
-	if finished {
-		h.reg.markFinished(h, canceled)
-	}
 }
 
 // completeLocked is Complete's body under h.mu (shared with
@@ -381,9 +382,10 @@ func (h *Handle) completeLocked(idx int, res client.BatchJobResult) {
 	}
 }
 
-// finishLocked publishes the terminal event; the caller moves the
-// handle to the registry's retention list after releasing h.mu (lock
-// order is always handle before registry).
+// finishLocked publishes the terminal event and moves the handle to
+// the registry's retention list. Both happen under h.mu (lock order is
+// always handle before registry), so a consumer that reads the
+// terminal event already finds the handle counted as finished.
 func (h *Handle) finishLocked() {
 	h.terminal = true
 	status := StatusDone
@@ -392,6 +394,7 @@ func (h *Handle) finishLocked() {
 	}
 	data, _ := json.Marshal(&client.StreamDone{Status: status, Stats: h.stats})
 	h.pushRingLocked(Event{Seq: uint64(len(h.jobs)) + 1, Name: EventDone, Data: data})
+	h.reg.markFinished(h, h.canceled)
 }
 
 // pushRingLocked caches an encoded frame, evicting the slot's previous
@@ -475,8 +478,8 @@ func (h *Handle) Cancel() bool {
 // completion was lost.
 func (h *Handle) ForceFinish(code, msg string) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.terminal {
-		h.mu.Unlock()
 		return
 	}
 	for idx := range h.jobs {
@@ -491,12 +494,7 @@ func (h *Handle) ForceFinish(code, msg string) {
 		// A zero-job handle has nothing to complete; finish it directly.
 		h.finishLocked()
 	}
-	finished, canceled := h.terminal, h.canceled
 	h.notifyLocked()
-	h.mu.Unlock()
-	if finished {
-		h.reg.markFinished(h, canceled)
-	}
 }
 
 // Snapshot renders the handle for polling: overall status, per-job

@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 
 	"counterminer/pkg/client"
@@ -248,5 +249,29 @@ func TestRegistryDrainForceFinishes(t *testing.T) {
 	snap := h.Snapshot()
 	if snap.Jobs[0].Error == nil || snap.Jobs[0].Error.Error != "draining" {
 		t.Fatalf("drained job state %+v", snap.Jobs[0])
+	}
+}
+
+// TestHandleCountsFinishBeforeTerminalVisible: the registry counts a
+// handle finished before its terminal event can be read, so a consumer
+// that just received "done" always finds the handle counted in
+// /metrics.stream.
+func TestHandleCountsFinishBeforeTerminalVisible(t *testing.T) {
+	r := NewRegistry(4, 4, 4)
+	for i := 1; i <= 2000; i++ {
+		h, err := r.Open(1, client.BatchStats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go h.Complete(0, client.BatchJobResult{})
+		for {
+			if _, terminal := h.EventsSince(0); terminal {
+				break
+			}
+			runtime.Gosched()
+		}
+		if got := r.Stats(nil).HandlesFinished; got != uint64(i) {
+			t.Fatalf("after %d terminal events the registry counts %d finished handles", i, got)
+		}
 	}
 }

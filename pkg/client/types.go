@@ -110,8 +110,9 @@ type BatchStats struct {
 	Errors int `json:"errors"`
 	// Groups is the number of distinct benchmark-identity groups.
 	Groups int `json:"groups"`
-	// ScheduleOrder lists the distinct jobs' indexes in dispatch order
-	// (duplicates and invalid jobs don't appear).
+	// ScheduleOrder lists the distinct jobs' indexes in request order,
+	// the order they enter the admission queue's scheduler (duplicates
+	// and invalid jobs don't appear).
 	ScheduleOrder []int `json:"schedule_order"`
 }
 
@@ -494,17 +495,12 @@ type BatchCounters struct {
 	CacheHits uint64 `json:"cache_hits"`
 	Executed  uint64 `json:"executed"`
 	JobErrors uint64 `json:"job_errors"`
-	// CoalesceFlushes / CoalescedJobs count admission-window merges of
-	// single /analyze submissions; CoalescePending is the live gauge of
-	// jobs waiting for the window to close.
-	CoalesceFlushes uint64 `json:"coalesce_flushes"`
-	CoalescedJobs   uint64 `json:"coalesced_jobs"`
-	CoalescePending int    `json:"coalesce_pending"`
 }
 
 // CollectorCounters reports the shared collector's trace-generator
-// memoization — the reuse the batch scheduler's benchmark grouping is
-// judged by: grouped dispatch should grow MemoHits, not Builds.
+// memoization. The memo never evicts, so Builds equals the number of
+// distinct benchmark profiles analyzed, at any dispatch order; every
+// other generator lookup is a MemoHit.
 type CollectorCounters struct {
 	// Builds counts expensive trace-generator constructions (at most
 	// one per distinct benchmark profile).

@@ -30,8 +30,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
-PATTERN="${BENCH_PATTERN:-Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|BatchSchedule|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout}"
-PKGS="${BENCH_PKGS:-./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/batch/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/}"
+PATTERN="${BENCH_PATTERN:-Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout}"
+PKGS="${BENCH_PKGS:-./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/}"
 
 n=1
 while [ -e "BENCH_${n}.json" ]; do
