@@ -11,6 +11,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	(cd perfbench && $(GO) vet ./...)
 
 build:
 	$(GO) build ./...

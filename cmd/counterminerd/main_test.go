@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"counterminer/internal/serve"
 	"counterminer/internal/store"
+	"counterminer/pkg/client"
 )
 
 // syncBuffer is an io.Writer safe to read while run() writes to it.
@@ -74,14 +74,14 @@ func post(t *testing.T, url, body string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
-func metrics(t *testing.T, url string) serve.Snapshot {
+func metrics(t *testing.T, url string) client.Snapshot {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
 	defer resp.Body.Close()
-	var snap serve.Snapshot
+	var snap client.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("decode /metrics: %v", err)
 	}
@@ -121,13 +121,13 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// execution, visible in /metrics as one miss plus one shared.
 	type result struct {
 		status int
-		resp   serve.AnalyzeResponse
+		resp   client.AnalyzeResponse
 	}
 	results := make(chan result, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			status, body := post(t, url, analyzeBody(7))
-			var ar serve.AnalyzeResponse
+			var ar client.AnalyzeResponse
 			if status == http.StatusOK {
 				if err := json.Unmarshal(body, &ar); err != nil {
 					t.Errorf("decode analyze response: %v", err)
@@ -164,7 +164,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// Identical request again: served from the LRU without executing.
 	status, body := post(t, url, analyzeBody(7))
-	var cached serve.AnalyzeResponse
+	var cached client.AnalyzeResponse
 	if status != http.StatusOK {
 		t.Fatalf("cached POST: status %d, body %s", status, body)
 	}
@@ -184,14 +184,14 @@ func TestDaemonEndToEnd(t *testing.T) {
 	slow := make(chan result, 2)
 	go func() {
 		s, b := post(t, url, slowBody(101))
-		var ar serve.AnalyzeResponse
+		var ar client.AnalyzeResponse
 		json.Unmarshal(b, &ar)
 		slow <- result{s, ar}
 	}()
 	waitFor(t, "worker busy", func() bool { return metrics(t, url).Queue.Active == 1 })
 	go func() {
 		s, b := post(t, url, slowBody(102))
-		var ar serve.AnalyzeResponse
+		var ar client.AnalyzeResponse
 		json.Unmarshal(b, &ar)
 		slow <- result{s, ar}
 	}()
@@ -201,7 +201,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("overload POST: status %d, want 429 (body %s)", status, body)
 	}
-	var er serve.ErrorResponse
+	var er client.ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("decode 429 body: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	inflight := make(chan result, 1)
 	go func() {
 		s, b := post(t, url, slowBody(201))
-		var ar serve.AnalyzeResponse
+		var ar client.AnalyzeResponse
 		json.Unmarshal(b, &ar)
 		inflight <- result{s, ar}
 	}()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"counterminer/internal/clean"
@@ -33,7 +34,9 @@ type DataSet struct {
 	Y []float64
 }
 
-// Validate checks the data set's shape and that no event name repeats.
+// Validate checks the data set's shape, that no event name repeats, and
+// that every performance value is finite. Non-finite counter values in
+// X are accepted: cleaning repairs them.
 func (d *DataSet) Validate() error {
 	if len(d.Events) == 0 {
 		return errors.New("counterminer: data set without events")
@@ -54,6 +57,9 @@ func (d *DataSet) Validate() error {
 	for i, row := range d.X {
 		if len(row) != len(d.Events) {
 			return fmt.Errorf("counterminer: row %d has %d values, want %d", i, len(row), len(d.Events))
+		}
+		if math.IsNaN(d.Y[i]) || math.IsInf(d.Y[i], 0) {
+			return fmt.Errorf("counterminer: row %d has performance value %v", i, d.Y[i])
 		}
 	}
 	return nil
@@ -107,7 +113,8 @@ func (d *DataSet) CleanContext(ctx context.Context, opts clean.Options) (outlier
 // series (see internal/fingerprint). Raw and cleaned data embed
 // closely — the features are robust statistics — so the fingerprint
 // of an uncleaned perf capture can be classified against an index
-// built from cleaned analyses.
+// built from cleaned analyses. Counter values too extreme to embed
+// finitely are an error.
 func (d *DataSet) Fingerprint() ([]float64, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -120,7 +127,13 @@ func (d *DataSet) Fingerprint() ([]float64, error) {
 		}
 		set.Put(timeseries.New(ev, col))
 	}
-	return fingerprint.Embed(set, d.Y), nil
+	vec := fingerprint.Embed(set, d.Y)
+	for i, v := range vec {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("counterminer: fingerprint component %d is %v", i, v)
+		}
+	}
+	return vec, nil
 }
 
 // AnalyzeDataContext runs the mining stages — optional cleaning,

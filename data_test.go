@@ -1,6 +1,7 @@
 package counterminer
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -48,6 +49,13 @@ func TestDataSetValidate(t *testing.T) {
 	d = &DataSet{Events: []string{"A", "B", "A"}, X: [][]float64{{1, 2, 3}}, Y: []float64{1}}
 	if err := d.Validate(); err == nil {
 		t.Error("duplicate event name should fail")
+	}
+	for _, y := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d = syntheticDataSet(10)
+		d.Y[7] = y
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "row 7") {
+			t.Errorf("performance value %v: err = %v, want an error naming row 7", y, err)
+		}
 	}
 	if err := syntheticDataSet(10).Validate(); err != nil {
 		t.Errorf("valid data set rejected: %v", err)
@@ -142,6 +150,7 @@ func TestLoadCSVValidation(t *testing.T) {
 		{"bad-interval", "interval,EV,ipc\nzero,1,1\n"},
 		{"no-rows", "interval,EV,ipc\n"},
 		{"duplicate-event", "interval,EV,EV,ipc\n0,1,2,1\n"},
+		{"nan-ipc", "interval,EV,ipc\n0,1,1\n1,2,NaN\n"},
 	}
 	for _, c := range cases {
 		if _, err := LoadCSV(strings.NewReader(c.csv)); err == nil {

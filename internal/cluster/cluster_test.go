@@ -317,7 +317,7 @@ func TestWorkerTermFenceRejectsDeposedCoordinator(t *testing.T) {
 		})
 
 	post := func(term uint64) (*http.Response, []byte) {
-		body, _ := json.Marshal(ExecRequest{Job: serve.Job{Key: "k", Benchmark: "b"}, Term: term})
+		body, _ := json.Marshal(ExecRequest{Job: serve.Job{Key: "k", AnalyzeRequest: client.AnalyzeRequest{Benchmark: "b"}}, Term: term})
 		resp, err := http.Post(wn.url+"/cluster/exec", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -52,7 +52,7 @@ func TestRequeueAfterLeaseExpiryDropsLateCompletion(t *testing.T) {
 	// must stay alive past the requeue so its late answer can arrive.
 	resc := make(chan error, 1)
 	go func() {
-		ana, err := coord.Dispatch(context.Background(), serve.Job{Key: "job-1", Benchmark: "wordcount"})
+		ana, err := coord.Dispatch(context.Background(), serve.Job{Key: "job-1", AnalyzeRequest: client.AnalyzeRequest{Benchmark: "wordcount"}})
 		if err == nil && ana == nil {
 			err = fmt.Errorf("dispatch returned no analysis")
 		}
@@ -96,11 +96,13 @@ func TestReDeliveredJobIsIdempotentOnWorker(t *testing.T) {
 		t.Skip("runs real pipelines in -short")
 	}
 	job := serve.Job{
-		Key:       "ignored-recomputed-locally",
-		Benchmark: "wordcount",
-		Runs:      2,
-		Trees:     10,
-		SkipEIR:   true,
+		Key: "ignored-recomputed-locally",
+		AnalyzeRequest: client.AnalyzeRequest{
+			Benchmark: "wordcount",
+			Runs:      2,
+			Trees:     10,
+			SkipEIR:   true,
+		},
 	}
 
 	run := func(deliveries int, storePath string) *client.Snapshot {
@@ -216,7 +218,7 @@ func TestClusterRequeueCarriesCleanerThroughRedispatch(t *testing.T) {
 	resc := make(chan *counterminer.Analysis, 1)
 	go func() {
 		ana, err := coord.Dispatch(context.Background(),
-			serve.Job{Key: "job-bayes", Benchmark: "wordcount", Cleaner: "bayes"})
+			serve.Job{Key: "job-bayes", AnalyzeRequest: client.AnalyzeRequest{Benchmark: "wordcount", Cleaner: "bayes"}})
 		if err != nil {
 			t.Errorf("dispatch: %v", err)
 		}
@@ -261,7 +263,7 @@ func TestDispatchContextCancelReturnsPromptly(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := coord.Dispatch(ctx, serve.Job{Key: "k1", Benchmark: "wordcount"})
+	_, err := coord.Dispatch(ctx, serve.Job{Key: "k1", AnalyzeRequest: client.AnalyzeRequest{Benchmark: "wordcount"}})
 	if err == nil {
 		t.Fatal("dispatch with canceled context returned nil error")
 	}

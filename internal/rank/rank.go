@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -131,6 +132,14 @@ func newDataset(X [][]float64, y []float64, events []string, opts Options) (*dat
 			return nil, fmt.Errorf("rank: duplicate event %q (columns %d and %d)", ev, j, i)
 		}
 		seen[ev] = i
+	}
+	// Checked at every row before the split: the fit rejects a
+	// non-finite target only among the training rows, and a held-out
+	// one would turn the model error into NaN.
+	for i, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("rank: target %d is %v", i, v)
+		}
 	}
 	trainX, trainY, testX, testY, err := split(X, y, opts.TestFraction, opts.Seed)
 	if err != nil {

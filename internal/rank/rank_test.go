@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -90,6 +91,27 @@ func TestFitValidation(t *testing.T) {
 	events[3] = events[1]
 	if _, err := Fit(X, y, events, Options{Params: fastParams}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate event names: err = %v, want a duplicate-event error", err)
+	}
+}
+
+// TestNonFiniteTargetRejectedAtEveryRow: a non-finite target is an
+// error wherever the train/test split puts its row. The fit itself sees
+// only the training rows, so a held-out NaN would otherwise come back
+// as a NaN test error.
+func TestNonFiniteTargetRejectedAtEveryRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	X, y, events := synthData(rng, 30, 2, 2)
+	opts := Options{Params: sgbrt.Params{Trees: 2, Seed: 1}, MinEvents: 2}
+	for i := range y {
+		saved := y[i]
+		y[i] = math.NaN()
+		if _, err := Fit(X, y, events, opts); err == nil {
+			t.Errorf("Fit with a NaN target at row %d: no error", i)
+		}
+		if _, err := EIR(X, y, events, opts); err == nil {
+			t.Errorf("EIR with a NaN target at row %d: no error", i)
+		}
+		y[i] = saved
 	}
 }
 

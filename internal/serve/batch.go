@@ -9,21 +9,11 @@ import (
 	"time"
 
 	counterminer "counterminer"
+	"counterminer/pkg/client"
 )
 
-// specKey is the spec's content address: the canonical request hash,
-// prefixed with the job kind so a fingerprint job and the full
-// analysis of the same benchmark never share a cache entry.
-func specKey(spec jobSpec) string {
-	k := Key(spec.benchmark, spec.colocate, spec.events, spec.opts)
-	if spec.kind != "" {
-		k = spec.kind + ":" + k
-	}
-	return k
-}
-
 // startJob is the one way work enters the admission queue: it submits
-// the cache leader for key under deadline, filed under the job's
+// the cache leader for job.Key under deadline, filed under the job's
 // grouping key so stream.Scheduler keeps it adjacent to other work on
 // the same benchmark. The job records its outcome in /metrics and hands
 // the cache completion back to the queue, which publishes it only after
@@ -32,37 +22,37 @@ func specKey(spec jobSpec) string {
 // the typed error, so every waiter (single request, batch entry, or
 // singleflight follower) observes it instead of hanging. cancel fails
 // the job only while it is still queued.
-func (s *Server) startJob(key string, call *Call[*counterminer.Analysis], spec jobSpec, deadline time.Time) (cancel func(), err error) {
-	group := Job{Benchmark: spec.benchmark, Colocate: spec.colocate}.GroupKey()
-	cancel, err = s.queue.Submit(group, deadline, func(ctx context.Context) func() {
+func (s *Server) startJob(call *Call[*counterminer.Analysis], job Job, deadline time.Time) (cancel func(), err error) {
+	cancel, err = s.queue.Submit(job.GroupKey(), deadline, func(ctx context.Context) func() {
 		start := time.Now()
-		a, aerr := s.analyze(ctx, spec)
-		if spec.kind == KindFingerprint {
+		a, aerr := s.analyze(ctx, job)
+		if job.Kind == KindFingerprint {
 			s.metrics.ObserveEmbed(aerr, time.Since(start))
 		} else {
 			s.metrics.ObserveAnalysis(a, aerr)
-			s.syncFingerprint(spec, aerr)
+			s.syncFingerprint(job, aerr)
 		}
-		return func() { s.cache.Complete(key, call, a, aerr) }
+		return func() { s.cache.Complete(job.Key, call, a, aerr) }
 	})
 	if err != nil {
-		s.cache.Complete(key, call, nil, err)
+		s.cache.Complete(job.Key, call, nil, err)
 	}
 	return cancel, err
 }
 
-// acquire is the admission step /analyze and Execute share: look key up
-// in the result cache, count the outcome in the request counters, and —
-// when this caller leads — start the job under a deadline carved from
-// the server budget now, so queue wait counts against it.
-func (s *Server) acquire(key string, spec jobSpec) (ana *counterminer.Analysis, ok bool, call *Call[*counterminer.Analysis], leader bool) {
-	ana, ok, call, leader = s.cache.Acquire(key)
+// acquire is the admission step /analyze and Execute share: look the
+// job's key up in the result cache, count the outcome in the request
+// counters, and — when this caller leads — start the job under a
+// deadline carved from the server budget now, so queue wait counts
+// against it.
+func (s *Server) acquire(job Job) (ana *counterminer.Analysis, ok bool, call *Call[*counterminer.Analysis], leader bool) {
+	ana, ok, call, leader = s.cache.Acquire(job.Key)
 	switch {
 	case ok:
 		s.metrics.IncCacheHit()
 	case leader:
 		s.metrics.IncCacheMiss()
-		if _, err := s.startJob(key, call, spec, time.Now().Add(s.cfg.Budget)); err != nil {
+		if _, err := s.startJob(call, job, time.Now().Add(s.cfg.Budget)); err != nil {
 			s.metrics.IncRejected(err)
 		}
 	default:
@@ -71,13 +61,12 @@ func (s *Server) acquire(key string, spec jobSpec) (ana *counterminer.Analysis, 
 	return ana, ok, call, leader
 }
 
-// batchJob is one valid batch member: its resolved spec, its content
-// address, the index of the job that executes on its behalf (itself
-// for the first job with its key), and — once dispatched, unless
-// served from the LRU — the singleflight call carrying its result.
+// batchJob is one valid batch member: its resolved job, the index of
+// the job that executes on its behalf (itself for the first job with
+// its key), and — once dispatched, unless served from the LRU — the
+// singleflight call carrying its result.
 type batchJob struct {
-	spec jobSpec
-	key  string
+	job  Job
 	lead int
 	call *Call[*counterminer.Analysis]
 }
@@ -86,9 +75,9 @@ type batchJob struct {
 // resolved (invalid ones parked as typed per-job errors in results),
 // exact duplicates pointed at their leader, and the batch's accounting.
 type plannedBatch struct {
-	results []BatchJobResult
+	results []client.BatchJobResult
 	states  []*batchJob // nil for invalid jobs
-	stats   BatchStats
+	stats   client.BatchStats
 }
 
 // planBatch resolves every job independently (a bad job is a typed
@@ -97,33 +86,32 @@ type plannedBatch struct {
 // is the whole plan: the distinct jobs enter the admission queue in
 // request order, and stream.Scheduler keeps each benchmark's jobs
 // adjacent from there.
-func (s *Server) planBatch(jobs []AnalyzeRequest) *plannedBatch {
+func (s *Server) planBatch(jobs []client.AnalyzeRequest) *plannedBatch {
 	pb := &plannedBatch{
-		results: make([]BatchJobResult, len(jobs)),
+		results: make([]client.BatchJobResult, len(jobs)),
 		states:  make([]*batchJob, len(jobs)),
-		stats:   BatchStats{Submitted: len(jobs), ScheduleOrder: []int{}},
+		stats:   client.BatchStats{Submitted: len(jobs), ScheduleOrder: []int{}},
 	}
 	leaders := make(map[string]int, len(jobs))
 	groups := make(map[string]bool)
 	for i, jr := range jobs {
 		pb.results[i].Index = i
-		spec, herr := s.resolve(jr)
+		job, herr := s.resolve(jr)
 		if herr != nil {
-			pb.results[i].Error = &ErrorResponse{Error: herr.code, Message: herr.msg}
+			pb.results[i].Error = &client.ErrorResponse{Error: herr.code, Message: herr.msg}
 			continue
 		}
-		key := specKey(spec)
-		pb.results[i].Key = key
-		lead, dup := leaders[key]
+		pb.results[i].Key = job.Key
+		lead, dup := leaders[job.Key]
 		if dup {
 			pb.stats.Deduped++
 		} else {
 			lead = i
-			leaders[key] = i
-			groups[Job{Benchmark: spec.benchmark, Colocate: spec.colocate}.GroupKey()] = true
+			leaders[job.Key] = i
+			groups[job.GroupKey()] = true
 			pb.stats.ScheduleOrder = append(pb.stats.ScheduleOrder, i)
 		}
-		pb.states[i] = &batchJob{spec: spec, key: key, lead: lead}
+		pb.states[i] = &batchJob{job: job, lead: lead}
 	}
 	pb.stats.Groups = len(groups)
 	return pb
@@ -142,7 +130,7 @@ func (s *Server) dispatch(pb *plannedBatch) []func() {
 	deadline := time.Now().Add(s.cfg.Budget)
 	for _, idx := range pb.stats.ScheduleOrder {
 		st := pb.states[idx]
-		ana, ok, call, leader := s.cache.Acquire(st.key)
+		ana, ok, call, leader := s.cache.Acquire(st.job.Key)
 		if ok {
 			pb.results[idx].Cached = true
 			pb.results[idx].Analysis = ana
@@ -153,7 +141,7 @@ func (s *Server) dispatch(pb *plannedBatch) []func() {
 		if !leader {
 			continue
 		}
-		if cancel, err := s.startJob(st.key, call, st.spec, deadline); err == nil {
+		if cancel, err := s.startJob(call, st.job, deadline); err == nil {
 			pb.stats.Executed++
 			cancels = append(cancels, cancel)
 		}
@@ -166,7 +154,7 @@ func (s *Server) dispatch(pb *plannedBatch) []func() {
 // a call — duplicates included — from their own goroutine when the
 // call finishes. The returned WaitGroup is done after the last
 // delivery.
-func (pb *plannedBatch) deliver(complete func(int, BatchJobResult)) *sync.WaitGroup {
+func (pb *plannedBatch) deliver(complete func(int, client.BatchJobResult)) *sync.WaitGroup {
 	var wg sync.WaitGroup
 	for i, st := range pb.states {
 		if st == nil {
@@ -214,7 +202,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return
 	}
-	var req BatchRequest
+	var req client.BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -248,8 +236,8 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	s.dispatch(pb)
 	// A fresh slice: deliver still reads pb.results while its
 	// goroutines complete.
-	results := make([]BatchJobResult, len(pb.results))
-	wg := pb.deliver(func(i int, res BatchJobResult) { results[i] = res })
+	results := make([]client.BatchJobResult, len(pb.results))
+	wg := pb.deliver(func(i int, res client.BatchJobResult) { results[i] = res })
 
 	// The batch is settled — folded into /metrics — once its last call
 	// completes, whether or not the client is still waiting: a
@@ -290,7 +278,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("all %d scheduled jobs rejected at admission", len(pb.stats.ScheduleOrder)))
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{
+	writeJSON(w, http.StatusOK, client.BatchResponse{
 		Jobs:      results,
 		Stats:     pb.stats,
 		ElapsedMs: msSince(start),
@@ -299,9 +287,9 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 
 // jobError maps an analysis or admission error onto the typed per-job
 // entry, carrying the same retry hint a single-job rejection would.
-func jobError(err error) *ErrorResponse {
+func jobError(err error) *client.ErrorResponse {
 	status, code := ErrorStatus(err)
-	er := &ErrorResponse{Error: code, Message: err.Error()}
+	er := &client.ErrorResponse{Error: code, Message: err.Error()}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		er.RetryAfterSeconds = 1
 	}
@@ -311,7 +299,7 @@ func jobError(err error) *ErrorResponse {
 // uniformAdmissionFailure reports whether every scheduled job failed
 // with the same admission rejection ("queue_full" or "draining"), and
 // which one.
-func uniformAdmissionFailure(results []BatchJobResult, order []int) (string, bool) {
+func uniformAdmissionFailure(results []client.BatchJobResult, order []int) (string, bool) {
 	if len(order) == 0 {
 		return "", false
 	}

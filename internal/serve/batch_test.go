@@ -15,6 +15,7 @@ import (
 
 	counterminer "counterminer"
 	"counterminer/internal/fault"
+	"counterminer/pkg/client"
 )
 
 func postBatch(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -32,9 +33,9 @@ func postBatch(t *testing.T, url, body string) (*http.Response, []byte) {
 }
 
 // batchBody marshals a BatchRequest from job literals.
-func batchBody(t *testing.T, jobs ...AnalyzeRequest) string {
+func batchBody(t *testing.T, jobs ...client.AnalyzeRequest) string {
 	t.Helper()
-	b, err := json.Marshal(BatchRequest{Jobs: jobs})
+	b, err := json.Marshal(client.BatchRequest{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +54,18 @@ func TestBatchDedupGroupingAndPerJobErrors(t *testing.T) {
 	defer ts.Close()
 	defer s.queue.Drain()
 
-	wc1 := AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1}
-	sort1 := AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1}
-	pr1 := AnalyzeRequest{Benchmark: "pagerank", SkipEIR: true, Seed: 1}
-	wc2 := AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 2}
-	bad := AnalyzeRequest{Benchmark: "no-such-benchmark"}
+	wc1 := client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1}
+	sort1 := client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1}
+	pr1 := client.AnalyzeRequest{Benchmark: "pagerank", SkipEIR: true, Seed: 1}
+	wc2 := client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 2}
+	bad := client.AnalyzeRequest{Benchmark: "no-such-benchmark"}
 	body := batchBody(t, wc1, sort1, wc1, pr1, sort1, bad, wc2, wc1)
 
 	resp, b := postBatch(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, b)
 	}
-	var br BatchResponse
+	var br client.BatchResponse
 	if err := json.Unmarshal(b, &br); err != nil {
 		t.Fatalf("decode batch response: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestBatchDedupGroupingAndPerJobErrors(t *testing.T) {
 	if got := g.count.Load(); got != 4 {
 		t.Errorf("pipeline executions = %d, want 4", got)
 	}
-	want := BatchStats{
+	want := client.BatchStats{
 		Submitted: 8, Deduped: 3, CacheHits: 0, Executed: 4, Errors: 1, Groups: 3,
 		// The distinct jobs, in request order.
 		ScheduleOrder: []int{0, 1, 3, 6},
@@ -126,7 +127,7 @@ func TestBatchDedupGroupingAndPerJobErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat status = %d: %s", resp.StatusCode, b)
 	}
-	var br2 BatchResponse
+	var br2 client.BatchResponse
 	if err := json.Unmarshal(b, &br2); err != nil {
 		t.Fatal(err)
 	}
@@ -151,25 +152,25 @@ func TestBatchDedupGroupingAndPerJobErrors(t *testing.T) {
 // results at every worker count (1, 2, 8), for both the queue's and
 // the analysis engine's parallelism.
 func TestBatchDeterministicAcrossWorkers(t *testing.T) {
-	wc := func(seed int64) AnalyzeRequest {
-		return AnalyzeRequest{
+	wc := func(seed int64) client.AnalyzeRequest {
+		return client.AnalyzeRequest{
 			Benchmark: "wordcount", Runs: 1, Trees: 4, SkipEIR: true, TopK: 3, Seed: seed,
 			Events: []string{"ICACHE.*", "L2_RQSTS.*", "BR_INST_RETIRED.*"},
 		}
 	}
-	srt := func(seed int64) AnalyzeRequest {
-		return AnalyzeRequest{
+	srt := func(seed int64) client.AnalyzeRequest {
+		return client.AnalyzeRequest{
 			Benchmark: "sort", Runs: 1, Trees: 4, SkipEIR: true, TopK: 3, Seed: seed,
 			Events: []string{"ICACHE.*", "L2_RQSTS.*", "BR_INST_RETIRED.*"},
 		}
 	}
 	body := batchBody(t,
 		wc(1), srt(1), wc(2), wc(1), // one duplicate
-		AnalyzeRequest{Benchmark: "nope"}, // one typed per-job error
+		client.AnalyzeRequest{Benchmark: "nope"}, // one typed per-job error
 		srt(2),
 	)
 
-	var first *BatchResponse
+	var first *client.BatchResponse
 	for _, workers := range []int{1, 2, 8} {
 		s, err := New(Config{Workers: workers, QueueDepth: 8, CacheSize: 8, AnalysisWorkers: workers})
 		if err != nil {
@@ -180,7 +181,7 @@ func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("workers=%d: status %d: %s", workers, resp.StatusCode, b)
 		}
-		var br BatchResponse
+		var br client.BatchResponse
 		if err := json.Unmarshal(b, &br); err != nil {
 			t.Fatalf("workers=%d: decode: %v", workers, err)
 		}
@@ -223,28 +224,27 @@ func TestBatchChaosPerJobErrorIsolation(t *testing.T) {
 		// fault source whose every run fails permanently; other
 		// benchmarks run clean.
 		real := s.analyze
-		s.analyze = func(ctx context.Context, spec jobSpec) (*counterminer.Analysis, error) {
-			if spec.benchmark != "sort" {
-				return real(ctx, spec)
+		s.analyze = func(ctx context.Context, job Job) (*counterminer.Analysis, error) {
+			if job.Benchmark != "sort" {
+				return real(ctx, job)
 			}
-			opts := spec.opts
-			opts.Events = spec.events
+			opts := job.options()
 			opts.Source = fault.NewSource(s.coll, fault.Config{Seed: 7, RunFailRate: 1})
 			p, err := counterminer.NewPipeline(opts)
 			if err != nil {
 				return nil, err
 			}
-			return p.AnalyzeContext(ctx, spec.benchmark)
+			return p.AnalyzeContext(ctx, job.Benchmark)
 		}
 		return s, httptest.NewServer(s.Handler())
 	}
 
 	events := []string{"ICACHE.*", "L2_RQSTS.*", "BR_INST_RETIRED.*"}
 	body := batchBody(t,
-		AnalyzeRequest{Benchmark: "wordcount", Runs: 1, Trees: 4, SkipEIR: true, Seed: 1, Events: events},
-		AnalyzeRequest{Benchmark: "sort", Runs: 2, Trees: 4, SkipEIR: true, Seed: 1, Events: events},
-		AnalyzeRequest{Benchmark: "wordcount", Runs: 1, Trees: 4, SkipEIR: true, Seed: 2, Events: events},
-		AnalyzeRequest{Benchmark: "sort", Runs: 2, Trees: 4, SkipEIR: true, Seed: 1, Events: events}, // dup of the failing job
+		client.AnalyzeRequest{Benchmark: "wordcount", Runs: 1, Trees: 4, SkipEIR: true, Seed: 1, Events: events},
+		client.AnalyzeRequest{Benchmark: "sort", Runs: 2, Trees: 4, SkipEIR: true, Seed: 1, Events: events},
+		client.AnalyzeRequest{Benchmark: "wordcount", Runs: 1, Trees: 4, SkipEIR: true, Seed: 2, Events: events},
+		client.AnalyzeRequest{Benchmark: "sort", Runs: 2, Trees: 4, SkipEIR: true, Seed: 1, Events: events}, // dup of the failing job
 	)
 
 	var outcomes []string
@@ -254,7 +254,7 @@ func TestBatchChaosPerJobErrorIsolation(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, b)
 		}
-		var br BatchResponse
+		var br client.BatchResponse
 		if err := json.Unmarshal(b, &br); err != nil {
 			t.Fatal(err)
 		}
@@ -315,8 +315,8 @@ func TestBatchOverloadCarriesRetryAfter(t *testing.T) {
 	<-g.entered
 
 	resp, b := postBatch(t, ts.URL, batchBody(t,
-		AnalyzeRequest{Benchmark: "sort", Seed: 10},
-		AnalyzeRequest{Benchmark: "pagerank", Seed: 11},
+		client.AnalyzeRequest{Benchmark: "sort", Seed: 10},
+		client.AnalyzeRequest{Benchmark: "pagerank", Seed: 11},
 	))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 (body %s)", resp.StatusCode, b)
@@ -324,7 +324,7 @@ func TestBatchOverloadCarriesRetryAfter(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("batch 429 without Retry-After header")
 	}
-	var er ErrorResponse
+	var er client.ErrorResponse
 	if err := json.Unmarshal(b, &er); err != nil {
 		t.Fatalf("429 body not JSON: %v (%s)", err, b)
 	}
@@ -346,14 +346,14 @@ func TestBatchDrainingRejected503(t *testing.T) {
 	defer s.queue.Drain()
 
 	s.draining.Store(true)
-	resp, b := postBatch(t, ts.URL, batchBody(t, AnalyzeRequest{Benchmark: "wordcount"}))
+	resp, b := postBatch(t, ts.URL, batchBody(t, client.AnalyzeRequest{Benchmark: "wordcount"}))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503 (body %s)", resp.StatusCode, b)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("batch 503 without Retry-After header")
 	}
-	var er ErrorResponse
+	var er client.ErrorResponse
 	if err := json.Unmarshal(b, &er); err != nil || er.Error != "draining" {
 		t.Errorf("503 body = %s, want draining", b)
 	}
@@ -377,10 +377,10 @@ func TestBatchValidation(t *testing.T) {
 		{`{}`, http.StatusBadRequest, "bad_request"},
 		{`{"jobs":[]}`, http.StatusBadRequest, "bad_request"},
 		{batchBody(t,
-			AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
-			AnalyzeRequest{Benchmark: "wordcount", Seed: 2},
-			AnalyzeRequest{Benchmark: "wordcount", Seed: 3},
-			AnalyzeRequest{Benchmark: "wordcount", Seed: 4},
+			client.AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
+			client.AnalyzeRequest{Benchmark: "wordcount", Seed: 2},
+			client.AnalyzeRequest{Benchmark: "wordcount", Seed: 3},
+			client.AnalyzeRequest{Benchmark: "wordcount", Seed: 4},
 		), http.StatusBadRequest, "batch_too_large"},
 		{`{"jobs":[{"benchmark":"wordcount"}],"bogus":1}`, http.StatusBadRequest, "bad_request"},
 	}
@@ -390,7 +390,7 @@ func TestBatchValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", tc.body, resp.StatusCode, tc.status)
 			continue
 		}
-		var er ErrorResponse
+		var er client.ErrorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Error != tc.code {
 			t.Errorf("%s: body = %s, want code %s", tc.body, body, tc.code)
 		}
@@ -476,11 +476,11 @@ func TestBatchQueuedGroupsDispatchContiguously(t *testing.T) {
 	}
 
 	body := batchBody(t,
-		AnalyzeRequest{Benchmark: "sort", Seed: 1},
-		AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
-		AnalyzeRequest{Benchmark: "sort", Seed: 2},
-		AnalyzeRequest{Benchmark: "pagerank", Seed: 1},
-		AnalyzeRequest{Benchmark: "wordcount", Seed: 2},
+		client.AnalyzeRequest{Benchmark: "sort", Seed: 1},
+		client.AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
+		client.AnalyzeRequest{Benchmark: "sort", Seed: 2},
+		client.AnalyzeRequest{Benchmark: "pagerank", Seed: 1},
+		client.AnalyzeRequest{Benchmark: "wordcount", Seed: 2},
 	)
 	resp, _, b := postAsyncBatch(t, ts.URL, body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -527,9 +527,9 @@ func TestBatchAbandonedSyncBatchCounted(t *testing.T) {
 	defer s.queue.Drain()
 
 	body := batchBody(t,
-		AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
-		AnalyzeRequest{Benchmark: "sort", Seed: 1},
-		AnalyzeRequest{Benchmark: "wordcount", Seed: 1}, // duplicate
+		client.AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
+		client.AnalyzeRequest{Benchmark: "sort", Seed: 1},
+		client.AnalyzeRequest{Benchmark: "wordcount", Seed: 1}, // duplicate
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/analyze/batch", strings.NewReader(body))

@@ -18,6 +18,7 @@ import (
 	"counterminer/internal/sim"
 	"counterminer/internal/store"
 	"counterminer/internal/timeseries"
+	"counterminer/pkg/client"
 )
 
 // The classify path. A classification always happens on the serving
@@ -46,7 +47,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, ErrNoIndex.Error())
 		return
 	}
-	var req ClassifyRequest
+	var req client.ClassifyRequest
 	// Inline profiles carry a full intervals × events matrix, so the
 	// body limit is far above /analyze's.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
@@ -109,23 +110,19 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		spec := jobSpec{
-			kind:      KindFingerprint,
-			benchmark: req.Benchmark,
-			colocate:  req.Colocate,
-			events:    s.storeEventVocabulary(),
-			opts: counterminer.Options{
-				Runs:    req.Runs,
-				Seed:    req.Seed,
-				Workers: s.cfg.AnalysisWorkers,
-			},
-		}
-		base = specKey(spec)
+		job := Job{Kind: KindFingerprint, AnalyzeRequest: client.AnalyzeRequest{
+			Benchmark: req.Benchmark,
+			Colocate:  req.Colocate,
+			Events:    s.storeEventVocabulary(),
+			Runs:      req.Runs,
+			Seed:      req.Seed,
+		}}.keyed()
+		base = job.Key
 		compute = func() ([]float64, error) {
 			// The embedding job rides the ordinary serving machinery:
 			// admission queue, content-addressed cache, singleflight —
 			// and, on a coordinator, the dispatch plane to a worker.
-			ana, err := s.Execute(r.Context(), jobFromSpec(base, spec))
+			ana, err := s.Execute(r.Context(), job)
 			if err != nil {
 				return nil, err
 			}
@@ -142,7 +139,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	cls, ok, call, leader := s.fpCache.Acquire(key)
 	if ok {
 		s.metrics.IncClassifyCacheHit()
-		writeJSON(w, http.StatusOK, ClassifyResponse{
+		writeJSON(w, http.StatusOK, client.ClassifyResponse{
 			Key: key, Cached: true,
 			ElapsedMs: msSince(start), Classification: cls,
 		})
@@ -151,7 +148,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if leader {
 		s.metrics.IncClassifyCacheMiss()
 		vec, err := compute()
-		var verdict *Classification
+		var verdict *client.Classification
 		if err == nil {
 			var res *fingerprint.Result
 			res, err = s.fpIndex.Classify(vec, req.TopK)
@@ -175,15 +172,15 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, call.Err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, ClassifyResponse{
+	writeJSON(w, http.StatusOK, client.ClassifyResponse{
 		Key: key, Shared: !leader,
 		ElapsedMs: msSince(start), Classification: call.Val,
 	})
 }
 
 // classification maps the index's verdict onto the wire type.
-func classification(vec []float64, res *fingerprint.Result) *Classification {
-	out := &Classification{
+func classification(vec []float64, res *fingerprint.Result) *client.Classification {
+	out := &client.Classification{
 		Fingerprint:  vec,
 		Confidence:   res.Confidence,
 		Anomaly:      res.Anomaly,
@@ -193,13 +190,13 @@ func classification(vec []float64, res *fingerprint.Result) *Classification {
 		Entries:      res.Entries,
 	}
 	for _, m := range res.Matches {
-		out.Matches = append(out.Matches, ClusterMatch{
+		out.Matches = append(out.Matches, client.ClusterMatch{
 			Benchmark: m.Label, Suite: m.Suite,
 			Distance: m.Distance, Members: m.Members,
 		})
 	}
 	for _, sc := range res.Suites {
-		out.Suites = append(out.Suites, SuiteConfidence{Suite: sc.Suite, Confidence: sc.Confidence})
+		out.Suites = append(out.Suites, client.SuiteConfidence{Suite: sc.Suite, Confidence: sc.Confidence})
 	}
 	return out
 }
@@ -270,8 +267,9 @@ func runEntry(rec store.Record) fingerprint.Entry {
 // collected over the same vocabulary as the index entries it is
 // matched against — against a store built from event-filtered
 // analyses, a full-catalogue probe would flag every workload as an
-// anomaly. The vocabulary lands in the job spec, so it participates
-// in the embedding's content address like any other event filter.
+// anomaly. The vocabulary lands in the fingerprint Job, so it
+// participates in the embedding's content address like any other event
+// filter.
 func (s *Server) storeEventVocabulary() []string {
 	if s.db == nil {
 		return nil
@@ -326,13 +324,13 @@ func (s *Server) syncIndexBenchmark(name string) {
 // into the fingerprint index, keeping /classify answers current
 // without a full rebuild. Fingerprint jobs don't persist, so they
 // never sync.
-func (s *Server) syncFingerprint(spec jobSpec, aerr error) {
-	if aerr != nil || spec.kind != "" || s.fpIndex == nil || s.db == nil {
+func (s *Server) syncFingerprint(job Job, aerr error) {
+	if aerr != nil || job.Kind != "" || s.fpIndex == nil || s.db == nil {
 		return
 	}
-	name := spec.benchmark
-	if spec.colocate != "" {
-		name += "+" + spec.colocate
+	name := job.Benchmark
+	if job.Colocate != "" {
+		name += "+" + job.Colocate
 	}
 	s.syncIndexBenchmark(name)
 }

@@ -12,6 +12,7 @@ import (
 	"counterminer/internal/collector"
 	"counterminer/internal/sim"
 	"counterminer/internal/store"
+	"counterminer/pkg/client"
 )
 
 // --- config validation (negative knobs must be typed errors) ---------------
@@ -121,7 +122,7 @@ func TestClassifyWithoutStoreIs503NoIndex(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503: %s", resp.StatusCode, body)
 	}
-	var er ErrorResponse
+	var er client.ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil || er.Error != "no_index" {
 		t.Fatalf("body = %s, want code no_index", body)
 	}
@@ -140,11 +141,28 @@ func TestClassifyValidation(t *testing.T) {
 	defer ts.Close()
 	defer s.queue.Drain()
 
+	// An inline profile whose counters overflow the embedding is
+	// refused, never classified into a verdict that cannot be encoded.
+	extreme := client.ClassifyRequest{Events: []string{"A", "B", "C"}}
+	for i := 0; i < 64; i++ {
+		v := 1e308
+		if i%2 == 1 {
+			v = -v
+		}
+		extreme.X = append(extreme.X, []float64{v, 1, 1})
+		extreme.IPC = append(extreme.IPC, 1e308)
+	}
+	extremeBody, err := json.Marshal(extreme)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		body   string
 		status int
 		code   string
 	}{
+		{string(extremeBody), http.StatusBadRequest, "bad_request"},
 		{`{not json`, http.StatusBadRequest, "bad_request"},
 		{`{}`, http.StatusBadRequest, "bad_request"},
 		{`{"benchmark":"nope"}`, http.StatusNotFound, "unknown_benchmark"},
@@ -159,7 +177,7 @@ func TestClassifyValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d (%s)", tc.body, resp.StatusCode, tc.status, body)
 			continue
 		}
-		var er ErrorResponse
+		var er client.ErrorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Error != tc.code {
 			t.Errorf("%s: body = %s, want code %s", tc.body, body, tc.code)
 		}
@@ -201,7 +219,7 @@ func TestClassifyStoreEventVocabulary(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %s", resp.StatusCode, body)
 	}
-	var cr ClassifyResponse
+	var cr client.ClassifyResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +278,7 @@ func TestClassifyStoredBenchmark(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
-	var cr ClassifyResponse
+	var cr client.ClassifyResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +310,7 @@ func TestClassifyStoredBenchmark(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat status = %d: %s", resp.StatusCode, body)
 	}
-	var cr2 ClassifyResponse
+	var cr2 client.ClassifyResponse
 	if err := json.Unmarshal(body, &cr2); err != nil {
 		t.Fatal(err)
 	}
@@ -340,13 +358,13 @@ func TestClassifyInlineProfileAndAnomaly(t *testing.T) {
 		}
 		x[i] = row
 	}
-	req := ClassifyRequest{Events: events, X: x, IPC: run.IPC}
+	req := client.ClassifyRequest{Events: events, X: x, IPC: run.IPC}
 	body, _ := json.Marshal(req)
 	resp, rb := postClassify(t, ts.URL, string(body))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("inline status = %d: %s", resp.StatusCode, rb)
 	}
-	var cr ClassifyResponse
+	var cr client.ClassifyResponse
 	if err := json.Unmarshal(rb, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -364,12 +382,12 @@ func TestClassifyInlineProfileAndAnomaly(t *testing.T) {
 	for i := range run.IPC {
 		run.IPC[i] = 0.01
 	}
-	body, _ = json.Marshal(ClassifyRequest{Events: events, X: x, IPC: run.IPC})
+	body, _ = json.Marshal(client.ClassifyRequest{Events: events, X: x, IPC: run.IPC})
 	resp, rb = postClassify(t, ts.URL, string(body))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drifted status = %d: %s", resp.StatusCode, rb)
 	}
-	var ar ClassifyResponse
+	var ar client.ClassifyResponse
 	if err := json.Unmarshal(rb, &ar); err != nil {
 		t.Fatal(err)
 	}
@@ -394,12 +412,12 @@ func TestClassifyIndexVersionInvalidatesCache(t *testing.T) {
 	defer ts.Close()
 	defer s.queue.Drain()
 
-	classify := func() ClassifyResponse {
+	classify := func() client.ClassifyResponse {
 		resp, body := postClassify(t, ts.URL, `{"benchmark":"wordcount","runs":1}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("classify status = %d: %s", resp.StatusCode, body)
 		}
-		var cr ClassifyResponse
+		var cr client.ClassifyResponse
 		if err := json.Unmarshal(body, &cr); err != nil {
 			t.Fatal(err)
 		}

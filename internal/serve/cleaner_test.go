@@ -10,6 +10,7 @@ import (
 
 	counterminer "counterminer"
 	"counterminer/internal/clean"
+	"counterminer/pkg/client"
 )
 
 // --- content-address separation --------------------------------------------
@@ -84,7 +85,7 @@ func TestUnknownCleanerRejected404(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404: %s", resp.StatusCode, body)
 	}
-	var er ErrorResponse
+	var er client.ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCleanerMetricsPreRegisteredAndObserved(t *testing.T) {
 		},
 	}, nil)
 	snap = m.SnapshotFrom(gauges{})
-	var bayes *CleanerCounters
+	var bayes *client.CleanerCounters
 	for i := range snap.Cleaners {
 		if snap.Cleaners[i].Cleaner == "bayes" {
 			bayes = &snap.Cleaners[i]
@@ -182,11 +183,15 @@ func TestCleanerMetricsPreRegisteredAndObserved(t *testing.T) {
 // cleaner name: Execute recomputes the content address locally, so a
 // Job stripped of its cleaner would silently re-key onto the default.
 func TestCleanerSurvivesJobWire(t *testing.T) {
-	var opts counterminer.Options
-	opts.CleanOptions.Cleaner = "bayes"
-	spec := jobSpec{benchmark: "wordcount", opts: opts}
-	key := Key(spec.benchmark, spec.colocate, spec.events, spec.opts)
-	j := jobFromSpec(key, spec)
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.queue.Drain()
+	j, herr := s.resolve(client.AnalyzeRequest{Benchmark: "wordcount", Cleaner: "bayes"})
+	if herr != nil {
+		t.Fatal(herr.msg)
+	}
 	if j.Cleaner != "bayes" {
 		t.Fatalf("wire cleaner = %q, want bayes", j.Cleaner)
 	}
@@ -198,13 +203,7 @@ func TestCleanerSurvivesJobWire(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.queue.Drain()
-	rebuilt := s.specFromJob(back)
-	if got := Key(rebuilt.benchmark, rebuilt.colocate, rebuilt.events, rebuilt.opts); got != key {
-		t.Errorf("re-dispatched job re-keyed: %s != %s", got, key)
+	if got := back.keyed().Key; got != j.Key {
+		t.Errorf("re-dispatched job re-keyed: %s != %s", got, j.Key)
 	}
 }

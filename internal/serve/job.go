@@ -35,13 +35,15 @@ var (
 // but skip ranking and persistence. The empty kind is a full analysis.
 const KindFingerprint = "fingerprint"
 
-// Job is one fully resolved analysis job in wire form: the benchmark
-// identity, the resolved event list, and the result-relevant option
-// fields. It is the unit the cluster layer moves between nodes — a
-// coordinator hands Jobs to a Dispatch function, a worker executes
-// them with Execute — and it is content-addressed: Key is the same
-// canonical hash the result cache uses, so retries and re-dispatches
-// of the same Job are idempotent everywhere results are keyed.
+// Job is one fully resolved analysis job: a client.AnalyzeRequest in
+// resolved form — Events holds resolved event names (nil means the
+// full catalogue) and Cleaner the canonical cleaner name — keyed by its
+// content address. It is the unit the cluster layer moves between
+// nodes — a coordinator hands Jobs to a Dispatch function, a worker
+// executes them with Execute — and Key is the same canonical hash the
+// result cache uses, so retries and re-dispatches of the same Job are
+// idempotent everywhere results are keyed. On the wire the request's
+// fields sit beside key and kind in one flat JSON object.
 type Job struct {
 	// Key is the job's content address (the result-cache key).
 	Key string `json:"key"`
@@ -51,24 +53,11 @@ type Job struct {
 	// address locally — dropping it would key a fingerprint job onto
 	// the full analysis of the same benchmark.
 	Kind string `json:"kind,omitempty"`
-	// Benchmark and Colocate are the benchmark identity.
-	Benchmark string `json:"benchmark"`
-	Colocate  string `json:"colocate,omitempty"`
-	// Events is the resolved event list (nil = full catalogue).
-	Events []string `json:"events,omitempty"`
-	// The result-relevant options, mirroring client.AnalyzeRequest.
-	Runs      int   `json:"runs,omitempty"`
-	Trees     int   `json:"trees,omitempty"`
-	PruneStep int   `json:"prune_step,omitempty"`
-	TopK      int   `json:"top_k,omitempty"`
-	SkipEIR   bool  `json:"skip_eir,omitempty"`
-	Seed      int64 `json:"seed,omitempty"`
-	MinRuns   int   `json:"min_runs,omitempty"`
-	// Cleaner is the canonical cleaner name. It travels on the wire
-	// because Execute recomputes the content address locally from the
-	// job's content — dropping it here would silently re-key a
+	// AnalyzeRequest carries the benchmark identity and every
+	// result-relevant option. Cleaner travels on the wire for the same
+	// reason Kind does: dropping it would silently re-key a
 	// re-dispatched job onto the default cleaner's result.
-	Cleaner string `json:"cleaner,omitempty"`
+	client.AnalyzeRequest
 }
 
 // GroupKey is the job's grouping key: the benchmark identity, the unit
@@ -78,46 +67,32 @@ type Job struct {
 // same worker.
 func (j Job) GroupKey() string { return j.Benchmark + "\x00" + j.Colocate }
 
-// jobFromSpec converts a resolved jobSpec into its wire form.
-func jobFromSpec(key string, spec jobSpec) Job {
-	return Job{
-		Key:       key,
-		Kind:      spec.kind,
-		Benchmark: spec.benchmark,
-		Colocate:  spec.colocate,
-		Events:    spec.events,
-		Runs:      spec.opts.Runs,
-		Trees:     spec.opts.Trees,
-		PruneStep: spec.opts.PruneStep,
-		TopK:      spec.opts.TopK,
-		SkipEIR:   spec.opts.SkipEIR,
-		Seed:      spec.opts.Seed,
-		MinRuns:   spec.opts.MinRuns,
-		Cleaner:   spec.opts.CleanOptions.Cleaner,
+// options maps the job's request fields onto pipeline options: the one
+// place a request option becomes a pipeline option, shared by
+// runPipeline and the content address.
+func (j Job) options() counterminer.Options {
+	return counterminer.Options{
+		Events:       j.Events,
+		Runs:         j.Runs,
+		Trees:        j.Trees,
+		PruneStep:    j.PruneStep,
+		TopK:         j.TopK,
+		SkipEIR:      j.SkipEIR,
+		Seed:         j.Seed,
+		MinRuns:      j.MinRuns,
+		CleanOptions: clean.Options{Cleaner: j.Cleaner},
 	}
 }
 
-// specFromJob rebuilds the local jobSpec from a wire Job, attaching
-// this server's analysis worker count (a speed knob that never changes
-// results, so it stays out of the wire form and the content address).
-func (s *Server) specFromJob(j Job) jobSpec {
-	return jobSpec{
-		kind:      j.Kind,
-		benchmark: j.Benchmark,
-		colocate:  j.Colocate,
-		events:    j.Events,
-		opts: counterminer.Options{
-			Runs:         j.Runs,
-			Trees:        j.Trees,
-			PruneStep:    j.PruneStep,
-			TopK:         j.TopK,
-			SkipEIR:      j.SkipEIR,
-			Seed:         j.Seed,
-			MinRuns:      j.MinRuns,
-			CleanOptions: clean.Options{Cleaner: j.Cleaner},
-			Workers:      s.cfg.AnalysisWorkers,
-		},
+// keyed returns j with Key set to its content address: the canonical
+// request hash, prefixed with the job kind so a fingerprint job and the
+// full analysis of the same benchmark never share a cache entry.
+func (j Job) keyed() Job {
+	j.Key = Key(j.Benchmark, j.Colocate, j.Events, j.options())
+	if j.Kind != "" {
+		j.Key = j.Kind + ":" + j.Key
 	}
+	return j
 }
 
 // SetDispatch replaces local pipeline execution with a remote
@@ -130,9 +105,7 @@ func (s *Server) specFromJob(j Job) jobSpec {
 //
 // Call between New and Serve; not safe to swap while serving.
 func (s *Server) SetDispatch(d func(ctx context.Context, job Job) (*counterminer.Analysis, error)) {
-	s.analyze = func(ctx context.Context, spec jobSpec) (*counterminer.Analysis, error) {
-		return d(ctx, jobFromSpec(specKey(spec), spec))
-	}
+	s.analyze = d
 }
 
 // Execute runs one wire Job through this node's ordinary serving
@@ -145,8 +118,7 @@ func (s *Server) SetDispatch(d func(ctx context.Context, job Job) (*counterminer
 // across a failover — deduplicate onto one execution per node.
 func (s *Server) Execute(ctx context.Context, job Job) (*counterminer.Analysis, error) {
 	s.metrics.IncRequest()
-	spec := s.specFromJob(job)
-	ana, ok, call, _ := s.acquire(specKey(spec), spec)
+	ana, ok, call, _ := s.acquire(job.keyed())
 	if ok {
 		return ana, nil
 	}

@@ -18,55 +18,22 @@ import (
 // histogram per pipeline stage, fed from Analysis.Stages. Everything is
 // exported as one JSON document by GET /metrics (the client.Snapshot
 // wire type), so any scraper that speaks JSON can consume it without a
-// client library. The whole surface — batch counters included — is
-// pre-registered: every field is present (zeroed) before the first
-// request arrives.
+// client library. Each counter is declared once, in its pkg/client
+// section struct, and counted in place under mu. The whole surface —
+// batch counters included — is pre-registered: every field is present
+// (zeroed) before the first request arrives.
 type Metrics struct {
 	start time.Time
 
-	mu sync.Mutex
-	// request-path counters
-	requests         uint64
-	badRequests      uint64
-	rejectedFull     uint64
-	rejectedDraining uint64
-	cacheHits        uint64
-	cacheMisses      uint64
-	shared           uint64
-	// batch-path counters
-	batches        uint64
-	batchRejected  uint64
-	batchJobs      uint64
-	batchDeduped   uint64
-	batchCacheHits uint64
-	batchExecuted  uint64
-	batchJobErrors uint64
-	// analysis outcomes
-	completed uint64
-	failed    uint64
-	canceled  uint64
-	degraded  uint64
-	// degradation detail, summed over completed analyses
-	retries     uint64
-	runsFailed  uint64
-	quarantined uint64
-	storeErrors uint64
-	// fingerprint/classify counters, pre-registered like everything
-	// else: the /metrics document carries a zeroed fingerprint section
-	// before the first classification arrives.
-	classifyRequests    uint64
-	classified          uint64
-	classifyErrors      uint64
-	classifyAnomalies   uint64
-	classifyNoIndex     uint64
-	classifyCacheHits   uint64
-	classifyCacheMisses uint64
-	classifyShared      uint64
-	indexRebuilds       uint64
-	embeds              uint64
-	embedErrors         uint64
-	embedLatency        *Histogram
-	classifyLatency     *Histogram
+	mu          sync.Mutex
+	requests    client.RequestCounters
+	batch       client.BatchCounters
+	analyses    client.AnalysisCounters
+	fingerprint client.FingerprintCounters
+	// embedLatency and classifyLatency feed the fingerprint section's
+	// latency distributions.
+	embedLatency    *Histogram
+	classifyLatency *Histogram
 	// per-stage latency histograms, pre-registered over the full stage
 	// plan so the surface is complete before the first analysis.
 	stageOrder []string
@@ -80,10 +47,8 @@ type Metrics struct {
 // cleanerStats is one cleaner's accounting: how often it ran, what it
 // corrected, and its Clean-stage latency.
 type cleanerStats struct {
-	analyses uint64
-	outliers uint64
-	missing  uint64
-	latency  *Histogram
+	client.CleanerCounters
+	latency *Histogram
 }
 
 // NewMetrics returns a metrics registry with one histogram per
@@ -108,45 +73,45 @@ func NewMetrics() *Metrics {
 }
 
 // IncRequest counts one /analyze request (before admission).
-func (m *Metrics) IncRequest() { m.inc(&m.requests) }
+func (m *Metrics) IncRequest() { m.inc(&m.requests.Total) }
 
 // IncBadRequest counts one request rejected as malformed.
-func (m *Metrics) IncBadRequest() { m.inc(&m.badRequests) }
+func (m *Metrics) IncBadRequest() { m.inc(&m.requests.BadRequests) }
 
 // IncRejected counts one admission rejection by cause.
 func (m *Metrics) IncRejected(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if errors.Is(err, ErrDraining) {
-		m.rejectedDraining++
+		m.requests.RejectedDraining++
 	} else {
-		m.rejectedFull++
+		m.requests.RejectedQueueFull++
 	}
 }
 
 // IncCacheHit / IncCacheMiss / IncShared count result-cache outcomes:
 // a hit served from the LRU, a miss that became a pipeline execution,
 // and a request that attached to an identical in-flight execution.
-func (m *Metrics) IncCacheHit()  { m.inc(&m.cacheHits) }
-func (m *Metrics) IncCacheMiss() { m.inc(&m.cacheMisses) }
-func (m *Metrics) IncShared()    { m.inc(&m.shared) }
+func (m *Metrics) IncCacheHit()  { m.inc(&m.requests.CacheHits) }
+func (m *Metrics) IncCacheMiss() { m.inc(&m.requests.CacheMisses) }
+func (m *Metrics) IncShared()    { m.inc(&m.requests.SingleflightShared) }
 
 // ObserveBatch folds one scheduled batch's accounting into the
 // batch counters.
-func (m *Metrics) ObserveBatch(st BatchStats) {
+func (m *Metrics) ObserveBatch(st client.BatchStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.batches++
-	m.batchJobs += uint64(st.Submitted)
-	m.batchDeduped += uint64(st.Deduped)
-	m.batchCacheHits += uint64(st.CacheHits)
-	m.batchExecuted += uint64(st.Executed)
-	m.batchJobErrors += uint64(st.Errors)
+	m.batch.Batches++
+	m.batch.Jobs += uint64(st.Submitted)
+	m.batch.Deduped += uint64(st.Deduped)
+	m.batch.CacheHits += uint64(st.CacheHits)
+	m.batch.Executed += uint64(st.Executed)
+	m.batch.JobErrors += uint64(st.Errors)
 }
 
 // IncBatchRejected counts one whole-batch overload rejection (429 or
 // 503).
-func (m *Metrics) IncBatchRejected() { m.inc(&m.batchRejected) }
+func (m *Metrics) IncBatchRejected() { m.inc(&m.batch.Rejected) }
 
 func (m *Metrics) inc(c *uint64) {
 	m.mu.Lock()
@@ -157,15 +122,15 @@ func (m *Metrics) inc(c *uint64) {
 // Classify-path counters: one per /classify request, per cache
 // outcome (hit / miss-turned-execution / shared in-flight), and for
 // requests refused because the node runs without a store.
-func (m *Metrics) IncClassifyRequest()   { m.inc(&m.classifyRequests) }
-func (m *Metrics) IncClassifyNoIndex()   { m.inc(&m.classifyNoIndex) }
-func (m *Metrics) IncClassifyCacheHit()  { m.inc(&m.classifyCacheHits) }
-func (m *Metrics) IncClassifyCacheMiss() { m.inc(&m.classifyCacheMisses) }
-func (m *Metrics) IncClassifyShared()    { m.inc(&m.classifyShared) }
+func (m *Metrics) IncClassifyRequest()   { m.inc(&m.fingerprint.ClassifyRequests) }
+func (m *Metrics) IncClassifyNoIndex()   { m.inc(&m.fingerprint.ClassifyNoIndex) }
+func (m *Metrics) IncClassifyCacheHit()  { m.inc(&m.fingerprint.ClassifyCacheHits) }
+func (m *Metrics) IncClassifyCacheMiss() { m.inc(&m.fingerprint.ClassifyCacheMisses) }
+func (m *Metrics) IncClassifyShared()    { m.inc(&m.fingerprint.ClassifyShared) }
 
 // IncIndexRebuild counts one full fingerprint-index rebuild from the
 // store (startup, or an explicit resync).
-func (m *Metrics) IncIndexRebuild() { m.inc(&m.indexRebuilds) }
+func (m *Metrics) IncIndexRebuild() { m.inc(&m.fingerprint.IndexRebuilds) }
 
 // ObserveEmbed records one fingerprint-embedding execution (a
 // KindFingerprint job, local or dispatched).
@@ -173,10 +138,10 @@ func (m *Metrics) ObserveEmbed(err error, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err != nil {
-		m.embedErrors++
+		m.fingerprint.EmbedErrors++
 		return
 	}
-	m.embeds++
+	m.fingerprint.Embeds++
 	m.embedLatency.Observe(d)
 }
 
@@ -186,12 +151,12 @@ func (m *Metrics) ObserveClassify(cls *client.Classification, err error, d time.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err != nil {
-		m.classifyErrors++
+		m.fingerprint.ClassifyErrors++
 		return
 	}
-	m.classified++
+	m.fingerprint.Classified++
 	if cls != nil && cls.Anomaly {
-		m.classifyAnomalies++
+		m.fingerprint.ClassifyAnomalies++
 	}
 	m.classifyLatency.Observe(d)
 }
@@ -203,21 +168,21 @@ func (m *Metrics) ObserveAnalysis(ana *counterminer.Analysis, err error) {
 	defer m.mu.Unlock()
 	if err != nil {
 		if errors.Is(err, counterminer.ErrCanceled) {
-			m.canceled++
+			m.analyses.Canceled++
 		} else {
-			m.failed++
+			m.analyses.Failed++
 		}
 		return
 	}
-	m.completed++
+	m.analyses.Completed++
 	d := &ana.Degradation
 	if d.Degraded() {
-		m.degraded++
+		m.analyses.Degraded++
 	}
-	m.retries += uint64(d.Retries)
-	m.runsFailed += uint64(len(d.RunsFailed))
-	m.quarantined += uint64(len(d.EventsQuarantined))
-	m.storeErrors += uint64(len(d.StoreErrors))
+	m.analyses.Retries += uint64(d.Retries)
+	m.analyses.RunsFailed += uint64(len(d.RunsFailed))
+	m.analyses.EventsQuarantined += uint64(len(d.EventsQuarantined))
+	m.analyses.StoreErrors += uint64(len(d.StoreErrors))
 	for _, st := range ana.Stages {
 		h, ok := m.stages[st.Stage]
 		if !ok {
@@ -234,9 +199,9 @@ func (m *Metrics) ObserveAnalysis(ana *counterminer.Analysis, err error) {
 			m.cleaners[ana.Cleaner] = cs
 			m.cleanerOrder = append(m.cleanerOrder, ana.Cleaner)
 		}
-		cs.analyses++
-		cs.outliers += uint64(ana.OutliersReplaced)
-		cs.missing += uint64(ana.MissingFilled)
+		cs.Analyses++
+		cs.OutliersReplaced += uint64(ana.OutliersReplaced)
+		cs.MissingFilled += uint64(ana.MissingFilled)
 		for _, st := range ana.Stages {
 			if st.Stage == counterminer.StageClean {
 				cs.latency.Observe(st.Duration)
@@ -258,74 +223,37 @@ type gauges struct {
 
 // SnapshotFrom assembles the full metrics document from the registry
 // plus the queue, cache, and collector gauges.
-func (m *Metrics) SnapshotFrom(g gauges) Snapshot {
+func (m *Metrics) SnapshotFrom(g gauges) client.Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := Snapshot{
+	snap := client.Snapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
-		Requests: RequestCounters{
-			Total:              m.requests,
-			BadRequests:        m.badRequests,
-			RejectedQueueFull:  m.rejectedFull,
-			RejectedDraining:   m.rejectedDraining,
-			CacheHits:          m.cacheHits,
-			CacheMisses:        m.cacheMisses,
-			SingleflightShared: m.shared,
-		},
-		Batch: BatchCounters{
-			Batches:   m.batches,
-			Rejected:  m.batchRejected,
-			Jobs:      m.batchJobs,
-			Deduped:   m.batchDeduped,
-			CacheHits: m.batchCacheHits,
-			Executed:  m.batchExecuted,
-			JobErrors: m.batchJobErrors,
-		},
-		Analyses: AnalysisCounters{
-			Completed:         m.completed,
-			Failed:            m.failed,
-			Canceled:          m.canceled,
-			Degraded:          m.degraded,
-			Retries:           m.retries,
-			RunsFailed:        m.runsFailed,
-			EventsQuarantined: m.quarantined,
-			StoreErrors:       m.storeErrors,
-		},
-		Fingerprint: FingerprintCounters{
-			ClassifyRequests:    m.classifyRequests,
-			Classified:          m.classified,
-			ClassifyErrors:      m.classifyErrors,
-			ClassifyAnomalies:   m.classifyAnomalies,
-			ClassifyNoIndex:     m.classifyNoIndex,
-			ClassifyCacheHits:   m.classifyCacheHits,
-			ClassifyCacheMisses: m.classifyCacheMisses,
-			ClassifyShared:      m.classifyShared,
-			IndexRebuilds:       m.indexRebuilds,
-			Embeds:              m.embeds,
-			EmbedErrors:         m.embedErrors,
-			EmbedLatency:        m.embedLatency.snapshot("embed"),
-			ClassifyLatency:     m.classifyLatency.snapshot("classify"),
-		},
+		Requests:      m.requests,
+		Batch:         m.batch,
+		Analyses:      m.analyses,
+		Fingerprint:   m.fingerprint,
 	}
+	snap.Fingerprint.EmbedLatency = m.embedLatency.snapshot("embed")
+	snap.Fingerprint.ClassifyLatency = m.classifyLatency.snapshot("classify")
 	if g.index != nil {
 		snap.Fingerprint.IndexEntries = g.index.Len()
 		snap.Fingerprint.IndexClusters = g.index.NumClusters()
 		snap.Fingerprint.IndexVersion = g.index.Version()
 	}
 	if g.queue != nil {
-		snap.Queue = QueueGauges{
+		snap.Queue = client.QueueGauges{
 			Depth: g.queue.Depth(), Capacity: g.queue.Capacity(),
 			Active: g.queue.Active(), Executed: g.queue.Executed(),
 		}
 	}
 	if g.cache != nil {
-		snap.Cache = CacheGauges{
+		snap.Cache = client.CacheGauges{
 			Entries: g.cache.Len(), Capacity: g.cache.Capacity(), Evictions: g.cache.Evictions(),
 		}
 	}
 	if g.coll != nil {
 		builds, hits := g.coll.MemoStats()
-		snap.Collector = CollectorCounters{Builds: builds, MemoHits: hits}
+		snap.Collector = client.CollectorCounters{Builds: builds, MemoHits: hits}
 	}
 	if g.cluster != nil {
 		cc := g.cluster()
@@ -333,7 +261,7 @@ func (m *Metrics) SnapshotFrom(g gauges) Snapshot {
 	}
 	if g.db != nil {
 		st := g.db.ShardStats()
-		snap.Store = &StoreShardStats{
+		snap.Store = &client.StoreShardStats{
 			Shards:           st.Shards,
 			LoadedShards:     st.Loaded,
 			DirtyShards:      st.Dirty,
@@ -351,13 +279,10 @@ func (m *Metrics) SnapshotFrom(g gauges) Snapshot {
 	}
 	for _, name := range m.cleanerOrder {
 		cs := m.cleaners[name]
-		snap.Cleaners = append(snap.Cleaners, CleanerCounters{
-			Cleaner:          name,
-			Analyses:         cs.analyses,
-			OutliersReplaced: cs.outliers,
-			MissingFilled:    cs.missing,
-			CleanLatency:     cs.latency.snapshot(counterminer.StageClean),
-		})
+		cc := cs.CleanerCounters
+		cc.Cleaner = name
+		cc.CleanLatency = cs.latency.snapshot(counterminer.StageClean)
+		snap.Cleaners = append(snap.Cleaners, cc)
 	}
 	return snap
 }
@@ -399,8 +324,8 @@ func (h *Histogram) Observe(d time.Duration) {
 // snapshot renders the histogram with cumulative bucket counts
 // (Prometheus-style: each bucket counts observations <= its bound; the
 // final bucket, LeMs = -1 meaning +Inf, equals Count).
-func (h *Histogram) snapshot(stage string) StageHistogram {
-	out := StageHistogram{
+func (h *Histogram) snapshot(stage string) client.StageHistogram {
+	out := client.StageHistogram{
 		Stage: stage,
 		Count: h.count,
 		SumMs: float64(h.sum) / float64(time.Millisecond),
@@ -408,11 +333,11 @@ func (h *Histogram) snapshot(stage string) StageHistogram {
 	cum := uint64(0)
 	for i, b := range histogramBounds {
 		cum += h.counts[i]
-		out.Buckets = append(out.Buckets, BucketCount{
+		out.Buckets = append(out.Buckets, client.BucketCount{
 			LeMs:  float64(b) / float64(time.Millisecond),
 			Count: cum,
 		})
 	}
-	out.Buckets = append(out.Buckets, BucketCount{LeMs: -1, Count: h.count})
+	out.Buckets = append(out.Buckets, client.BucketCount{LeMs: -1, Count: h.count})
 	return out
 }

@@ -7,17 +7,19 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"counterminer/pkg/client"
 )
 
 // getReady hits /readyz on the test server and decodes the probe.
-func getReady(t *testing.T, url string) (int, ReadyResponse) {
+func getReady(t *testing.T, url string) (int, client.ReadyResponse) {
 	t.Helper()
 	resp, err := http.Get(url + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rr ReadyResponse
+	var rr client.ReadyResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		t.Fatalf("decode /readyz body: %v", err)
 	}

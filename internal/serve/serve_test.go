@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 	counterminer "counterminer"
 	"counterminer/internal/rank"
 	"counterminer/internal/store"
+	"counterminer/pkg/client"
 )
 
 // waitFor polls cond until it returns true or the deadline passes.
@@ -298,15 +300,15 @@ func newGatedServer(t *testing.T, cfg Config) (*Server, *gate) {
 		t.Fatal(err)
 	}
 	g := &gate{entered: make(chan string, 16), release: make(chan struct{})}
-	s.analyze = func(ctx context.Context, spec jobSpec) (*counterminer.Analysis, error) {
+	s.analyze = func(ctx context.Context, job Job) (*counterminer.Analysis, error) {
 		g.count.Add(1)
-		g.entered <- spec.benchmark
+		g.entered <- job.Benchmark
 		select {
 		case <-g.release:
 		case <-ctx.Done():
 			return nil, &counterminer.CancelError{Stage: counterminer.StageCollect, Err: ctx.Err()}
 		}
-		return &counterminer.Analysis{Benchmark: spec.benchmark, Events: 229}, nil
+		return &counterminer.Analysis{Benchmark: job.Benchmark, Events: 229}, nil
 	}
 	return s, g
 }
@@ -334,7 +336,7 @@ func TestServerSingleflightConcurrentRequests(t *testing.T) {
 	body := `{"benchmark":"wordcount","skip_eir":true,"trees":20}`
 	type result struct {
 		status int
-		resp   AnalyzeResponse
+		resp   client.AnalyzeResponse
 	}
 	results := make(chan result, 2)
 	var wg sync.WaitGroup
@@ -343,7 +345,7 @@ func TestServerSingleflightConcurrentRequests(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			resp, b := postAnalyze(t, ts.URL, body)
-			var ar AnalyzeResponse
+			var ar client.AnalyzeResponse
 			if err := json.Unmarshal(b, &ar); err != nil {
 				t.Errorf("decode: %v (%s)", err, b)
 			}
@@ -383,7 +385,7 @@ func TestServerSingleflightConcurrentRequests(t *testing.T) {
 	// An identical request afterwards is a pure cache hit: still one
 	// execution, visible in /metrics.
 	resp, b := postAnalyze(t, ts.URL, body)
-	var ar AnalyzeResponse
+	var ar client.AnalyzeResponse
 	if err := json.Unmarshal(b, &ar); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +430,7 @@ func TestServerOverloadTypedRejection(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	var er ErrorResponse
+	var er client.ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("429 body is not JSON: %v (%s)", err, body)
 	}
@@ -456,10 +458,10 @@ func TestServerShutdownDrainsInflightAndFlushesStore(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	real := s.analyze
-	s.analyze = func(ctx context.Context, spec jobSpec) (*counterminer.Analysis, error) {
+	s.analyze = func(ctx context.Context, job Job) (*counterminer.Analysis, error) {
 		entered <- struct{}{}
 		<-release
-		return real(ctx, spec)
+		return real(ctx, job)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -550,7 +552,7 @@ func TestServerValidationAndCatalog(t *testing.T) {
 	}
 	for _, tc := range cases {
 		resp, body := postAnalyze(t, ts.URL, tc.body)
-		var er ErrorResponse
+		var er client.ErrorResponse
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status = %d, want %d", tc.body, resp.StatusCode, tc.status)
 			continue
@@ -589,7 +591,7 @@ func TestServerValidationAndCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
+	var snap client.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +608,7 @@ func TestServerValidationAndCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cat BenchmarksResponse
+	var cat client.BenchmarksResponse
 	if err := json.NewDecoder(resp.Body).Decode(&cat); err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +642,7 @@ func TestServerEndToEndRealPipeline(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, b)
 	}
-	var ar AnalyzeResponse
+	var ar client.AnalyzeResponse
 	if err := json.Unmarshal(b, &ar); err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +654,7 @@ func TestServerEndToEndRealPipeline(t *testing.T) {
 	}
 
 	resp, b = postAnalyze(t, ts.URL, body)
-	var ar2 AnalyzeResponse
+	var ar2 client.AnalyzeResponse
 	if err := json.Unmarshal(b, &ar2); err != nil {
 		t.Fatal(err)
 	}
@@ -741,16 +743,30 @@ func TestExecuteCountsJobBeforeResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.queue.Drain()
-	s.analyze = func(_ context.Context, spec jobSpec) (*counterminer.Analysis, error) {
-		return &counterminer.Analysis{Benchmark: spec.benchmark}, nil
+	s.analyze = func(_ context.Context, job Job) (*counterminer.Analysis, error) {
+		return &counterminer.Analysis{Benchmark: job.Benchmark}, nil
 	}
 	for i := 1; i <= 2000; i++ {
-		if _, err := s.Execute(context.Background(), Job{Benchmark: "wordcount", Seed: int64(i)}); err != nil {
+		if _, err := s.Execute(context.Background(), Job{AnalyzeRequest: client.AnalyzeRequest{Benchmark: "wordcount", Seed: int64(i)}}); err != nil {
 			t.Fatalf("execute %d: %v", i, err)
 		}
 		if got := s.queue.Executed(); got != i {
 			t.Fatalf("after %d Execute calls the queue counts %d executed", i, got)
 		}
+	}
+}
+
+// TestWriteJSONUnencodableIs500: a value that cannot be encoded answers
+// 500 with a typed error body, not a 200 with an empty one.
+func TestWriteJSONUnencodableIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.NaN())
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var er client.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error != "internal" {
+		t.Errorf("body = %q, want an ErrorResponse with code internal", rec.Body.String())
 	}
 }
 

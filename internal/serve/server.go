@@ -23,6 +23,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -197,10 +198,10 @@ type Server struct {
 	// index version, so a rebuild naturally orphans stale entries.
 	fpCache *Cache[*client.Classification]
 
-	// analyze executes one resolved request; tests substitute it to
-	// make concurrency scenarios deterministic, and SetDispatch
-	// replaces it with a cluster dispatcher on coordinators.
-	analyze func(ctx context.Context, spec jobSpec) (*counterminer.Analysis, error)
+	// analyze executes one resolved job; tests substitute it to make
+	// concurrency scenarios deterministic, and SetDispatch replaces it
+	// with a cluster dispatcher on coordinators.
+	analyze func(ctx context.Context, job Job) (*counterminer.Analysis, error)
 
 	// extra holds additional routes (the cluster RPC surface); ready
 	// and clusterStats are the cluster role's readiness check and
@@ -208,17 +209,6 @@ type Server struct {
 	extra        map[string]http.Handler
 	ready        func() error
 	clusterStats func() client.ClusterCounters
-}
-
-// jobSpec is one fully resolved analysis request: the job kind ("" =
-// full analysis, KindFingerprint = embedding only), benchmark
-// identity, the resolved event list (nil = full catalogue), and the
-// result-relevant options (already carrying AnalysisWorkers).
-type jobSpec struct {
-	kind                string
-	benchmark, colocate string
-	events              []string
-	opts                counterminer.Options
 }
 
 // New builds a server from cfg. Opening a damaged store is not fatal
@@ -376,10 +366,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
-		"status":         status,
-		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
-	})
+	writeJSON(w, code, client.Health{Status: status, UptimeSeconds: time.Since(s.metrics.start).Seconds()})
 }
 
 // handleReadyz is GET /readyz, the readiness probe: where /healthz
@@ -405,10 +392,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(reasons) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, ReadyResponse{Status: "unready", Reasons: reasons})
+		writeJSON(w, http.StatusServiceUnavailable, client.ReadyResponse{Status: "unready", Reasons: reasons})
 		return
 	}
-	writeJSON(w, http.StatusOK, ReadyResponse{Status: "ready"})
+	writeJSON(w, http.StatusOK, client.ReadyResponse{Status: "ready"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -421,7 +408,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // snapshot assembles the full metrics document from the server's live
 // parts.
-func (s *Server) snapshot() Snapshot {
+func (s *Server) snapshot() client.Snapshot {
 	snap := s.metrics.SnapshotFrom(gauges{
 		queue: s.queue, cache: s.cache, coll: s.coll, db: s.db, index: s.fpIndex,
 		cluster: s.clusterStats,
@@ -435,7 +422,7 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
 		return
 	}
-	resp := BenchmarksResponse{Available: sim.AllBenchmarkNames()}
+	resp := client.BenchmarksResponse{Available: sim.AllBenchmarkNames()}
 	if s.db != nil {
 		for _, b := range s.db.Benchmarks() {
 			resp.Stored = append(resp.Stored, client.BenchmarkSummary{
@@ -464,7 +451,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return
 	}
-	var req AnalyzeRequest
+	var req client.AnalyzeRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -472,7 +459,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 		return
 	}
-	spec, herr := s.resolve(req)
+	job, herr := s.resolve(req)
 	if herr != nil {
 		s.metrics.IncBadRequest()
 		writeError(w, herr.status, herr.code, herr.msg)
@@ -480,13 +467,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	cacheKey := specKey(spec)
 	// Admission failures complete the call with the typed rejection
 	// (never cached), waking any followers.
-	ana, ok, call, leader := s.acquire(cacheKey, spec)
+	ana, ok, call, leader := s.acquire(job)
 	if ok {
-		writeJSON(w, http.StatusOK, AnalyzeResponse{
-			Key: cacheKey, Cached: true,
+		writeJSON(w, http.StatusOK, client.AnalyzeResponse{
+			Key: job.Key, Cached: true,
 			ElapsedMs: msSince(start), Analysis: ana,
 		})
 		return
@@ -503,8 +489,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, call.Err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, AnalyzeResponse{
-		Key: cacheKey, Shared: !leader,
+	writeJSON(w, http.StatusOK, client.AnalyzeResponse{
+		Key: job.Key, Shared: !leader,
 		ElapsedMs: msSince(start), Analysis: call.Val,
 	})
 }
@@ -516,30 +502,31 @@ type httpError struct {
 	msg    string
 }
 
-// resolve validates an AnalyzeRequest into a jobSpec: the benchmarks
+// resolve validates an AnalyzeRequest into a keyed Job: the benchmarks
 // must exist, event patterns must resolve to at least two events, and
-// the option fields are carried over with the server's analysis worker
-// count attached.
-func (s *Server) resolve(req AnalyzeRequest) (jobSpec, *httpError) {
+// the cleaner name must be registered. The Job carries the resolved
+// event names and the canonical cleaner name, never the raw request
+// strings, so equal analyses share one content address.
+func (s *Server) resolve(req client.AnalyzeRequest) (Job, *httpError) {
 	if req.Benchmark == "" {
-		return jobSpec{}, &httpError{http.StatusBadRequest, "bad_request", "benchmark is required (see GET /benchmarks)"}
+		return Job{}, &httpError{http.StatusBadRequest, "bad_request", "benchmark is required (see GET /benchmarks)"}
 	}
 	for _, name := range []string{req.Benchmark, req.Colocate} {
 		if name == "" {
 			continue
 		}
 		if _, err := sim.ProfileByName(name); err != nil {
-			return jobSpec{}, &httpError{
+			return Job{}, &httpError{
 				http.StatusNotFound, "unknown_benchmark",
 				fmt.Sprintf("unknown benchmark %q; candidates: %s", name, strings.Join(candidates(name), ", ")),
 			}
 		}
 	}
 	if req.Runs < 0 || req.Trees < 0 || req.PruneStep < 0 || req.TopK < 0 || req.MinRuns < 0 {
-		return jobSpec{}, &httpError{http.StatusBadRequest, "bad_request", "runs, trees, prune_step, top_k, and min_runs must be >= 0"}
+		return Job{}, &httpError{http.StatusBadRequest, "bad_request", "runs, trees, prune_step, top_k, and min_runs must be >= 0"}
 	}
 	if req.Runs > 0 && req.MinRuns > req.Runs {
-		return jobSpec{}, &httpError{http.StatusBadRequest, "bad_request", "min_runs cannot exceed runs"}
+		return Job{}, &httpError{http.StatusBadRequest, "bad_request", "min_runs cannot exceed runs"}
 	}
 	cleanerName := req.Cleaner
 	if cleanerName == "" {
@@ -547,7 +534,7 @@ func (s *Server) resolve(req AnalyzeRequest) (jobSpec, *httpError) {
 	}
 	cleaner, err := clean.Lookup(cleanerName)
 	if err != nil {
-		return jobSpec{}, &httpError{
+		return Job{}, &httpError{
 			http.StatusNotFound, "unknown_cleaner",
 			fmt.Sprintf("unknown cleaner %q; candidates: %s", cleanerName, strings.Join(clean.Candidates(cleanerName), ", ")),
 		}
@@ -556,40 +543,25 @@ func (s *Server) resolve(req AnalyzeRequest) (jobSpec, *httpError) {
 	if len(req.Events) > 0 {
 		sel, err := s.cat.Select(req.Events)
 		if err != nil {
-			return jobSpec{}, &httpError{http.StatusBadRequest, "bad_request", err.Error()}
+			return Job{}, &httpError{http.StatusBadRequest, "bad_request", err.Error()}
 		}
 		if len(sel) < 2 {
-			return jobSpec{}, &httpError{http.StatusBadRequest, "bad_request", fmt.Sprintf("event patterns resolve to %d event(s); an analysis needs at least two", len(sel))}
+			return Job{}, &httpError{http.StatusBadRequest, "bad_request", fmt.Sprintf("event patterns resolve to %d event(s); an analysis needs at least two", len(sel))}
 		}
 		events = sel
 	}
-	return jobSpec{
-		benchmark: req.Benchmark,
-		colocate:  req.Colocate,
-		events:    events,
-		opts: counterminer.Options{
-			Runs:      req.Runs,
-			Trees:     req.Trees,
-			PruneStep: req.PruneStep,
-			TopK:      req.TopK,
-			SkipEIR:   req.SkipEIR,
-			Seed:      req.Seed,
-			MinRuns:   req.MinRuns,
-			// The canonical name (never the raw request string) lands in
-			// the spec, the content address, and the wire Job.
-			CleanOptions: clean.Options{Cleaner: cleaner.Name()},
-			Workers:      s.cfg.AnalysisWorkers,
-		},
-	}, nil
+	req.Events = events
+	req.Cleaner = cleaner.Name()
+	return Job{AnalyzeRequest: req}.keyed(), nil
 }
 
 // runPipeline is the production analyze function: one pipeline per
 // job, sharing the server's collector (memoized trace generators) and
 // store handle. A fingerprint job runs only Collect + Fingerprint and
 // returns the embedding alone.
-func (s *Server) runPipeline(ctx context.Context, spec jobSpec) (*counterminer.Analysis, error) {
-	opts := spec.opts
-	opts.Events = spec.events
+func (s *Server) runPipeline(ctx context.Context, job Job) (*counterminer.Analysis, error) {
+	opts := job.options()
+	opts.Workers = s.cfg.AnalysisWorkers
 	opts.Source = s.source
 	if s.db != nil {
 		opts.Sink = s.db
@@ -601,21 +573,21 @@ func (s *Server) runPipeline(ctx context.Context, spec jobSpec) (*counterminer.A
 	if err != nil {
 		return nil, err
 	}
-	if spec.kind == KindFingerprint {
-		vec, err := p.FingerprintContext(ctx, spec.benchmark, spec.colocate)
+	if job.Kind == KindFingerprint {
+		vec, err := p.FingerprintContext(ctx, job.Benchmark, job.Colocate)
 		if err != nil {
 			return nil, err
 		}
-		name := spec.benchmark
-		if spec.colocate != "" {
-			name += "+" + spec.colocate
+		name := job.Benchmark
+		if job.Colocate != "" {
+			name += "+" + job.Colocate
 		}
 		return &counterminer.Analysis{Benchmark: name, Fingerprint: vec}, nil
 	}
-	if spec.colocate != "" {
-		return p.AnalyzeColocatedContext(ctx, spec.benchmark, spec.colocate)
+	if job.Colocate != "" {
+		return p.AnalyzeColocatedContext(ctx, job.Benchmark, job.Colocate)
 	}
-	return p.AnalyzeContext(ctx, spec.benchmark)
+	return p.AnalyzeContext(ctx, job.Benchmark)
 }
 
 // candidates lists benchmarks whose name contains the given string
@@ -668,16 +640,29 @@ func ErrorStatus(err error) (int, string) {
 	}
 }
 
+// writeJSON encodes v before it writes the status, so a value that
+// cannot be encoded (a non-finite float) answers 500 with a typed error
+// instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		// An ErrorResponse holds only strings and an int; it always
+		// encodes.
+		_ = enc.Encode(client.ErrorResponse{Error: "internal", Message: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	// A failed write means the client is gone; there is no one left to
+	// tell.
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	resp := ErrorResponse{Error: code, Message: msg}
+	resp := client.ErrorResponse{Error: code, Message: msg}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		resp.RetryAfterSeconds = 1
 		w.Header().Set("Retry-After", "1")

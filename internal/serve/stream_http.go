@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"counterminer/internal/stream"
+	"counterminer/pkg/client"
 )
 
 // handleBatchAsync is POST /analyze/batch?async=1: the batch becomes a
@@ -54,7 +55,7 @@ func (s *Server) handleBatchAsync(w http.ResponseWriter, pb *plannedBatch) {
 		}
 	}()
 
-	writeJSON(w, http.StatusAccepted, BatchHandleResponse{
+	writeJSON(w, http.StatusAccepted, client.BatchHandleResponse{
 		Handle:       h.ID(),
 		Total:        h.Total(),
 		EventsPath:   "/batch/" + h.ID() + "/events",
@@ -106,23 +107,29 @@ func (s *Server) handleBatchHandle(w http.ResponseWriter, r *http.Request) {
 // reconnecting consumer resumes with Last-Event-ID (header, or the
 // last_event_id query parameter for curl): exactly the missed events
 // replay, served from the per-handle ring buffer or rebuilt from the
-// stored results when evicted.
+// stored results when evicted. A cursor that is not an event id of the
+// stream — 0 through the done event's id — is a 400.
 func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, h *stream.Handle) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "internal", "streaming unsupported by this connection")
 		return
 	}
-	var cursor uint64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			cursor = n
-		}
+	v := r.URL.Query().Get("last_event_id")
+	if v == "" {
+		v = r.Header.Get("Last-Event-ID")
 	}
-	if v := r.URL.Query().Get("last_event_id"); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			cursor = n
+	var cursor uint64
+	if v != "" {
+		last := uint64(h.Total()) + 1
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil || n > last {
+			s.metrics.IncBadRequest()
+			writeError(w, http.StatusBadRequest, "bad_request",
+				fmt.Sprintf("Last-Event-ID %q is not an event id of this stream (0 to %d)", v, last))
+			return
 		}
+		cursor = n
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -164,10 +171,10 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, h *stream.H
 // streamGroupGauges renders the queue's per-grouping-key state for the
 // /metrics stream section, translating scheduler keys into display
 // form.
-func streamGroupGauges(depths []stream.GroupDepth) []StreamGroupGauge {
-	out := make([]StreamGroupGauge, len(depths))
+func streamGroupGauges(depths []stream.GroupDepth) []client.StreamGroupGauge {
+	out := make([]client.StreamGroupGauge, len(depths))
 	for i, gd := range depths {
-		g := StreamGroupGauge{
+		g := client.StreamGroupGauge{
 			Group:     displayGroup(gd.Group),
 			Depth:     gd.Depth,
 			Executing: gd.Executing,

@@ -17,7 +17,7 @@ import (
 
 // postAsyncBatch submits a batch with async=1 and decodes the 202
 // handle envelope.
-func postAsyncBatch(t *testing.T, url, body string) (*http.Response, BatchHandleResponse, []byte) {
+func postAsyncBatch(t *testing.T, url, body string) (*http.Response, client.BatchHandleResponse, []byte) {
 	t.Helper()
 	resp, err := http.Post(url+"/analyze/batch?async=1", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -28,7 +28,7 @@ func postAsyncBatch(t *testing.T, url, body string) (*http.Response, BatchHandle
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr BatchHandleResponse
+	var hr client.BatchHandleResponse
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.Unmarshal(b, &hr); err != nil {
 			t.Fatalf("decode handle response: %v (%s)", err, b)
@@ -92,9 +92,9 @@ func TestAsyncBatchStreamExactlyOnce(t *testing.T) {
 	defer ts.Close()
 	defer s.queue.Drain()
 
-	wc := AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1}
-	srt := AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1}
-	bad := AnalyzeRequest{Benchmark: "no-such-benchmark"}
+	wc := client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1}
+	srt := client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1}
+	bad := client.AnalyzeRequest{Benchmark: "no-such-benchmark"}
 	resp, hr, b := postAsyncBatch(t, ts.URL, batchBody(t, wc, srt, wc, bad))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async submit status = %d: %s", resp.StatusCode, b)
@@ -129,7 +129,7 @@ func TestAsyncBatchStreamExactlyOnce(t *testing.T) {
 	if d == nil || d.Status != "done" {
 		t.Fatalf("terminal event %+v, want status done", d)
 	}
-	want := BatchStats{Submitted: 4, Deduped: 1, Executed: 2, Errors: 1, Groups: 2, ScheduleOrder: []int{0, 1}}
+	want := client.BatchStats{Submitted: 4, Deduped: 1, Executed: 2, Errors: 1, Groups: 2, ScheduleOrder: []int{0, 1}}
 	if d.Stats.Submitted != want.Submitted || d.Stats.Deduped != want.Deduped ||
 		d.Stats.Executed != want.Executed || d.Stats.Errors != want.Errors || d.Stats.Groups != want.Groups {
 		t.Errorf("terminal stats = %+v, want %+v", d.Stats, want)
@@ -178,9 +178,9 @@ func TestAsyncBatchSSEResumeReplaysMissed(t *testing.T) {
 	defer ts.Close()
 
 	body := batchBody(t,
-		AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
-		AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
-		AnalyzeRequest{Benchmark: "pagerank", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "pagerank", SkipEIR: true, Seed: 1},
 	)
 	resp, hr, b := postAsyncBatch(t, ts.URL, body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -199,7 +199,7 @@ func TestAsyncBatchSSEResumeReplaysMissed(t *testing.T) {
 	if fr.name != "result" || fr.id != "1" {
 		t.Fatalf("first frame = %+v, want result #1", fr)
 	}
-	var first BatchJobResult
+	var first client.BatchJobResult
 	if err := json.Unmarshal([]byte(fr.data), &first); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestAsyncBatchSSEResumeReplaysMissed(t *testing.T) {
 		if fr.name != "result" || fr.id != strconv.Itoa(want) {
 			t.Fatalf("resumed frame = %+v, want result #%d", fr, want)
 		}
-		var res BatchJobResult
+		var res client.BatchJobResult
 		if err := json.Unmarshal([]byte(fr.data), &res); err != nil {
 			t.Fatal(err)
 		}
@@ -242,6 +242,84 @@ func TestAsyncBatchSSEResumeReplaysMissed(t *testing.T) {
 	}
 }
 
+// TestAsyncBatchResumeCursorBounds: a resume cursor must be an event id
+// of the stream, 0 through the done event's id. Anything else is a 400,
+// never a silently empty or full replay; the query value wins over the
+// header.
+func TestAsyncBatchResumeCursorBounds(t *testing.T) {
+	s, g := newGatedServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
+	close(g.release)
+	ts := httptest.NewServer(s.Handler())
+	defer s.queue.Drain()
+	defer ts.Close()
+
+	resp, hr, b := postAsyncBatch(t, ts.URL, batchBody(t,
+		client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
+	))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit status = %d: %s", resp.StatusCode, b)
+	}
+	waitFor(t, "handle terminal", func() bool {
+		snap, err := client.New(ts.URL).BatchSnapshot(context.Background(), hr.Handle)
+		return err == nil && snap.Status == "done"
+	})
+
+	for _, tc := range []struct {
+		query, header string
+		status        int
+		events        string // event names of a 200 stream, in order
+	}{
+		{"", "", http.StatusOK, "result,result,done"},
+		{"3", "", http.StatusOK, ""},
+		{"3", "99", http.StatusOK, ""},
+		{"99", "", http.StatusBadRequest, ""},
+		{"abc", "", http.StatusBadRequest, ""},
+		{"-1", "", http.StatusBadRequest, ""},
+		{"", "99", http.StatusBadRequest, ""},
+	} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+hr.EventsPath, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.query != "" {
+			req.URL.RawQuery = "last_event_id=" + tc.query
+		}
+		if tc.header != "" {
+			req.Header.Set("Last-Event-ID", tc.header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("query %q header %q: status = %d, want %d (%s)", tc.query, tc.header, resp.StatusCode, tc.status, body)
+			continue
+		}
+		if tc.status != http.StatusOK {
+			var er client.ErrorResponse
+			if json.Unmarshal(body, &er) != nil || er.Error != "bad_request" {
+				t.Errorf("query %q header %q: body = %s, want code bad_request", tc.query, tc.header, body)
+			}
+			continue
+		}
+		var names []string
+		for _, line := range strings.Split(string(body), "\n") {
+			if name, ok := strings.CutPrefix(line, "event: "); ok {
+				names = append(names, name)
+			}
+		}
+		if got := strings.Join(names, ","); got != tc.events {
+			t.Errorf("query %q header %q: events = %q, want %q", tc.query, tc.header, got, tc.events)
+		}
+	}
+}
+
 // TestAsyncBatchCancelQueuedJobs pins DELETE /batch/{handle}: queued
 // jobs cancel through the pipeline's *CancelError path, the executing
 // job finishes normally, and the terminal event reports the batch
@@ -253,8 +331,8 @@ func TestAsyncBatchCancelQueuedJobs(t *testing.T) {
 	defer s.queue.Drain()
 
 	body := batchBody(t,
-		AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
-		AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
 	)
 	resp, hr, b := postAsyncBatch(t, ts.URL, body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -314,8 +392,8 @@ func TestAsyncBatchDrainDeliversTerminal(t *testing.T) {
 	defer ts.Close()
 
 	body := batchBody(t,
-		AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
-		AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
 	)
 	resp, hr, b := postAsyncBatch(t, ts.URL, body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -370,9 +448,9 @@ func TestStreamMetricsGroupGauges(t *testing.T) {
 	// The first sort job executes on the single worker; the second sort
 	// job and the wordcount job wait in the queue under their own keys.
 	body := batchBody(t,
-		AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
-		AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
-		AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 2},
+		client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
+		client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 2},
 	)
 	resp, _, b := postAsyncBatch(t, ts.URL, body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -384,7 +462,7 @@ func TestStreamMetricsGroupGauges(t *testing.T) {
 	if snap.Stream.OpenHandles != 1 {
 		t.Errorf("open handles = %d, want 1", snap.Stream.OpenHandles)
 	}
-	byGroup := map[string]StreamGroupGauge{}
+	byGroup := map[string]client.StreamGroupGauge{}
 	for _, gg := range snap.Stream.QueueGroups {
 		byGroup[gg.Group] = gg
 	}
@@ -411,7 +489,7 @@ func TestAsyncBatchHandleLimit(t *testing.T) {
 	defer close(g.release) // before Drain: the gated executing job must finish
 	defer ts.Close()
 
-	body := batchBody(t, AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1})
+	body := batchBody(t, client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1})
 	resp, _, b := postAsyncBatch(t, ts.URL, body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first async submit status = %d: %s", resp.StatusCode, b)
@@ -420,7 +498,7 @@ func TestAsyncBatchHandleLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-limit submit status = %d: %s", resp.StatusCode, b)
 	}
-	var er ErrorResponse
+	var er client.ErrorResponse
 	if err := json.Unmarshal(b, &er); err != nil || er.Error != "handle_limit" {
 		t.Fatalf("over-limit error = %s, want handle_limit", b)
 	}
@@ -452,7 +530,7 @@ func TestBatchHandleRouteErrors(t *testing.T) {
 		}
 		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var er ErrorResponse
+		var er client.ErrorResponse
 		if resp.StatusCode != tc.code || json.Unmarshal(b, &er) != nil || er.Error != tc.typ {
 			t.Errorf("GET %s = %d %s, want %d %s", tc.path, resp.StatusCode, b, tc.code, tc.typ)
 		}

@@ -98,18 +98,10 @@ type Registry struct {
 	ringSize  int
 	handles   map[string]*Handle
 	doneOrder []string // terminal handle IDs, oldest first (retention LRU)
-	open      int
 
-	// counters for /metrics.stream
-	opened          uint64
-	finished        uint64
-	canceled        uint64
-	expired         uint64
-	eventsSent      uint64
-	ringEvictions   uint64
-	ringRebuilds    uint64
-	lateCompletions uint64
-	subscribers     int
+	// counters is the /metrics.stream section, counted in place; its
+	// OpenHandles is also the count the open-handle cap checks.
+	counters client.StreamCounters
 }
 
 // NewRegistry returns a registry admitting at most openCap concurrently
@@ -141,8 +133,8 @@ func NewRegistry(openCap, retainCap, ringSize int) *Registry {
 func (r *Registry) Open(total int, stats client.BatchStats) (*Handle, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.open >= r.openCap {
-		return nil, fmt.Errorf("%w (%d open, limit %d)", ErrHandleLimit, r.open, r.openCap)
+	if r.counters.OpenHandles >= r.openCap {
+		return nil, fmt.Errorf("%w (%d open, limit %d)", ErrHandleLimit, r.counters.OpenHandles, r.openCap)
 	}
 	h := &Handle{
 		id:      newHandleID(),
@@ -158,8 +150,8 @@ func (r *Registry) Open(total int, stats client.BatchStats) (*Handle, error) {
 		h.jobs[i].Index = i
 	}
 	r.handles[h.id] = h
-	r.open++
-	r.opened++
+	r.counters.OpenHandles++
+	r.counters.HandlesOpened++
 	return h, nil
 }
 
@@ -212,11 +204,11 @@ func (r *Registry) openHandles() []*Handle {
 func (r *Registry) markFinished(h *Handle, canceled bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.open--
+	r.counters.OpenHandles--
 	if canceled {
-		r.canceled++
+		r.counters.HandlesCanceled++
 	} else {
-		r.finished++
+		r.counters.HandlesFinished++
 	}
 	r.doneOrder = append(r.doneOrder, h.id)
 	for len(r.doneOrder) > r.retainCap {
@@ -224,7 +216,7 @@ func (r *Registry) markFinished(h *Handle, canceled bool) {
 		r.doneOrder = r.doneOrder[1:]
 		if _, ok := r.handles[id]; ok {
 			delete(r.handles, id)
-			r.expired++
+			r.counters.HandlesExpired++
 		}
 	}
 }
@@ -232,31 +224,31 @@ func (r *Registry) markFinished(h *Handle, canceled bool) {
 // AddEventsSent counts frames actually written to subscribers.
 func (r *Registry) AddEventsSent(n int) {
 	r.mu.Lock()
-	r.eventsSent += uint64(n)
+	r.counters.EventsSent += uint64(n)
 	r.mu.Unlock()
 }
 
 func (r *Registry) addRingEviction() {
 	r.mu.Lock()
-	r.ringEvictions++
+	r.counters.RingEvictions++
 	r.mu.Unlock()
 }
 
 func (r *Registry) addRingRebuild() {
 	r.mu.Lock()
-	r.ringRebuilds++
+	r.counters.RingRebuilds++
 	r.mu.Unlock()
 }
 
 func (r *Registry) addLateCompletion() {
 	r.mu.Lock()
-	r.lateCompletions++
+	r.counters.LateCompletions++
 	r.mu.Unlock()
 }
 
 func (r *Registry) addSubscriber(delta int) {
 	r.mu.Lock()
-	r.subscribers += delta
+	r.counters.Subscribers += delta
 	r.mu.Unlock()
 }
 
@@ -266,20 +258,10 @@ func (r *Registry) addSubscriber(delta int) {
 func (r *Registry) Stats(queueGroups []client.StreamGroupGauge) client.StreamCounters {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return client.StreamCounters{
-		HandlesOpened:   r.opened,
-		HandlesFinished: r.finished,
-		HandlesCanceled: r.canceled,
-		HandlesExpired:  r.expired,
-		OpenHandles:     r.open,
-		RetainedHandles: len(r.doneOrder),
-		Subscribers:     r.subscribers,
-		EventsSent:      r.eventsSent,
-		RingEvictions:   r.ringEvictions,
-		RingRebuilds:    r.ringRebuilds,
-		LateCompletions: r.lateCompletions,
-		QueueGroups:     queueGroups,
-	}
+	st := r.counters
+	st.RetainedHandles = len(r.doneOrder)
+	st.QueueGroups = queueGroups
+	return st
 }
 
 // newHandleID returns a 24-hex-char random handle identifier. Handle

@@ -1,5 +1,5 @@
 // Package client is the typed Go client for the counterminerd HTTP
-// API. It owns the wire types (internal/serve aliases them), so
+// API. It owns the wire types (internal/serve uses them directly), so
 // external tools talk to the service without hand-rolling JSON:
 //
 //	c := client.New("http://127.0.0.1:7070")

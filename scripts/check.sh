@@ -16,6 +16,8 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# perfbench is its own module, so the root ./... never reaches it.
+(cd perfbench && go vet ./...)
 
 echo "== go build =="
 go build ./...
