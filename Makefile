@@ -1,9 +1,9 @@
 GO ?= go
 BENCH_COUNT ?= 3
 
-.PHONY: check fmt vet build test race bench bench-json chaos
+.PHONY: check fmt vet build test race digests bench bench-json chaos
 
-check: fmt vet build race bench chaos
+check: fmt vet build race digests bench chaos
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -21,6 +21,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The committed Analysis digests (digest_test.go). The file builds only
+# without the race detector, so the race run above skips it.
+digests:
+	$(GO) test -count=1 -run '^TestAnalysisDigests$$' .
 
 # Seeded chaos soak: the fault-injection sweep (failed runs, corrupt
 # series, broken stores at 0%/5%/20%), the fault unit tests, the

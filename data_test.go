@@ -115,6 +115,14 @@ func TestAnalyzeDataWithEIR(t *testing.T) {
 	if len(a.EIRNumEvents) != 2 {
 		t.Errorf("EIR steps = %v", a.EIRNumEvents)
 	}
+	// Fewer events than the default prune of 10: one model on all four.
+	a, err = AnalyzeData(d, Options{Trees: 40, TopK: 2})
+	if err != nil {
+		t.Fatalf("EIR on 4 events: %v", err)
+	}
+	if len(a.EIRNumEvents) != 1 || a.EIRNumEvents[0] != 4 {
+		t.Errorf("EIR on 4 events: curve %v, want [4]", a.EIRNumEvents)
+	}
 	if _, err := AnalyzeData(&DataSet{}, Options{}); err == nil {
 		t.Error("invalid data should error")
 	}

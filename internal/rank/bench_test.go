@@ -10,10 +10,13 @@ import (
 // BenchmarkEIR runs the refinement loop at the real shape of a full
 // analysis: 1248 intervals (936 training rows once the held-out quarter
 // is set aside) of 229 events, 80 trees of depth 4 per model, pruning 10
-// events per round — 22 fits.
+// events per round — 22 fits. It reports how many trees the rounds
+// carried over from their predecessors instead of growing them, a count
+// that is the same in every run.
 func BenchmarkEIR(b *testing.B) {
 	X, y, events := synthData(rand.New(rand.NewSource(17)), 1248, 6, 223)
 	opts := Options{Params: sgbrt.Params{Trees: 80, MaxDepth: 4, Seed: 1}, Seed: 1}
+	reused := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -24,5 +27,13 @@ func BenchmarkEIR(b *testing.B) {
 		if len(res.Steps) != 22 {
 			b.Fatalf("%d EIR fits, want 22", len(res.Steps))
 		}
+		reused = 0
+		for _, s := range res.Steps {
+			reused += s.ReusedTrees
+		}
 	}
+	if reused == 0 {
+		b.Fatal("no EIR round reused a tree")
+	}
+	b.ReportMetric(float64(reused), "reused-trees/op")
 }

@@ -38,9 +38,9 @@ type Options struct {
 	// TestFraction is the held-out fraction for model scoring (default
 	// 0.25).
 	TestFraction float64
-	// MinEvents stops EIR when the event set would shrink below it
-	// (default PruneStep, so the loop runs until no full prune is
-	// possible).
+	// MinEvents stops EIR when a prune would leave fewer events (default
+	// PruneStep, so the loop runs until no full prune is possible). The
+	// first model, on every event, is fitted whatever the event count.
 	MinEvents int
 	// Seed controls the train/test split shuffle.
 	Seed int64
@@ -97,7 +97,7 @@ func FitCtx(ctx context.Context, X [][]float64, y []float64, events []string, op
 	if err != nil {
 		return nil, err
 	}
-	return d.fit(ctx, d.allColumns(), opts)
+	return d.fit(ctx, d.allColumns(), opts, nil)
 }
 
 // dataset is one train/test split of a ranking problem, made once:
@@ -168,9 +168,10 @@ func (d *dataset) allColumns() []int {
 }
 
 // fit trains a model on the columns in cols (ascending column indices)
-// and scores it on the held-out rows.
-func (d *dataset) fit(ctx context.Context, cols []int, opts Options) (*Model, error) {
-	ens, err := d.train.FitCtx(ctx, cols, d.trainY, opts.Params)
+// and scores it on the held-out rows. prev, when non-nil, is an earlier
+// ensemble on d whose provably unchanged leading trees the fit reuses.
+func (d *dataset) fit(ctx context.Context, cols []int, opts Options, prev *sgbrt.Ensemble) (*Model, error) {
+	ens, err := d.train.FitCtx(ctx, cols, d.trainY, opts.Params, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -245,6 +246,9 @@ type EIRStep struct {
 	TestError float64
 	// Model is the fitted model of this step.
 	Model *Model
+	// ReusedTrees counts the leading trees of the step's ensemble
+	// carried over unchanged from the previous step's (0 at step 0).
+	ReusedTrees int
 }
 
 // EIRResult is the outcome of the refinement loop.
@@ -271,8 +275,9 @@ func (r *EIRResult) Curve() ([]int, []float64) {
 }
 
 // EIR runs the refinement loop: fit a model on all events, rank, drop
-// the PruneStep least-important events, refit, and repeat while at
-// least MinEvents remain. It returns every step plus the MAPM.
+// the PruneStep least-important events, refit, and repeat while a
+// prune leaves at least MinEvents. It returns every step plus the MAPM;
+// with too few events for one prune, that is the single first model.
 func EIR(X [][]float64, y []float64, events []string, opts Options) (*EIRResult, error) {
 	return EIRCtx(context.Background(), X, y, events, opts)
 }
@@ -282,7 +287,8 @@ func EIR(X [][]float64, y []float64, events []string, opts Options) (*EIRResult,
 // boosting stages), so a done context surfaces as ctx.Err() within one
 // round of work. The train/test split and the presorted training view
 // are built once; each round fits on the indices of its surviving
-// columns.
+// columns, handing the fit the previous round's ensemble so that it
+// copies the leading trees the prune provably leaves unchanged.
 func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, opts Options) (*EIRResult, error) {
 	opts = opts.withDefaults()
 	if len(events) == 0 {
@@ -295,22 +301,25 @@ func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, op
 	cur := d.allColumns()
 
 	res := &EIRResult{}
-	for len(cur) >= opts.MinEvents {
+	var prev *sgbrt.Ensemble
+	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		m, err := d.fit(ctx, cur, opts)
+		m, err := d.fit(ctx, cur, opts, prev)
 		if err != nil {
 			return nil, err
 		}
 		res.Steps = append(res.Steps, EIRStep{
-			NumEvents: len(cur),
-			TestError: m.TestError,
-			Model:     m,
+			NumEvents:   len(cur),
+			TestError:   m.TestError,
+			Model:       m,
+			ReusedTrees: m.Ensemble.ReusedTrees(),
 		})
 		if len(cur)-opts.PruneStep < opts.MinEvents {
 			break
 		}
+		prev = m.Ensemble
 		// Drop the PruneStep least important events.
 		keep := make(map[string]bool, len(cur)-opts.PruneStep)
 		for _, ei := range m.Ranking[:len(cur)-opts.PruneStep] {
@@ -323,9 +332,6 @@ func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, op
 			}
 		}
 		cur = next
-	}
-	if len(res.Steps) == 0 {
-		return nil, fmt.Errorf("rank: EIR produced no steps (events=%d, min=%d)", len(events), opts.MinEvents)
 	}
 	for i, s := range res.Steps {
 		if s.TestError < res.Steps[res.Best].TestError {

@@ -177,15 +177,24 @@ func TestEIRValidation(t *testing.T) {
 	}
 }
 
+// TestEIRSingleStepWhenSmall: with too few events for one prune, EIR
+// is the single model on every event — also under the default
+// MinEvents, which exceeds the event count.
 func TestEIRSingleStepWhenSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	X, y, events := synthData(rng, 300, 2, 6)
-	res, err := EIR(X, y, events, Options{Params: fastParams, PruneStep: 10, MinEvents: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Steps) != 1 {
-		t.Errorf("steps = %d, want 1 (8 events, prune 10)", len(res.Steps))
+	for _, opts := range []Options{
+		{Params: fastParams, PruneStep: 10, MinEvents: 5},
+		{Params: fastParams},
+	} {
+		res, err := EIR(X, y, events, opts)
+		if err != nil {
+			t.Fatalf("MinEvents %d: %v", opts.MinEvents, err)
+		}
+		if len(res.Steps) != 1 || res.Steps[0].NumEvents != 8 || res.Best != 0 {
+			t.Errorf("MinEvents %d: curve %v best %d, want one 8-event step (prune 10)",
+				opts.MinEvents, res.Steps, res.Best)
+		}
 	}
 }
 

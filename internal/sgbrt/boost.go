@@ -67,6 +67,17 @@ type Ensemble struct {
 	base      float64 // initial prediction F_0 (target mean)
 	trees     []*Tree
 	nFeatures int
+
+	// The training inputs of a fit, kept so that a later fit on fewer
+	// of the columns can reuse this one's leading trees: the matrix, a
+	// copy of the targets and a copy of the column list (callers may
+	// rewrite theirs in place). A loaded model has none.
+	ps       *Presorted
+	y        []float64
+	features []int
+	// reused counts the leading trees carried over from the previous
+	// ensemble handed to Presorted.FitCtx.
+	reused int
 }
 
 // Fit trains an SGBRT ensemble on X (n rows, p features) and y using
@@ -93,7 +104,7 @@ func FitCtx(ctx context.Context, X [][]float64, y []float64, params Params) (*En
 	for f := range features {
 		features[f] = f
 	}
-	return ps.FitCtx(ctx, features, y, params)
+	return ps.FitCtx(ctx, features, y, params, nil)
 }
 
 // FitCtx trains an ensemble on the columns listed in features: feature
@@ -102,7 +113,12 @@ func FitCtx(ctx context.Context, X [][]float64, y []float64, params Params) (*En
 // holds one finite target per row. Cancellation behaves as in the
 // package-level FitCtx, and the result equals FitCtx on the matrix of
 // the selected columns.
-func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, params Params) (*Ensemble, error) {
+//
+// prev, when non-nil, is an earlier fit whose leading trees the fit
+// copies instead of growing them wherever that provably changes
+// nothing (see reusableTrees); the result is bit-identical to a fit
+// with prev nil. A prev that does not qualify is ignored.
+func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, params Params, prev *Ensemble) (*Ensemble, error) {
 	n := len(ps.orders[0])
 	if len(y) != n {
 		return nil, fmt.Errorf("sgbrt: %d rows but %d targets", n, len(y))
@@ -128,7 +144,12 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 	rng := rand.New(rand.NewSource(params.Seed))
 	workers := parallel.Workers(params.Workers)
 
-	e := &Ensemble{params: params, nFeatures: p}
+	reuse := ps.reusableTrees(prev, features, y, params)
+	e := &Ensemble{
+		params: params, nFeatures: p,
+		ps: ps, y: append([]float64(nil), y...), features: append([]int(nil), features...),
+		reused: len(reuse),
+	}
 	for _, t := range y {
 		e.base += t
 	}
@@ -183,14 +204,20 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 			}
 			tb.p.FeatureMask = mask
 		}
-		for i := range residual {
-			residual[i] = y[i] - F[i]
-		}
-		// Stochastic row subsample without replacement.
+		// Stochastic row subsample without replacement. A reused stage
+		// draws it too, so the later stages see the same random stream.
 		rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		tree, err := tb.build(perm[:sampleSize])
-		if err != nil {
-			return nil, err
+		var tree *Tree
+		if stage < len(reuse) {
+			tree = reuse[stage]
+		} else {
+			for i := range residual {
+				residual[i] = y[i] - F[i]
+			}
+			var err error
+			if tree, err = tb.build(perm[:sampleSize]); err != nil {
+				return nil, err
+			}
 		}
 		e.trees = append(e.trees, tree)
 		// Update F on ALL rows (not only the subsample). Every row is
@@ -221,6 +248,62 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 	}
 	return e, nil
 }
+
+// reusableTrees returns copies, renumbered to features, of the leading
+// trees of prev that a fit of features on (ps, y, params) grows exactly
+// as prev grew them; none when prev does not qualify. prev qualifies
+// when it was fitted on ps with bit-equal targets and equal Params
+// apart from Workers, without column subsampling (its draws depend on
+// the column count), and features keeps prev's first column and a
+// subset of the rest in prev's order: node sums accumulate in feature
+// 0's row order. Its trees are reused up to the first that is not
+// stable or splits on a dropped column. By induction over the stages,
+// both fits then hold the same F before each reused stage, so every
+// node sees the same rows and, per kept feature, the same candidate,
+// and a stable winner wins again among fewer (DESIGN.md §6).
+func (ps *Presorted) reusableTrees(prev *Ensemble, features []int, y []float64, params Params) []*Tree {
+	if prev == nil || prev.ps != ps || params.ColSample > 0 && params.ColSample < 1 {
+		return nil
+	}
+	a, b := prev.params, params
+	a.Workers, b.Workers = 0, 0
+	if a != b || len(prev.y) != len(y) {
+		return nil
+	}
+	for i, v := range y {
+		if math.Float64bits(v) != math.Float64bits(prev.y[i]) {
+			return nil
+		}
+	}
+	// remap[j] is the index in features of prev's feature j, -1 when
+	// the fit drops it.
+	remap := make([]int, len(prev.features))
+	k := 0
+	for j, f := range prev.features {
+		remap[j] = -1
+		if k < len(features) && features[k] == f {
+			remap[j] = k
+			k++
+		}
+	}
+	if k < len(features) || remap[0] != 0 {
+		return nil
+	}
+	var reuse []*Tree
+	for _, t := range prev.trees {
+		c := t.remapped(remap, len(features))
+		if c == nil {
+			break
+		}
+		reuse = append(reuse, c)
+	}
+	return reuse
+}
+
+// ReusedTrees returns how many of the ensemble's leading trees
+// Presorted.FitCtx copied from the previous ensemble it was given
+// instead of growing them.
+func (e *Ensemble) ReusedTrees() int { return e.reused }
 
 // NumTrees returns the number of boosting stages actually fitted.
 func (e *Ensemble) NumTrees() int { return len(e.trees) }

@@ -170,7 +170,7 @@ func TestFitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, features := range [][]int{nil, {2}, {-1}} {
-		if _, err := ps.FitCtx(context.Background(), features, []float64{1, 2}, Params{Trees: 1}); err == nil {
+		if _, err := ps.FitCtx(context.Background(), features, []float64{1, 2}, Params{Trees: 1}, nil); err == nil {
 			t.Errorf("features %v should error", features)
 		}
 	}

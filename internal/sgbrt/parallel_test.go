@@ -123,7 +123,7 @@ func TestBuildTreeOrderedDoesNotMutateOrders(t *testing.T) {
 	if _, err := newBuilder(ps.cols, ps.orders, y, TreeParams{MaxDepth: 4}).build(allIdx(50)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps.FitCtx(context.Background(), []int{3, 1, 2}, y, Params{Trees: 5, MaxDepth: 4, Seed: 1}); err != nil {
+	if _, err := ps.FitCtx(context.Background(), []int{3, 1, 2}, y, Params{Trees: 5, MaxDepth: 4, Seed: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ps.orders, wantOrders) || !reflect.DeepEqual(ps.cols, wantCols) {

@@ -18,7 +18,9 @@
 // node's split in ascending feature order. Equal-gain splits go to the
 // lowest feature index, then the lowest threshold, so the induced tree
 // is identical for every worker count. Nodes are stored in depth-first
-// preorder.
+// preorder. A fit handed an earlier fit on more of the columns copies
+// that fit's leading trees wherever the dropped columns provably change
+// nothing (Presorted.FitCtx), which is what makes EIR rounds cheap.
 package sgbrt
 
 import (
@@ -62,6 +64,12 @@ type Tree struct {
 	nodes []node
 	// nFeatures is the expected input dimensionality.
 	nFeatures int
+	// stable says every split won its node by more than gainEpsilon
+	// over each candidate of an earlier feature and passed the MinLeaf
+	// recount, so growing the tree again on fewer features that keep
+	// its split features picks the same splits (see pickSplit). It is
+	// not serialized: a loaded tree is never reused.
+	stable bool
 }
 
 // TreeParams controls tree induction.
@@ -184,6 +192,8 @@ type builder struct {
 	cands []splitCand
 	// nodes collects the tree in level order before renumbering.
 	nodes []node
+	// stable becomes the tree's Tree.stable.
+	stable bool
 }
 
 // segment is one node of a level: its rows are [lo, hi) of every
@@ -249,6 +259,7 @@ func (b *builder) build(sample []int) (*Tree, error) {
 		}
 	}
 	b.nodes = b.nodes[:0]
+	b.stable = true
 	b.level = append(b.level[:0], segment{lo: 0, hi: n, parent: -1})
 	for depth := 1; len(b.level) > 0; depth++ {
 		if depth > 1 {
@@ -262,7 +273,7 @@ func (b *builder) build(sample []int) (*Tree, error) {
 		b.reduce()
 		b.level, b.next = b.next, b.level[:0]
 	}
-	t := &Tree{nFeatures: len(b.cols), nodes: make([]node, 0, len(b.nodes))}
+	t := &Tree{nFeatures: len(b.cols), nodes: make([]node, 0, len(b.nodes)), stable: b.stable}
 	b.emit(t, 0)
 	return t, nil
 }
@@ -345,10 +356,10 @@ func (b *builder) scan(n int, root bool) {
 	}
 }
 
-// reduce picks every open node's split — the best candidate in
-// ascending feature order, later features winning only by more than
-// gainEpsilon — flags each of the node's rows with its side, and queues
-// the children when both meet MinLeaf.
+// reduce picks every open node's split (pickSplit), flags each of the
+// node's rows with its side, and queues the children when both meet
+// MinLeaf. A split that is not stable, or that fails the MinLeaf
+// recount and leaves the node a leaf, makes the tree unstable.
 func (b *builder) reduce() {
 	nf := len(b.cols)
 	for k := range b.level {
@@ -356,17 +367,11 @@ func (b *builder) reduce() {
 		if !s.open {
 			continue
 		}
-		var best splitCand
-		feat := 0
-		for _, f := range b.active {
-			c := b.cands[k*nf+f]
-			if c.ok && (!best.ok || c.gain > best.gain+gainEpsilon) {
-				best, feat = c, f
-			}
-		}
+		feat, best, stable := pickSplit(b.cands[k*nf:(k+1)*nf], b.active)
 		if !best.ok {
 			continue
 		}
+		b.stable = b.stable && stable
 		col := b.cols[feat]
 		nl := 0
 		for _, i := range b.orders[feat][s.lo:s.hi] {
@@ -378,6 +383,7 @@ func (b *builder) reduce() {
 			nl += 1 - int(r)
 		}
 		if nl < b.p.MinLeaf || (s.hi-s.lo)-nl < b.p.MinLeaf {
+			b.stable = false
 			continue
 		}
 		nd := &b.nodes[s.id]
@@ -386,6 +392,53 @@ func (b *builder) reduce() {
 			segment{lo: s.lo, hi: s.lo + nl, parent: s.id, isLeft: true},
 			segment{lo: s.lo + nl, hi: s.hi, parent: s.id})
 	}
+}
+
+// pickSplit picks a node's split from cands, indexed by feature, over
+// the features of active in ascending order: the first ok candidate,
+// replaced only by a later one whose gain is more than gainEpsilon
+// higher. stable reports that the winner also beats every ok candidate
+// of an earlier feature by more than gainEpsilon. Then the pick is the
+// same over any subset of the features that keeps the winner: every
+// earlier candidate it meets loses to it, and no later one beat it
+// over the full set. Without the rule a near-tie chain breaks that:
+// gains a=1, b=1+0.6e-12, c=1+1.2e-12 pick c, but b without a. With no
+// ok candidate, best.ok is false and stable is true.
+func pickSplit(cands []splitCand, active []int) (feat int, best splitCand, stable bool) {
+	// rival is the highest gain among the ok candidates before the
+	// winner, seen among those so far.
+	rival, seen := math.Inf(-1), math.Inf(-1)
+	for _, f := range active {
+		c := cands[f]
+		if !c.ok {
+			continue
+		}
+		if !best.ok || c.gain > best.gain+gainEpsilon {
+			best, feat, rival = c, f, seen
+		}
+		seen = math.Max(seen, c.gain)
+	}
+	return feat, best, !best.ok || best.gain > rival+gainEpsilon
+}
+
+// remapped returns a copy of t over nFeatures features with split
+// feature f renumbered to remap[f], or nil when t is not stable or
+// splits on a feature remap drops (-1).
+func (t *Tree) remapped(remap []int, nFeatures int) *Tree {
+	if !t.stable {
+		return nil
+	}
+	c := &Tree{nodes: append([]node(nil), t.nodes...), nFeatures: nFeatures, stable: true}
+	for i := range c.nodes {
+		nd := &c.nodes[i]
+		if nd.feature < 0 {
+			continue
+		}
+		if nd.feature = remap[nd.feature]; nd.feature < 0 {
+			return nil
+		}
+	}
+	return c
 }
 
 // partition brings feature f's order from spare down to this level:

@@ -124,6 +124,21 @@ func TestPipelineEIRMode(t *testing.T) {
 	if a.MAPMEvents > 24 || a.MAPMEvents < 8 {
 		t.Errorf("MAPM events = %d", a.MAPMEvents)
 	}
+
+	// Fewer events than one default prune: EIR is the single model on
+	// all of them.
+	opts.Events, opts.PruneStep = opts.Events[:5], 0
+	p, err = NewPipeline(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err = p.Analyze("wordcount")
+	if err != nil {
+		t.Fatalf("EIR on 5 events: %v", err)
+	}
+	if len(a.EIRNumEvents) != 1 || a.EIRNumEvents[0] != 5 || a.MAPMEvents != 5 {
+		t.Errorf("EIR on 5 events: curve %v, MAPM %d events; want one 5-event model", a.EIRNumEvents, a.MAPMEvents)
+	}
 }
 
 func TestPipelineColocated(t *testing.T) {

@@ -14,14 +14,19 @@
 #
 # Report shape:
 #   {
-#     "commit": "<short hash>",
+#     "commit": "<short hash, with -dirty for uncommitted changes>",
 #     "count": 3,
 #     "results": [
 #       {"name": "BenchmarkFit", "ns_per_op": 123, "bytes_per_op": 45,
 #        "allocs_per_op": 6},
+#       {"name": "BenchmarkEIR", "ns_per_op": 456, ...,
+#        "metrics": {"reused-trees/op": 852}},
 #       ...
 #     ]
 #   }
+#
+# "metrics" holds whatever else a benchmark reports per op through
+# b.ReportMetric, by unit.
 #
 # BENCH_PATTERN and BENCH_PKGS override the benchmark regex and the
 # package list.
@@ -46,7 +51,7 @@ trap 'rm -f "$raw"' EXIT
 go test -run='^$' -bench="$PATTERN" -benchmem -count="$COUNT" $PKGS | tee "$raw"
 
 awk -v count="$COUNT" \
-    -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" '
+    -v commit="$(git describe --always --dirty 2>/dev/null || echo unknown)" '
 BEGIN {
     printf "{\n  \"commit\": \"%s\",\n  \"count\": %d,\n  \"results\": [\n", commit, count
     first = 1
@@ -54,11 +59,12 @@ BEGIN {
 /^Benchmark/ && / ns\/op/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = ""; allocs = ""
+    ns = ""; bytes = ""; allocs = ""; extra = ""
     for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")     ns     = $(i - 1)
-        if ($i == "B/op")      bytes  = $(i - 1)
-        if ($i == "allocs/op") allocs = $(i - 1)
+        if ($i == "ns/op")          ns     = $(i - 1)
+        else if ($i == "B/op")      bytes  = $(i - 1)
+        else if ($i == "allocs/op") allocs = $(i - 1)
+        else if ($i ~ /\/op$/)      extra  = extra (extra == "" ? "" : ", ") "\"" $i "\": " $(i - 1)
     }
     if (ns == "") next
     if (!first) printf ",\n"
@@ -66,6 +72,7 @@ BEGIN {
     printf "    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns
     if (bytes != "")  printf ", \"bytes_per_op\": %s", bytes
     if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
+    if (extra != "")  printf ", \"metrics\": {%s}", extra
     printf "}"
 }
 END { print "\n  ]\n}" }

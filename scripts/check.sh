@@ -28,6 +28,11 @@ go build ./pkg/client/ ./examples/...
 echo "== go test -race =="
 go test -race ./...
 
+# digest_test.go builds only without the race detector, so the race run
+# above skips the committed Analysis digests.
+echo "== Analysis digests =="
+go test -count=1 -run '^TestAnalysisDigests$' .
+
 echo "== chaos soak (seeded fault-injection + cancellation + overload + batch + store + cluster + cleaner + fingerprint + stream sweep) =="
 go test -race -count=2 \
     -run 'Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Shard|Evict|Migrate|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle|Priority' \
