@@ -1,9 +1,9 @@
 GO ?= go
 BENCH_COUNT ?= 3
 
-.PHONY: check fmt vet build test race digests bench bench-json chaos
+.PHONY: check fmt vet build test race digests index-race bench bench-json chaos
 
-check: fmt vet build race digests bench chaos
+check: fmt vet build race digests index-race bench chaos
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -27,6 +27,13 @@ race:
 digests:
 	$(GO) test -count=1 -run '^TestAnalysisDigests$$' .
 
+# The fingerprint index is written by every persisting job and
+# reclustered by whichever reader comes next, and the daemon's sink
+# pairs each store write with its upsert; soak that shared state.
+index-race:
+	$(GO) test -race -count=10 -run '^TestIndexConcurrent' ./internal/fingerprint/
+	$(GO) test -race -count=10 -run '^TestIndexingSink' ./internal/serve/
+
 # Seeded chaos soak: the fault-injection sweep (failed runs, corrupt
 # series, broken stores at 0%/5%/20%), the fault unit tests, the
 # serving layer's overload/shutdown/drain paths and batch endpoint
@@ -44,7 +51,7 @@ chaos:
 
 # Short allocation-aware sweep over the hot-path micro-benchmarks.
 bench:
-	$(GO) test -run=^$$ -bench='Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout' -benchtime=1x -benchmem ./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
+	$(GO) test -run=^$$ -bench='Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|IndexUpsert|PrioritySchedule|StreamFanout' -benchtime=1x -benchmem ./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
 
 # Same sweep, repeated BENCH_COUNT times and written to an
 # auto-numbered machine-readable BENCH_<n>.json report.

@@ -3,6 +3,8 @@ package fingerprint
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"counterminer/internal/collector"
@@ -296,6 +298,206 @@ func TestIndexVersionTracksContent(t *testing.T) {
 	}
 }
 
+// TestIndexVersionGolden pins the version of a fixed entry set, so a
+// change to how the entry bytes reach the hash cannot change the
+// content address that classify verdicts are cached under.
+func TestIndexVersionGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var entries []Entry
+	for i := 0; i < 48; i++ {
+		vec := make([]float64, Dim)
+		for j := range vec {
+			vec[j] = 0.01 * rng.NormFloat64()
+		}
+		vec[i%6] += 1
+		label := fmt.Sprintf("bench%d", i%6)
+		entries = append(entries, Entry{Key: fmt.Sprintf("%s/%d/MLPX", label, i), Label: label, Suite: fmt.Sprintf("suite%d", i%2), Vec: vec})
+	}
+	ix := NewIndex(Options{})
+	ix.Fill(entries)
+	const want = "e37fa90413e2e9479e1fc0e8106a36fb"
+	if v, n := ix.Version(), ix.NumClusters(); v != want || n != 6 {
+		t.Fatalf("version %s with %d clusters, want %s with 6", v, n, want)
+	}
+}
+
+// TestIndexReadsAfterWriteAreFresh: a write only marks the index
+// stale, so whichever clustering read comes first after it must
+// recluster and see the new entry.
+func TestIndexReadsAfterWriteAreFresh(t *testing.T) {
+	unit := func(i int) []float64 {
+		v := make([]float64, Dim)
+		v[i] = 1
+		return v
+	}
+	a := Entry{Key: "a/1/MLPX", Label: "a", Suite: "s", Vec: unit(0)}
+	b := Entry{Key: "b/1/MLPX", Label: "b", Suite: "s", Vec: unit(1)}
+	want := NewIndex(Options{})
+	want.Fill([]Entry{a, b})
+	wantVersion := want.Version()
+	if wantVersion == "empty" {
+		t.Fatal("a two-entry index reports the empty version")
+	}
+
+	readers := []struct {
+		name string
+		read func(*Index) error
+	}{
+		{"Version", func(ix *Index) error {
+			if v := ix.Version(); v != wantVersion {
+				return fmt.Errorf("version %s, want %s", v, wantVersion)
+			}
+			return nil
+		}},
+		{"Clusters", func(ix *Index) error {
+			cs := ix.Clusters()
+			if len(cs) != 2 || cs[1].Label != "b" {
+				return fmt.Errorf("clusters %+v, want a and b", cs)
+			}
+			return nil
+		}},
+		{"NumClusters", func(ix *Index) error {
+			if n := ix.NumClusters(); n != 2 {
+				return fmt.Errorf("%d clusters, want 2", n)
+			}
+			return nil
+		}},
+		{"Classify", func(ix *Index) error {
+			res, err := ix.Classify(b.Vec, 3)
+			if err != nil {
+				return err
+			}
+			if res.Matches[0].Label != "b" || res.Matches[0].Distance != 0 || res.Entries != 2 || res.IndexVersion != wantVersion {
+				return fmt.Errorf("result %+v, want b at distance 0 over 2 entries, version %s", res, wantVersion)
+			}
+			return nil
+		}},
+	}
+	for _, r := range readers {
+		t.Run(r.name, func(t *testing.T) {
+			ix := NewIndex(Options{})
+			ix.Fill([]Entry{a})
+			ix.Version() // cluster the one-entry index; only the upsert makes it stale
+			ix.Upsert(b)
+			if err := r.read(ix); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	ix := NewIndex(Options{})
+	ix.Fill([]Entry{a, b})
+	v := ix.Version()
+	ix.Fill(nil)
+	if ix.stale || ix.Version() != v {
+		t.Fatalf("Fill(nil) changed the index: stale %v, version %s -> %s", ix.stale, v, ix.Version())
+	}
+
+	// A burst of writes followed by every kind of read reclusters once.
+	before := ix.Reclusters()
+	ix.Upsert(a)
+	ix.Fill([]Entry{b})
+	ix.Upsert(b)
+	ix.Version()
+	ix.Clusters()
+	ix.NumClusters()
+	if _, err := ix.Classify(a.Vec, 1); err != nil {
+		t.Fatal(err)
+	}
+	ix.Len()
+	if n := ix.Reclusters() - before; n != 1 {
+		t.Fatalf("three writes then four reads reclustered %d times, want 1", n)
+	}
+}
+
+// TestIndexConcurrentWritesAndReads overlaps writers (Upsert, Fill)
+// on shared keys with every clustering read; at the end the lazily
+// rebuilt version must equal a fresh index's over the final entries.
+func TestIndexConcurrentWritesAndReads(t *testing.T) {
+	const keys, rounds = 12, 200
+	entry := func(k, gen int) Entry {
+		vec := make([]float64, Dim)
+		vec[k%4] = 1
+		vec[4+gen%8] = 0.05
+		return Entry{Key: fmt.Sprintf("b%d/%d/MLPX", k%4, k), Label: fmt.Sprintf("b%d", k%4), Suite: "s", Vec: vec}
+	}
+	ix := NewIndex(Options{})
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < rounds; i++ {
+				k := (w*7 + i) % keys
+				if i%10 == 0 {
+					ix.Fill([]Entry{entry(k, w+i), entry((k+1)%keys, w), entry((k+2)%keys, i)})
+				} else {
+					ix.Upsert(entry(k, w+i))
+				}
+			}
+		}(w)
+	}
+	probe := entry(0, 0).Vec
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				switch r {
+				case 0:
+					if ix.Version() == "" {
+						t.Error("empty version string")
+					}
+				case 1:
+					res, err := ix.Classify(probe, 100)
+					if err == ErrEmpty {
+						continue
+					}
+					if err != nil {
+						t.Error(err)
+					} else if len(res.Matches) != res.Clusters || res.Entries > keys {
+						t.Errorf("inconsistent result: %d matches, %d clusters, %d entries", len(res.Matches), res.Clusters, res.Entries)
+					}
+				case 2:
+					if n := ix.NumClusters(); n > keys {
+						t.Errorf("%d clusters over at most %d entries", n, keys)
+					}
+				case 3:
+					members := 0
+					for _, c := range ix.Clusters() {
+						members += c.Members
+					}
+					if members > keys {
+						t.Errorf("clusters hold %d members, at most %d entries exist", members, keys)
+					}
+				}
+			}
+		}(r)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+
+	final := make([]Entry, 0, keys)
+	for _, e := range ix.entries {
+		final = append(final, e)
+	}
+	fresh := NewIndex(Options{})
+	fresh.Fill(final)
+	if fresh.Version() == "empty" {
+		t.Fatalf("a fresh index over %d entries reports the empty version", len(final))
+	}
+	if ix.Version() != fresh.Version() {
+		t.Fatalf("version %s after concurrent writes, fresh index over the same entries %s", ix.Version(), fresh.Version())
+	}
+}
+
 func TestClassifyEmptyIndex(t *testing.T) {
 	ix := NewIndex(Options{})
 	if _, err := ix.Classify(make([]float64, Dim), 3); err != ErrEmpty {
@@ -363,6 +565,47 @@ func BenchmarkIndexLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.Classify(probe, 3); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIndexUpsert times one Upsert into an index of n entries in
+// 16 tight clusters, each replacing an existing entry so the size
+// holds. A write only marks the index stale, so its cost should not
+// grow with n. The ",read" variants follow each Upsert with a Version
+// read: one recluster per op, the cost the first reader after a write
+// pays, which does grow with n.
+func BenchmarkIndexUpsert(b *testing.B) {
+	for _, n := range []int{100, 10_000} {
+		rng := rand.New(rand.NewSource(1))
+		entries := make([]Entry, n)
+		for i := range entries {
+			vec := make([]float64, Dim)
+			for j := range vec {
+				vec[j] = 0.005 * rng.NormFloat64()
+			}
+			vec[i%16] += 1
+			label := fmt.Sprintf("b%02d", i%16)
+			entries[i] = Entry{Key: fmt.Sprintf("%s/%d/MLPX", label, i), Label: label, Suite: "s", Vec: vec}
+		}
+		for _, read := range []bool{false, true} {
+			name := fmt.Sprintf("entries=%d", n)
+			if read {
+				name += ",read"
+			}
+			b.Run(name, func(b *testing.B) {
+				ix := NewIndex(Options{})
+				ix.Fill(entries)
+				ix.Version()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ix.Upsert(entries[i%n])
+					if read {
+						ix.Version()
+					}
+				}
+			})
 		}
 	}
 }

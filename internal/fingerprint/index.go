@@ -129,20 +129,26 @@ func (o Options) withDefaults() Options {
 // It is safe for concurrent use.
 //
 // Determinism contract: the clustering is a pure function of the
-// entry set (and options), not of insertion order — every mutation
-// re-runs the leader pass over all entries in sorted-key order. Two
-// indexes holding the same entries therefore have identical clusters
-// and an identical Version() on every node of a cluster, which is
-// what lets the index version participate in the classify content
-// address without coordination.
+// entry set (and options), not of insertion order — every read after a
+// write re-runs the leader pass over all entries in sorted-key order.
+// Two indexes holding the same entries therefore have identical
+// clusters and an identical Version() on every node of a cluster,
+// which is what lets the index version participate in the classify
+// content address without coordination.
+//
+// Writes cost O(entries written): they store the entries and mark the
+// index stale. The first clustering read after them (Version,
+// Clusters, NumClusters, Classify) rebuilds once, so a burst of writes
+// between two reads pays for one leader pass.
 type Index struct {
 	opts Options
 
-	mu       sync.RWMutex
-	entries  map[string]Entry
-	order    []string // sorted keys, maintained by rebuild
-	clusters []Cluster
-	version  string
+	mu         sync.RWMutex
+	entries    map[string]Entry
+	stale      bool // entries changed since the last rebuild
+	clusters   []Cluster
+	version    string
+	reclusters uint64 // rebuilds so far
 }
 
 // NewIndex returns an empty index with the given options.
@@ -154,23 +160,26 @@ func NewIndex(opts Options) *Index {
 	}
 }
 
-// Upsert adds or replaces one entry and rebuilds the clustering.
+// Upsert adds or replaces one entry.
 func (ix *Index) Upsert(e Entry) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.entries[e.Key] = e
-	ix.rebuild()
+	ix.stale = true
 }
 
-// Fill bulk-adds (or replaces) entries with a single rebuild — the
-// startup path over the whole store.
+// Fill bulk-adds (or replaces) entries — the startup path over the
+// whole store. Filling no entries leaves the index as it is.
 func (ix *Index) Fill(entries []Entry) {
+	if len(entries) == 0 {
+		return
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, e := range entries {
 		ix.entries[e.Key] = e
 	}
-	ix.rebuild()
+	ix.stale = true
 }
 
 // Len reports the number of entries.
@@ -180,31 +189,57 @@ func (ix *Index) Len() int {
 	return len(ix.entries)
 }
 
-// NumClusters reports the number of clusters.
-func (ix *Index) NumClusters() int {
+// Reclusters reports how many times the index has reclustered, each a
+// leader pass and a rehash over every entry.
+func (ix *Index) Reclusters() uint64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.clusters)
+	return ix.reclusters
+}
+
+// NumClusters reports the number of clusters.
+func (ix *Index) NumClusters() (n int) {
+	ix.read(func() { n = len(ix.clusters) })
+	return n
 }
 
 // Version returns the content hash of the index: entries in sorted
 // key order plus the clustering options. Empty index → "empty".
-func (ix *Index) Version() string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.version
+func (ix *Index) Version() (v string) {
+	ix.read(func() { v = ix.version })
+	return v
 }
 
 // Clusters returns a copy of the current clusters.
-func (ix *Index) Clusters() []Cluster {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]Cluster, len(ix.clusters))
-	copy(out, ix.clusters)
+func (ix *Index) Clusters() (out []Cluster) {
+	ix.read(func() {
+		out = make([]Cluster, len(ix.clusters))
+		copy(out, ix.clusters)
+	})
 	return out
 }
 
-// rebuild recomputes clusters and version. Caller holds mu.
+// read runs fn over a current clustering: under the read lock when no
+// write happened since the last rebuild, otherwise under the write lock
+// right after rebuilding, so fn never sees clusters and a version that
+// lag the entries.
+func (ix *Index) read(fn func()) {
+	ix.mu.RLock()
+	if !ix.stale {
+		defer ix.mu.RUnlock()
+		fn()
+		return
+	}
+	ix.mu.RUnlock()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.stale {
+		ix.rebuild()
+	}
+	fn()
+}
+
+// rebuild recomputes clusters and version. Caller holds mu for writing.
 //
 // The leader pass walks entries in sorted-key order with leader
 // centroids frozen at the leader's own vector (classic leader
@@ -212,16 +247,19 @@ func (ix *Index) Clusters() []Cluster {
 // and of previously computed centroids; member statistics (centroid,
 // radius, majority label) are derived afterwards.
 func (ix *Index) rebuild() {
-	ix.order = ix.order[:0]
+	keys := make([]string, 0, len(ix.entries))
 	for k := range ix.entries {
-		ix.order = append(ix.order, k)
+		keys = append(keys, k)
 	}
-	sort.Strings(ix.order)
+	sort.Strings(keys)
+	sorted := make([]Entry, len(keys))
+	for i, k := range keys {
+		sorted[i] = ix.entries[k]
+	}
 
 	var leaders []Entry
-	assign := make([]int, len(ix.order))
-	for i, k := range ix.order {
-		e := ix.entries[k]
+	assign := make([]int, len(sorted))
+	for i, e := range sorted {
 		best, bestD := -1, math.Inf(1)
 		for ci := range leaders {
 			d := Distance(e.Vec, leaders[ci].Vec)
@@ -238,14 +276,14 @@ func (ix *Index) rebuild() {
 	}
 
 	clusters := make([]Cluster, len(leaders))
-	memberKeys := make([][]string, len(leaders))
-	for i, k := range ix.order {
-		memberKeys[assign[i]] = append(memberKeys[assign[i]], k)
+	members := make([][]int, len(leaders))
+	for i, ci := range assign {
+		members[ci] = append(members[ci], i)
 	}
 	for ci := range clusters {
 		centroid := make([]float64, Dim)
-		for _, k := range memberKeys[ci] {
-			for j, v := range ix.entries[k].Vec {
+		for _, i := range members[ci] {
+			for j, v := range sorted[i].Vec {
 				if j < Dim {
 					centroid[j] += v
 				}
@@ -264,8 +302,8 @@ func (ix *Index) rebuild() {
 		radius := 0.0
 		labelVotes := map[string]int{}
 		suiteVotes := map[string]int{}
-		for _, k := range memberKeys[ci] {
-			e := ix.entries[k]
+		for _, i := range members[ci] {
+			e := sorted[i]
 			if d := Distance(e.Vec, centroid); d > radius {
 				radius = d
 			}
@@ -277,7 +315,7 @@ func (ix *Index) rebuild() {
 			Suite:    majority(suiteVotes),
 			Centroid: centroid,
 			Radius:   radius,
-			Members:  len(memberKeys[ci]),
+			Members:  len(members[ci]),
 		}
 	}
 	// Present clusters in a stable, size-independent order.
@@ -288,36 +326,36 @@ func (ix *Index) rebuild() {
 		return clusters[a].Members > clusters[b].Members
 	})
 	ix.clusters = clusters
-	ix.version = ix.hash()
+	ix.version = ix.hash(sorted)
+	ix.stale = false
+	ix.reclusters++
 }
 
-// hash computes the content address of the entry set and options.
-// Caller holds mu; ix.order is current.
-func (ix *Index) hash() string {
-	if len(ix.order) == 0 {
+// hash computes the content address of the entry set, given in key
+// order, and the options. Each entry's bytes go to the hash in one
+// write.
+func (ix *Index) hash(sorted []Entry) string {
+	if len(sorted) == 0 {
 		return "empty"
 	}
 	h := sha256.New()
-	var buf [8]byte
-	writeF := func(v float64) {
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
+	var buf []byte
 	for _, f := range []float64{ix.opts.Tau, ix.opts.Slack, ix.opts.Floor, ix.opts.Temp} {
-		writeF(f)
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
 	}
-	for _, k := range ix.order {
-		e := ix.entries[k]
-		h.Write([]byte(e.Key))
-		h.Write([]byte{0})
-		h.Write([]byte(e.Label))
-		h.Write([]byte{0})
-		h.Write([]byte(e.Suite))
-		h.Write([]byte{0})
-		h.Write([]byte(strconv.Itoa(len(e.Vec))))
+	for _, e := range sorted {
+		buf = append(buf, e.Key...)
+		buf = append(buf, 0)
+		buf = append(buf, e.Label...)
+		buf = append(buf, 0)
+		buf = append(buf, e.Suite...)
+		buf = append(buf, 0)
+		buf = strconv.AppendInt(buf, int64(len(e.Vec)), 10)
 		for _, v := range e.Vec {
-			writeF(v)
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 		}
+		h.Write(buf)
+		buf = buf[:0]
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
@@ -341,12 +379,16 @@ func majority(votes map[string]int) string {
 // Classify maps an embedding to its nearest clusters. k bounds the
 // number of returned matches (k ≤ 0 means 3). It returns ErrEmpty on
 // an index with no entries.
-func (ix *Index) Classify(vec []float64, k int) (*Result, error) {
+func (ix *Index) Classify(vec []float64, k int) (res *Result, err error) {
 	if k <= 0 {
 		k = 3
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	ix.read(func() { res, err = ix.classify(vec, k) })
+	return res, err
+}
+
+// classify is Classify over a current clustering. Caller holds mu.
+func (ix *Index) classify(vec []float64, k int) (*Result, error) {
 	if len(ix.entries) == 0 {
 		return nil, ErrEmpty
 	}

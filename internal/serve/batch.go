@@ -30,7 +30,6 @@ func (s *Server) startJob(call *Call[*counterminer.Analysis], job Job, deadline 
 			s.metrics.ObserveEmbed(aerr, time.Since(start))
 		} else {
 			s.metrics.ObserveAnalysis(a, aerr)
-			s.syncFingerprint(job, aerr)
 		}
 		return func() { s.cache.Complete(job.Key, call, a, aerr) }
 	})

@@ -131,10 +131,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The classification's content address folds in the index version:
-	// identical requests share one verdict, a rebuilt index orphans all
+	// identical requests share one verdict, a changed index orphans all
 	// cached verdicts. (Reading the version outside the classify call
-	// is a benign race — a mid-flight rebuild just caches the fresh
-	// verdict under the old key, which the next rebuild orphans too.)
+	// is a benign race — a write landing mid-flight just caches the
+	// fresh verdict under the old key, which that write orphans too.)
 	key := classifyKey(s.fpIndex.Version(), req.TopK, base)
 	cls, ok, call, leader := s.fpCache.Acquire(key)
 	if ok {
@@ -258,8 +258,6 @@ func runEntry(rec store.Record) fingerprint.Entry {
 	}
 }
 
-// rebuildIndex populates the fingerprint index from every run in the
-// store with a single clustering pass — the startup path.
 // storeEventVocabulary returns the event set shared by every stored
 // run, or nil (meaning the full catalogue) when the store is empty,
 // absent, or its runs disagree. Feature-hashed embeddings are only
@@ -287,6 +285,9 @@ func (s *Server) storeEventVocabulary() []string {
 	return vocab
 }
 
+// rebuildIndex populates the fingerprint index from every run in the
+// store — the startup path, and the daemon's only pass over the whole
+// store; from then on indexingSink upserts each persisted run.
 func (s *Server) rebuildIndex() {
 	if s.fpIndex == nil || s.db == nil {
 		return
@@ -298,39 +299,4 @@ func (s *Server) rebuildIndex() {
 	})
 	s.fpIndex.Fill(entries)
 	s.metrics.IncIndexRebuild()
-}
-
-// syncIndexBenchmark refreshes the index entries of one benchmark's
-// stored runs (one shard read, one clustering pass) — the incremental
-// path after a persisting analysis.
-func (s *Server) syncIndexBenchmark(name string) {
-	var entries []fingerprint.Entry
-	for _, meta := range s.db.List() {
-		if meta.Benchmark != name {
-			continue
-		}
-		rec, ok := s.db.Get(meta.Benchmark, meta.RunID, meta.Mode)
-		if !ok {
-			continue
-		}
-		entries = append(entries, runEntry(rec))
-	}
-	if len(entries) > 0 {
-		s.fpIndex.Fill(entries)
-	}
-}
-
-// syncFingerprint folds a just-completed analysis's persisted runs
-// into the fingerprint index, keeping /classify answers current
-// without a full rebuild. Fingerprint jobs don't persist, so they
-// never sync.
-func (s *Server) syncFingerprint(job Job, aerr error) {
-	if aerr != nil || job.Kind != "" || s.fpIndex == nil || s.db == nil {
-		return
-	}
-	name := job.Benchmark
-	if job.Colocate != "" {
-		name += "+" + job.Colocate
-	}
-	s.syncIndexBenchmark(name)
 }

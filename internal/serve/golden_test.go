@@ -93,7 +93,7 @@ var metricsKeyPaths = []string{
 	"fingerprint.embed_latency.count", "fingerprint.embed_latency.stage",
 	"fingerprint.embed_latency.sum_ms", "fingerprint.embeds",
 	"fingerprint.index_clusters", "fingerprint.index_entries",
-	"fingerprint.index_rebuilds",
+	"fingerprint.index_rebuilds", "fingerprint.index_reclusters",
 	"queue", "queue.active", "queue.capacity", "queue.depth",
 	"queue.executed",
 	"requests", "requests.bad_requests", "requests.cache_hits",

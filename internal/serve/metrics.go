@@ -129,7 +129,7 @@ func (m *Metrics) IncClassifyCacheMiss() { m.inc(&m.fingerprint.ClassifyCacheMis
 func (m *Metrics) IncClassifyShared()    { m.inc(&m.fingerprint.ClassifyShared) }
 
 // IncIndexRebuild counts one full fingerprint-index rebuild from the
-// store (startup, or an explicit resync).
+// store (the startup pass).
 func (m *Metrics) IncIndexRebuild() { m.inc(&m.fingerprint.IndexRebuilds) }
 
 // ObserveEmbed records one fingerprint-embedding execution (a
@@ -224,6 +224,15 @@ type gauges struct {
 // SnapshotFrom assembles the full metrics document from the registry
 // plus the queue, cache, and collector gauges.
 func (m *Metrics) SnapshotFrom(g gauges) client.Snapshot {
+	// Read the index before taking mu: the first read after a write
+	// reclusters, and that must not stall the counters.
+	var indexEntries, indexClusters int
+	var indexVersion string
+	var indexReclusters uint64
+	if g.index != nil {
+		indexEntries, indexClusters, indexVersion = g.index.Len(), g.index.NumClusters(), g.index.Version()
+		indexReclusters = g.index.Reclusters()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	snap := client.Snapshot{
@@ -235,11 +244,10 @@ func (m *Metrics) SnapshotFrom(g gauges) client.Snapshot {
 	}
 	snap.Fingerprint.EmbedLatency = m.embedLatency.snapshot("embed")
 	snap.Fingerprint.ClassifyLatency = m.classifyLatency.snapshot("classify")
-	if g.index != nil {
-		snap.Fingerprint.IndexEntries = g.index.Len()
-		snap.Fingerprint.IndexClusters = g.index.NumClusters()
-		snap.Fingerprint.IndexVersion = g.index.Version()
-	}
+	snap.Fingerprint.IndexEntries = indexEntries
+	snap.Fingerprint.IndexClusters = indexClusters
+	snap.Fingerprint.IndexReclusters = indexReclusters
+	snap.Fingerprint.IndexVersion = indexVersion
 	if g.queue != nil {
 		snap.Queue = client.QueueGauges{
 			Depth: g.queue.Depth(), Capacity: g.queue.Capacity(),

@@ -28,9 +28,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -191,9 +193,13 @@ type Server struct {
 
 	// fpIndex is the workload fingerprint index behind POST /classify:
 	// one entry per stored run, rebuilt from the store at startup and
-	// re-synced after every persisting analysis. nil on a node without
-	// a store — such a node answers /classify with 503 "no_index".
+	// then upserted run by run as indexingSink persists them. nil on a
+	// node without a store — such a node answers /classify with 503
+	// "no_index".
 	fpIndex *fingerprint.Index
+	// persistMu pairs each store write with its index upsert (see
+	// indexingSink.Put), one lock per stripe of benchmark names.
+	persistMu [persistStripes]sync.Mutex
 	// fpCache content-addresses classifications; the key includes the
 	// index version, so a rebuild naturally orphans stale entries.
 	fpCache *Cache[*client.Classification]
@@ -564,7 +570,7 @@ func (s *Server) runPipeline(ctx context.Context, job Job) (*counterminer.Analys
 	opts.Workers = s.cfg.AnalysisWorkers
 	opts.Source = s.source
 	if s.db != nil {
-		opts.Sink = s.db
+		opts.Sink = indexingSink{s}
 		// Satellite fix: persist failures must name the store they
 		// failed against, so the wrapped error carries the path.
 		opts.StorePath = s.cfg.StorePath
@@ -589,6 +595,42 @@ func (s *Server) runPipeline(ctx context.Context, job Job) (*counterminer.Analys
 	}
 	return p.AnalyzeContext(ctx, job.Benchmark)
 }
+
+// indexingSink is the pipeline's sink on a node with a store: it
+// persists each run and upserts that run's fingerprint-index entry in
+// the same step, so keeping /classify current costs one embedding per
+// persisted run, never a pass over the stored runs.
+type indexingSink struct{ s *Server }
+
+// persistStripes is the number of persistMu locks.
+const persistStripes = 64
+
+// Put embeds rec outside any lock, then writes the record and its index
+// entry under its benchmark's persistMu stripe. Two jobs with the same
+// benchmark and seed but different events have different content
+// addresses, so both execute and write the same run keys with
+// different series; the lock makes the last store write to a key also
+// the last upsert for it. A run key names its benchmark, hence the
+// striping: the store write can wait on the benchmark's shard lock
+// through a whole-shard flush or reload, and that wait then stalls
+// only persists that share the stripe.
+func (k indexingSink) Put(rec store.Record) error {
+	s := k.s
+	entry := runEntry(rec)
+	h := fnv.New32a()
+	h.Write([]byte(rec.Meta.Benchmark))
+	mu := &s.persistMu[h.Sum32()%persistStripes]
+	mu.Lock()
+	defer mu.Unlock()
+	if err := s.db.Put(rec); err != nil {
+		return err
+	}
+	s.fpIndex.Upsert(entry)
+	return nil
+}
+
+// Flush flushes the store.
+func (k indexingSink) Flush() error { return k.s.db.Flush() }
 
 // candidates lists benchmarks whose name contains the given string
 // (case-insensitive), falling back to the full catalog.

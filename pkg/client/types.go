@@ -540,9 +540,13 @@ type FingerprintCounters struct {
 	Embeds        uint64 `json:"embeds"`
 	EmbedErrors   uint64 `json:"embed_errors"`
 	// Live index gauges; zero-valued on a node without a store.
-	IndexEntries  int    `json:"index_entries"`
-	IndexClusters int    `json:"index_clusters"`
-	IndexVersion  string `json:"index_version,omitempty"`
+	// IndexReclusters counts the index's reclusterings since startup,
+	// each a leader pass and a rehash over every entry: the part of
+	// index upkeep that grows with the store.
+	IndexEntries    int    `json:"index_entries"`
+	IndexClusters   int    `json:"index_clusters"`
+	IndexReclusters uint64 `json:"index_reclusters"`
+	IndexVersion    string `json:"index_version,omitempty"`
 	// Latency distributions for the embedding stage and the end-to-end
 	// classify path.
 	EmbedLatency    StageHistogram `json:"embed_latency"`

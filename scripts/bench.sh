@@ -35,7 +35,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
-PATTERN="${BENCH_PATTERN:-Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|PrioritySchedule|StreamFanout}"
+PATTERN="${BENCH_PATTERN:-Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|IndexUpsert|PrioritySchedule|StreamFanout}"
 PKGS="${BENCH_PKGS:-./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/}"
 
 n=1
