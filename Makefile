@@ -1,9 +1,9 @@
 GO ?= go
 BENCH_COUNT ?= 3
 
-.PHONY: check fmt vet build test race digests index-race bench bench-json chaos
+.PHONY: check fmt vet build test race digests index-race fuzz-smoke bench bench-json chaos
 
-check: fmt vet build race digests index-race bench chaos
+check: fmt vet build race digests index-race fuzz-smoke bench chaos
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -48,6 +48,14 @@ index-race:
 # flakiness.
 chaos:
 	$(GO) test -race -count=2 -run 'Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Shard|Evict|Migrate|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle|Priority' . ./internal/fault/ ./internal/serve/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
+
+# The store's on-disk readers take whatever bytes the disk holds; give
+# each native fuzzer a short run beyond its committed seed corpus. A
+# short minimisation keeps the run exploring; a failing input is still
+# written under testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzShardRunFile$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzMigrateShardFile$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
 
 # Short allocation-aware sweep over the hot-path micro-benchmarks.
 bench:

@@ -5,11 +5,11 @@
 //	cmstore -db runs.db -stats
 //	cmstore -db runs.db -list [-bench wordcount] [-mode MLPX] [-event ICACHE.MISSES]
 //	cmstore -db runs.db -export -bench wordcount -run 101 -mode MLPX > run.csv
-//	cmstore migrate -db runs.db    convert a legacy single-file store to
-//	                               the sharded directory layout
-//	cmstore compact -db runs.db    rewrite every shard: drop damaged
-//	                               tails, delete empty shards, clean up
-//	                               stale temp files
+//	cmstore migrate -db runs.db    convert a legacy single-file store or
+//	                               v3 shards to run files
+//	cmstore compact -db runs.db    convert v3 shards to run files, drop
+//	                               damaged runs' files, clean up stale
+//	                               temp files
 package main
 
 import (
@@ -110,12 +110,13 @@ func openForMaintenance(cmd string, args []string) *store.DB {
 	return db
 }
 
-// runMigrate converts a legacy single-file store to the sharded
-// directory layout (a no-op when the store is already sharded).
+// runMigrate converts a legacy single-file store, or a directory of v3
+// shards, to run files (a no-op when the store already uses them). Just
+// after Open, only an unconverted v3 shard is dirty.
 func runMigrate(args []string) int {
 	db := openForMaintenance("migrate", args)
-	if !db.NeedsMigration() {
-		fmt.Println("cmstore: store already uses the sharded layout")
+	if !db.NeedsMigration() && db.ShardStats().Dirty == 0 {
+		fmt.Println("cmstore: store already uses run files")
 		return 0
 	}
 	if err := db.Flush(); err != nil {
@@ -127,9 +128,8 @@ func runMigrate(args []string) int {
 	return 0
 }
 
-// runCompact rewrites every shard, dropping damaged tails, deleting
-// empty shards' files, and removing stale temp files (it also migrates
-// a legacy single-file store).
+// runCompact converts v3 shards to run files, removes damaged runs'
+// files and stale temp files, and migrates a legacy single-file store.
 func runCompact(args []string) int {
 	db := openForMaintenance("compact", args)
 	n, err := db.Compact()
@@ -140,7 +140,7 @@ func runCompact(args []string) int {
 	if dropped := db.Skipped(); dropped > 0 {
 		fmt.Printf("cmstore: dropped %d damaged record(s)\n", dropped)
 	}
-	fmt.Printf("cmstore: rewrote %d shard file(s); %d run(s) in %d shard(s)\n", n, db.Len(), db.ShardStats().Shards)
+	fmt.Printf("cmstore: made %d change(s); %d run(s) in %d shard(s)\n", n, db.Len(), db.ShardStats().Shards)
 	return 0
 }
 

@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DefaultK is the neighbour count the paper found accurate enough.
@@ -64,13 +64,26 @@ func (r *Regressor) Predict(x float64) (float64, error) {
 	return r.predictWith(make([]neighbour, len(r.xs)), x), nil
 }
 
+// byDist orders neighbours by distance: it is negative exactly when
+// a.dist < b.dist. pdqsort consults only that sign, so ties land where
+// a less-than sort puts them, which the Analysis digests pin.
+func byDist(a, b neighbour) int {
+	switch {
+	case a.dist < b.dist:
+		return -1
+	case a.dist > b.dist:
+		return 1
+	}
+	return 0
+}
+
 // predictWith is Predict over a caller-owned scratch buffer (length
 // len(r.xs)), so bulk imputation sorts without re-allocating per point.
 func (r *Regressor) predictWith(ns []neighbour, x float64) float64 {
 	for i := range r.xs {
 		ns[i] = neighbour{dist: math.Abs(r.xs[i] - x), y: r.ys[i]}
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i].dist < ns[j].dist })
+	slices.SortFunc(ns, byDist)
 	k := r.k
 	if k > len(ns) {
 		k = len(ns)

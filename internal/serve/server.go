@@ -599,7 +599,8 @@ func (s *Server) runPipeline(ctx context.Context, job Job) (*counterminer.Analys
 // indexingSink is the pipeline's sink on a node with a store: it
 // persists each run and upserts that run's fingerprint-index entry in
 // the same step, so keeping /classify current costs one embedding per
-// persisted run, never a pass over the stored runs.
+// persisted run, never a pass over the stored runs; the store's flush
+// likewise writes only the persisted runs.
 type indexingSink struct{ s *Server }
 
 // persistStripes is the number of persistMu locks.
@@ -612,8 +613,9 @@ const persistStripes = 64
 // different series; the lock makes the last store write to a key also
 // the last upsert for it. A run key names its benchmark, hence the
 // striping: the store write can wait on the benchmark's shard lock
-// through a whole-shard flush or reload, and that wait then stalls
-// only persists that share the stripe.
+// while a flush writes that benchmark's newly put runs or while the
+// shard reloads, and that wait then stalls only persists that share
+// the stripe.
 func (k indexingSink) Put(rec store.Record) error {
 	s := k.s
 	entry := runEntry(rec)
@@ -629,7 +631,8 @@ func (k indexingSink) Put(rec store.Record) error {
 	return nil
 }
 
-// Flush flushes the store.
+// Flush flushes the store: it writes the runs put since the last flush,
+// one file each, and nothing else.
 func (k indexingSink) Flush() error { return k.s.db.Flush() }
 
 // candidates lists benchmarks whose name contains the given string

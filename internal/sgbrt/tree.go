@@ -24,10 +24,11 @@
 package sgbrt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"counterminer/internal/parallel"
 )
@@ -151,7 +152,9 @@ func Presort(X [][]float64, workers int) (*Presorted, error) {
 			o[i] = int32(i)
 		}
 		col := ps.cols[f]
-		sort.Slice(o, func(a, b int) bool { return col[o[a]] < col[o[b]] })
+		// Every value is finite, so cmp.Compare is negative exactly
+		// when col[a] < col[b].
+		slices.SortFunc(o, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
 		ps.orders[f] = o
 		return nil
 	})

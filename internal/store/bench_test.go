@@ -78,21 +78,36 @@ func benchFlushStore(b *testing.B, shards int) *DB {
 	return db
 }
 
-// BenchmarkStoreFlushDirtyShard: incremental flush cost with 1 of 64
-// shards dirty — O(dirty), not O(catalog).
+// BenchmarkStoreFlushDirtyShard: one Put + Flush per op into a
+// benchmark already holding `runs` runs, in a catalog of 64 benchmarks.
+// The Put replaces one of those runs, so the shard keeps its size; the
+// flush writes that run alone, so its cost does not grow with the runs
+// already stored (nor with the catalog).
 func BenchmarkStoreFlushDirtyShard(b *testing.B) {
-	db := benchFlushStore(b, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.Put(benchRecord("bench-0", 1))
-		if err := db.Flush(); err != nil {
-			b.Fatal(err)
-		}
+	for _, runs := range []int{10, 1000} {
+		b.Run(fmt.Sprintf("runs=%d", runs), func(b *testing.B) {
+			db := benchFlushStore(b, 64)
+			for r := 2; r <= runs; r++ {
+				if err := db.Put(benchRecord("bench-0", r)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db.Put(benchRecord("bench-0", 1+i%runs))
+				if err := db.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkStoreFlushFullCatalog: the same flush with every shard dirty
-// — the old full-rewrite cost, for comparison.
+// BenchmarkStoreFlushFullCatalog: one run Put into each of the 64
+// benchmarks, then one Flush — every shard dirty, for comparison.
 func BenchmarkStoreFlushFullCatalog(b *testing.B) {
 	db := benchFlushStore(b, 64)
 	b.ResetTimer()

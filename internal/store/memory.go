@@ -10,14 +10,16 @@ import (
 )
 
 // SetMemBudget bounds the bytes of second-level series data kept
-// resident across shards. When the budget is exceeded, clean shards are
-// evicted least-recently-used first and reload lazily on next touch
-// (dirty shards are never evicted — flush them, or run StartWriteback,
-// to make them evictable). A budget <= 0 (the default) is unlimited.
+// resident across shards. When the budget is exceeded, shards are
+// evicted least-recently-used first and reload lazily on next touch.
+// A shard holding mutations not yet flushed is never evicted — flush
+// it, or run StartWriteback, to make it evictable; an unconverted v3
+// shard is evictable, since its runs reload from the .shard file. A
+// budget <= 0 (the default) is unlimited.
 //
 // The budget is a target, not a hard cap: the shard being served is
-// never evicted, and a working set of dirty shards can hold memory
-// until written back.
+// never evicted, and a working set of shards with unflushed mutations
+// can hold memory until written back.
 func (db *DB) SetMemBudget(bytes int64) {
 	db.budget.Store(bytes)
 	db.maybeEvict(nil)
@@ -26,19 +28,23 @@ func (db *DB) SetMemBudget(bytes int64) {
 // MemBudget returns the current eviction budget (<= 0 = unlimited).
 func (db *DB) MemBudget() int64 { return db.budget.Load() }
 
-// touch marks the shard most-recently-used.
+// touch marks the shard most-recently-used. A shard a flush has
+// already dropped from the catalog stays out of the LRU list.
 func (db *DB) touch(s *shard) {
 	db.mu.Lock()
-	if s.elem == nil {
+	switch {
+	case db.shards[s.bench] != s:
+	case s.elem == nil:
 		s.elem = db.lru.PushFront(s)
-	} else {
+	default:
 		db.lru.MoveToFront(s.elem)
 	}
 	db.mu.Unlock()
 }
 
-// maybeEvict evicts clean shards, least-recently-used first, until the
-// resident series bytes fit the budget. keep, when non-nil, names the
+// maybeEvict evicts shards with no unflushed mutation (an unconverted
+// v3 shard included), least-recently-used first, until the resident
+// series bytes fit the budget. keep, when non-nil, names the
 // shard just served — it is never evicted in this pass.
 func (db *DB) maybeEvict(keep *shard) {
 	budget := db.budget.Load()
@@ -61,7 +67,7 @@ func (db *DB) maybeEvict(keep *shard) {
 			continue
 		}
 		s.mu.Lock()
-		if s.loaded && !s.dirty {
+		if s.evictable() {
 			s.evict(db)
 		}
 		s.mu.Unlock()
@@ -72,15 +78,16 @@ func (db *DB) maybeEvict(keep *shard) {
 // counterminerd's /metrics.
 type ShardStats struct {
 	// Shards counts the catalog's benchmarks; Loaded how many have
-	// their series resident; Dirty how many carry unflushed mutations.
+	// their series resident; Dirty how many carry unflushed mutations
+	// (or a v3 .shard file not yet converted).
 	Shards, Loaded, Dirty int
 	// ResidentBytes is the series payload held in memory;
 	// MemBudgetBytes the eviction target (0 = unlimited).
 	ResidentBytes, MemBudgetBytes int64
 	// Loads and Evictions count lazy shard loads and LRU evictions.
 	Loads, Evictions uint64
-	// WritebackFlushes counts shard files written by the background
-	// writeback goroutine; WritebackErrors its failed passes.
+	// WritebackFlushes counts shards the background writeback
+	// goroutine flushed; WritebackErrors its failed passes.
 	WritebackFlushes, WritebackErrors uint64
 	// SkippedRecords counts records dropped reading damaged files.
 	SkippedRecords int
@@ -103,7 +110,7 @@ func (db *DB) ShardStats() ShardStats {
 		if s.loaded {
 			st.Loaded++
 		}
-		if s.dirty {
+		if s.dirty() {
 			st.Dirty++
 		}
 		s.mu.RUnlock()
@@ -115,9 +122,9 @@ func (db *DB) ShardStats() ShardStats {
 // when StartWriteback is given a non-positive interval.
 const defaultWritebackInterval = 2 * time.Second
 
-// StartWriteback launches a background goroutine that flushes dirty
-// shards every interval (incrementally — clean shards are never
-// rewritten) and then evicts down to the memory budget, so a daemon's
+// StartWriteback launches a background goroutine that flushes every
+// interval (incrementally — only runs changed since the last flush are
+// written) and then evicts down to the memory budget, so a daemon's
 // steady mutation load keeps shards evictable instead of pinning them
 // dirty in memory. The returned stop function halts the goroutine and
 // waits for an in-progress pass; it is idempotent. Callers still run a

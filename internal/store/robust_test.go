@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -40,47 +41,31 @@ func flushedStore(t *testing.T, n int) string {
 	return path
 }
 
-// shardFile returns the store's single shard file (the tests above
-// store one benchmark).
-func shardFile(t *testing.T, dir string) string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == shardSuffix {
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(out) != 1 {
-		t.Fatalf("store dir holds %d shard files, want 1: %v", len(out), out)
-	}
-	return out[0]
+// runFile returns the path of one MLPX run's file in a store directory.
+func runFile(dir, benchmark string, runID int) string {
+	return filepath.Join(dir, benchDirName(benchmark), runFileName(runID, "MLPX"))
 }
 
-// TestOpenTruncatedFileSkipsTail: damage inside a shard's series stream
-// loses only the records at the damaged tail. The first level (the
-// shard index at the file's head) survives, so the loss is discovered —
-// and counted — when the shard's series are first touched.
+// TestOpenTruncatedFileSkipsTail: truncating a run file loses only that
+// run. Its size no longer matches its head, so Open skips and counts it
+// without reading any series; the benchmark's other runs are intact.
 func TestOpenTruncatedFileSkipsTail(t *testing.T) {
 	path := flushedStore(t, 3)
-	file := shardFile(t, path)
+	file := runFile(path, "wordcount", 3)
 	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut into the last record: everything before it must survive.
+	// Cut into the last run's series: every other run must survive.
 	if err := os.WriteFile(file, raw[:len(raw)-40], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	db, err := Open(path)
 	if err != nil {
-		t.Fatalf("store with truncated shard failed to open: %v", err)
+		t.Fatalf("store with truncated run file failed to open: %v", err)
 	}
-	// Touch the shard: the damaged tail record is dropped and counted.
+	// Touch the shard: the damaged run stays dropped and counted once.
 	if _, ok := db.Get("wordcount", 3, "MLPX"); ok {
 		t.Error("truncated record reported found")
 	}
@@ -103,10 +88,11 @@ func TestOpenTruncatedFileSkipsTail(t *testing.T) {
 }
 
 // TestOpenGarbageTailSkips: garbage appended after the last intact
-// record loses nothing — every indexed record still has its series.
+// record of a v3 shard file loses nothing — every indexed record still
+// has its series, and the conversion writes them all.
 func TestOpenGarbageTailSkips(t *testing.T) {
-	path := flushedStore(t, 2)
-	f, err := os.OpenFile(shardFile(t, path), os.O_APPEND|os.O_WRONLY, 0o644)
+	path := copyV3Fixture(t)
+	f, err := os.OpenFile(filepath.Join(path, fixtureWordcountShard), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,22 +105,23 @@ func TestOpenGarbageTailSkips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store with garbage shard tail failed to open: %v", err)
 	}
-	for runID := 1; runID <= 2; runID++ {
-		if _, ok := db.Get("wordcount", runID, "MLPX"); !ok {
-			t.Fatalf("run %d missing", runID)
-		}
-	}
-	if db.Len() != 2 {
-		t.Errorf("Len = %d, want 2", db.Len())
+	checkV3Fixture(t, db)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if db.Skipped() != 0 {
 		t.Errorf("Skipped = %d, want 0 (all records survived)", db.Skipped())
 	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkV3Fixture(t, re)
 }
 
-// TestOpenCorruptShardIndexSkipsShard: a shard whose head (header or
-// index) is destroyed loses that shard only — the rest of the catalog
-// opens normally.
+// TestOpenCorruptShardIndexSkipsShard: a run file whose head is
+// destroyed loses that run only — the rest of the catalog opens
+// normally.
 func TestOpenCorruptShardIndexSkipsShard(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.db")
 	db, err := Open(path)
@@ -146,8 +133,8 @@ func TestOpenCorruptShardIndexSkipsShard(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	victim := filepath.Join(path, shardFileName("pagerank"))
-	if err := os.WriteFile(victim, []byte("not a shard at all"), 0o644); err != nil {
+	victim := runFile(path, "pagerank", 1)
+	if err := os.WriteFile(victim, []byte("not a run file at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,7 +143,7 @@ func TestOpenCorruptShardIndexSkipsShard(t *testing.T) {
 		t.Fatalf("store with one corrupt shard failed to open: %v", err)
 	}
 	if re.Skipped() != 1 {
-		t.Errorf("Skipped = %d, want 1 (the destroyed shard)", re.Skipped())
+		t.Errorf("Skipped = %d, want 1 (the destroyed run file)", re.Skipped())
 	}
 	if _, ok := re.Get("pagerank", 1, "MLPX"); ok {
 		t.Error("destroyed shard's record reported found")
@@ -187,7 +174,7 @@ func TestOpenHealthyFileSkipsNothing(t *testing.T) {
 
 func TestStatsReportSkippedRecords(t *testing.T) {
 	path := flushedStore(t, 3)
-	file := shardFile(t, path)
+	file := runFile(path, "wordcount", 3)
 	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +186,7 @@ func TestStatsReportSkippedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Get("wordcount", 1, "MLPX") // load the shard, surfacing the damage
+	db.Get("wordcount", 1, "MLPX") // the damage surfaces at Open already
 	if got := db.Summarize().SkippedRecords; got != 1 {
 		t.Errorf("Stats.SkippedRecords = %d, want 1", got)
 	}
@@ -275,17 +262,13 @@ func TestOpenFutureVersionErrors(t *testing.T) {
 }
 
 // TestFlushDeterministic: flushing the same contents twice produces
-// byte-identical shard files (records are written in sorted key order).
+// byte-identical run files under identical names.
 func TestFlushDeterministic(t *testing.T) {
-	a, err := os.ReadFile(shardFile(t, flushedStore(t, 3)))
-	if err != nil {
-		t.Fatal(err)
+	a, b := storeFiles(t, flushedStore(t, 3)), storeFiles(t, flushedStore(t, 3))
+	if len(a) != 3 {
+		t.Fatalf("store holds %d files, want 3 run files: %v", len(a), a)
 	}
-	b, err := os.ReadFile(shardFile(t, flushedStore(t, 3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
+	if !reflect.DeepEqual(a, b) {
 		t.Error("two flushes of identical contents differ on disk")
 	}
 }

@@ -2,72 +2,14 @@ package store
 
 import (
 	"container/list"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 )
-
-// Format versions. Version 1 stored the whole database in one gob blob
-// and version 2 streamed independent records, both in a single file;
-// both still open (see migrate.go). Version 3 is the sharded layout:
-// the store is a directory, each benchmark's shard is one file holding
-// a header, the shard's first level (an index of run metadata, read
-// eagerly at Open), and the second level as a stream of per-record
-// series values (read lazily on first touch). A corrupt or truncated
-// series stream loses that shard's tail — the damaged records are
-// skipped and counted — never the catalog.
-const (
-	formatVersion      = 2 // newest single-file format (legacy)
-	shardFormatVersion = 3 // per-shard files inside a store directory
-)
-
-// persisted is the on-disk stream header (shared by v1, which also
-// used its map fields, v2, and v3 shard files, which use only Version).
-type persisted struct {
-	Version     int
-	FirstLevel  map[string]RunMeta
-	SecondLevel map[string]map[string][]float64
-}
-
-// shardIndex is a v3 shard's first level: the benchmark it owns and
-// one RunMeta per run, sorted by key so encoding is deterministic.
-// Samples carries the shard's total stored value count, so store-wide
-// statistics never force a lazy load.
-type shardIndex struct {
-	Benchmark string
-	Samples   int64
-	Metas     []RunMeta
-}
-
-// seriesRecord is one run's second level inside a v3 shard file.
-// Series is a slice sorted by event name rather than a map so that
-// encoding is deterministic: flushing the same contents always
-// produces byte-identical shard files.
-type seriesRecord struct {
-	Key    string
-	Series []diskSeries
-}
-
-// diskRecord is one version-2 on-disk record (legacy single-file
-// stream; still decoded at migration).
-type diskRecord struct {
-	Key    string
-	Meta   RunMeta
-	Series []diskSeries
-}
-
-// diskSeries is one event column of an on-disk record.
-type diskSeries struct {
-	Event  string
-	Values []float64
-}
 
 // bytesPerSample is the resident-memory cost charged per stored
 // float64 when enforcing the eviction budget.
@@ -81,15 +23,28 @@ type shard struct {
 
 	mu     sync.RWMutex
 	loaded bool // series resident
-	dirty  bool // unflushed mutations (dirty implies loaded)
+	// pending maps each key whose run file is stale to that file's
+	// name: the next flush writes the run if the key is still stored and
+	// removes the file otherwise. A shard with pending keys is loaded
+	// and never evicted.
+	pending map[string]string
+	// v3 names the benchmark's v3 .shard file until it is converted:
+	// runs with no run file load from there, and the next flush writes
+	// the shard's runs as run files and removes the .shard file. Until
+	// then the loaded runs are clean: eviction drops them and a reload
+	// reads the .shard file again.
+	v3 string
+	// dropped reports that a flush unlinked the emptied shard from the
+	// catalog; a Put that raced the flush retries on a fresh shard.
+	dropped bool
 	// metas indexes the shard's runs by key.
 	metas map[string]RunMeta
 	// series maps a series-table name to its per-event series (IPC
 	// stored under the reserved name "__ipc__"); nil while evicted.
 	series map[string]map[string][]float64
 	// samples counts stored values across the shard's series. It is
-	// maintained through mutations and persisted in the index, so it
-	// stays meaningful while the shard is evicted.
+	// maintained through mutations and read from the run files' heads at
+	// Open, so it stays meaningful while the shard is evicted.
 	samples int64
 
 	// elem is the shard's LRU position; guarded by DB.mu, not shard.mu.
@@ -104,119 +59,129 @@ func newShard(bench string, loaded bool) *shard {
 	return s
 }
 
+// dirty reports that the next flush has work: stale run files or an
+// unconverted v3 file.
+func (s *shard) dirty() bool { return len(s.pending) > 0 || s.v3 != "" }
+
+// evictable reports whether the shard's series can be dropped: they are
+// resident and every run reloads from disk as it is in memory.
+func (s *shard) evictable() bool { return s.loaded && len(s.pending) == 0 }
+
+// markPending records that the run file of key k is stale.
+func (s *shard) markPending(k string, m RunMeta) {
+	if s.pending == nil {
+		s.pending = make(map[string]string)
+	}
+	s.pending[k] = runFileName(m.RunID, m.Mode)
+}
+
 // validMeta checks the invariants every stored record satisfies.
 func validMeta(m RunMeta) bool {
 	return m.Benchmark != "" && m.Mode != "" && m.SeriesTable != ""
 }
 
-// shardFileName maps a benchmark name to its shard file: unsafe bytes
-// are percent-encoded for readability's sake, and an FNV-1a hash of the
-// raw name is appended so distinct benchmarks can never collide on disk
-// (e.g. across escaping or case-insensitive filesystems).
-func shardFileName(benchmark string) string {
-	var b strings.Builder
-	for i := 0; i < len(benchmark); i++ {
-		c := benchmark[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '_', c == '-', c == '.' && i > 0:
-			b.WriteByte(c)
-		default:
-			fmt.Fprintf(&b, "%%%02X", c)
-		}
-	}
-	h := fnv.New32a()
-	h.Write([]byte(benchmark))
-	return fmt.Sprintf("%s-%08x.shard", b.String(), h.Sum32())
-}
-
-const shardSuffix = ".shard"
-
-// openDir reads a sharded store directory: every shard's index (first
-// level) is decoded eagerly; series stay on disk until first touch. A
-// shard file whose header or index is unreadable is dropped whole and
-// counted as one skipped record; other shards are unaffected.
+// openDir reads a store directory: the head of every run file is
+// decoded eagerly; series stay on disk until first touch. A run file
+// that is unreadable, damaged or misnamed is skipped and counted; other
+// runs are unaffected. v3 .shard files merge in last, so that where a
+// crash left a run in both layouts, its run file wins.
 func (db *DB) openDir() error {
 	entries, err := os.ReadDir(db.path)
 	if err != nil {
 		return fmt.Errorf("store: open: %w", err)
 	}
+	var v3 []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), shardSuffix) {
-			continue
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, "."):
+			// Temp files of interrupted writes.
+		case e.IsDir():
+			db.openBenchDir(name)
+		case strings.HasSuffix(name, shardSuffix):
+			v3 = append(v3, name)
 		}
-		idx, err := readShardIndex(filepath.Join(db.path, e.Name()))
-		if err != nil {
-			db.skipped.Add(1)
-			continue
-		}
-		s := newShard(idx.Benchmark, false)
-		s.samples = idx.Samples
-		for _, m := range idx.Metas {
-			if !validMeta(m) || m.Benchmark != idx.Benchmark {
-				db.skipped.Add(1)
-				continue
-			}
-			s.metas[key(m.Benchmark, m.RunID, m.Mode)] = m
-		}
-		if _, dup := db.shards[idx.Benchmark]; dup {
-			// Two files claiming one benchmark (should never happen —
-			// filenames are derived from the name): keep the first.
-			db.skipped.Add(1)
-			continue
-		}
-		db.shards[idx.Benchmark] = s
+	}
+	for _, name := range v3 {
+		db.openShardFile(name)
 	}
 	return nil
 }
 
-// readShardIndex decodes a shard file's header and first level.
-func readShardIndex(path string) (shardIndex, error) {
-	f, err := os.Open(path)
+// openBenchDir reads the heads of one benchmark directory's run files.
+// Open runs single-goroutine, so no locks are held.
+func (db *DB) openBenchDir(dirName string) {
+	dir := filepath.Join(db.path, dirName)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return shardIndex{}, err
+		db.skipped.Add(1)
+		return
 	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var hdr persisted
-	if err := dec.Decode(&hdr); err != nil {
-		return shardIndex{}, err
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), runSuffix) {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		h, err := readRunHead(path)
+		m := h.Meta
+		if err != nil || benchDirName(m.Benchmark) != dirName || runFileName(m.RunID, m.Mode) != e.Name() {
+			db.skipped.Add(1)
+			db.noteDamage(path, err)
+			continue
+		}
+		s := db.shards[m.Benchmark]
+		if s == nil {
+			s = newShard(m.Benchmark, false)
+			db.shards[m.Benchmark] = s
+		}
+		s.metas[key(m.Benchmark, m.RunID, m.Mode)] = m
+		s.samples += h.Samples
 	}
-	if hdr.Version != shardFormatVersion {
-		return shardIndex{}, fmt.Errorf("store: shard %s has format version %d, want %d", path, hdr.Version, shardFormatVersion)
-	}
-	var idx shardIndex
-	if err := dec.Decode(&idx); err != nil {
-		return shardIndex{}, err
-	}
-	if idx.Benchmark == "" {
-		return shardIndex{}, fmt.Errorf("store: shard %s has no benchmark name", path)
-	}
-	return idx, nil
 }
 
 // load makes the shard's series resident. The caller holds s.mu for
-// writing. Records whose series are missing, corrupt, or truncated on
-// disk are dropped from the shard and counted in db.skipped — the rest
-// of the shard (and every other shard) is unaffected.
+// writing. Each run is read from its run file, or, when it has none,
+// from the benchmark's v3 .shard file. A run found in neither is
+// dropped from the shard and counted in db.skipped — the rest of the
+// shard (and every other shard) is unaffected.
+//
+// A .shard file that cannot be read at all is no longer the shard's to
+// convert: it stays on disk, so its runs come back at the next Open
+// (or, if it is damaged, Compact removes it).
 func (s *shard) load(db *DB) {
 	if s.loaded {
 		return
 	}
-	s.series = make(map[string]map[string][]float64, len(s.metas))
-	s.readSeries(db)
-	var n int64
-	for _, table := range s.series {
-		for _, vals := range table {
-			n += int64(len(vals))
+	var old map[string]v3Run
+	if s.v3 != "" {
+		path := filepath.Join(db.path, s.v3)
+		var err error
+		if _, old, err = readShardFile(path, true); err != nil {
+			s.v3 = ""
+			db.noteDamage(path, err)
 		}
 	}
-	// Drop first-level rows whose series did not survive the read.
+	dir := filepath.Join(db.path, benchDirName(s.bench))
+	s.series = make(map[string]map[string][]float64, len(s.metas))
+	var n int64
 	for k, m := range s.metas {
-		if _, ok := s.series[m.SeriesTable]; !ok {
-			delete(s.metas, k)
-			db.skipped.Add(1)
+		path := filepath.Join(dir, runFileName(m.RunID, m.Mode))
+		meta, table, err := readRun(path)
+		db.noteDamage(path, err)
+		if err == nil && key(meta.Benchmark, meta.RunID, meta.Mode) != k {
+			err = errors.New("store: run file holds another run")
 		}
+		if err != nil {
+			r, ok := old[k]
+			if !ok {
+				delete(s.metas, k)
+				db.skipped.Add(1)
+				continue
+			}
+			meta, table = r.meta, r.table
+		}
+		s.metas[k] = meta
+		s.series[meta.SeriesTable] = table
+		n += countSamples(table)
 	}
 	s.samples = n
 	s.loaded = true
@@ -224,39 +189,13 @@ func (s *shard) load(db *DB) {
 	db.resident.Add(n * bytesPerSample)
 }
 
-// readSeries decodes the shard file's series stream into s.series,
-// stopping at the first decode error (a gob stream cannot be
-// resynchronised past damage).
-func (s *shard) readSeries(db *DB) {
-	f, err := os.Open(filepath.Join(db.path, shardFileName(s.bench)))
-	if err != nil {
-		return
+// countSamples counts the values in one series table.
+func countSamples(table map[string][]float64) int64 {
+	var n int64
+	for _, vals := range table {
+		n += int64(len(vals))
 	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var hdr persisted
-	if err := dec.Decode(&hdr); err != nil || hdr.Version != shardFormatVersion {
-		return
-	}
-	var idx shardIndex
-	if err := dec.Decode(&idx); err != nil {
-		return
-	}
-	for {
-		var sr seriesRecord
-		if err := dec.Decode(&sr); err != nil {
-			return
-		}
-		meta, ok := s.metas[sr.Key]
-		if !ok || len(sr.Series) == 0 {
-			continue
-		}
-		table := make(map[string][]float64, len(sr.Series))
-		for _, ds := range sr.Series {
-			table[ds.Event] = ds.Values
-		}
-		s.series[meta.SeriesTable] = table
-	}
+	return n
 }
 
 // dropSeries removes one series table, keeping the sample and resident
@@ -267,17 +206,14 @@ func (s *shard) dropSeries(db *DB, table string) {
 	if !ok {
 		return
 	}
-	var n int64
-	for _, vals := range old {
-		n += int64(len(vals))
-	}
+	n := countSamples(old)
 	delete(s.series, table)
 	s.samples -= n
 	db.resident.Add(-n * bytesPerSample)
 }
 
 // evict releases the shard's series. The caller holds s.mu for writing;
-// the shard must be loaded and clean. samples keeps its last value so
+// the shard must be evictable. samples keeps its last value so
 // statistics stay correct while the shard is cold.
 func (s *shard) evict(db *DB) {
 	s.series = nil
@@ -286,44 +222,13 @@ func (s *shard) evict(db *DB) {
 	db.evictions.Add(1)
 }
 
-// encodeTo writes the shard's v3 image: header, index (first level,
-// sorted by key), then one series record per run in key order —
-// deterministic bytes for identical contents, independently decodable
-// records. The caller holds s.mu.
-func (s *shard) encodeTo(w io.Writer) error {
-	if !s.loaded {
-		return errors.New("store: encoding unloaded shard")
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(&persisted{Version: shardFormatVersion}); err != nil {
-		return err
-	}
-	keys := make([]string, 0, len(s.metas))
-	for k := range s.metas {
+// sortedKeys returns a map's keys in order, so a flush writes a shard's
+// files in a deterministic order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	idx := shardIndex{Benchmark: s.bench, Samples: s.samples, Metas: make([]RunMeta, 0, len(keys))}
-	for _, k := range keys {
-		idx.Metas = append(idx.Metas, s.metas[k])
-	}
-	if err := enc.Encode(&idx); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		table := s.series[s.metas[k].SeriesTable]
-		events := make([]string, 0, len(table))
-		for ev := range table {
-			events = append(events, ev)
-		}
-		sort.Strings(events)
-		series := make([]diskSeries, len(events))
-		for i, ev := range events {
-			series[i] = diskSeries{Event: ev, Values: table[ev]}
-		}
-		if err := enc.Encode(&seriesRecord{Key: k, Series: series}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return keys
 }

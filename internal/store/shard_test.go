@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,35 +51,51 @@ func shardedStore(t *testing.T, benches ...string) (string, *DB) {
 	return path, db
 }
 
-func TestShardedLayoutOneFilePerBenchmark(t *testing.T) {
-	path, _ := shardedStore(t, "wordcount", "pagerank", "terasort")
-	for _, bench := range []string{"wordcount", "pagerank", "terasort"} {
-		file := filepath.Join(path, shardFileName(bench))
-		if _, err := os.Stat(file); err != nil {
-			t.Errorf("shard file for %s missing: %v", bench, err)
-		}
-	}
-	entries, err := os.ReadDir(path)
-	if err != nil {
+// TestShardedLayoutOneFilePerRun: the store directory holds one
+// directory per benchmark and each of those one file per run.
+func TestShardedLayoutOneFilePerRun(t *testing.T) {
+	path, db := shardedStore(t, "wordcount", "pagerank", "terasort")
+	if err := db.Put(mediumRecord("wordcount", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 3 {
-		t.Errorf("store dir holds %d entries, want 3 shard files", len(entries))
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		filepath.Join(benchDirName("pagerank"), runFileName(1, "MLPX")),
+		filepath.Join(benchDirName("terasort"), runFileName(1, "MLPX")),
+		filepath.Join(benchDirName("wordcount"), runFileName(1, "MLPX")),
+		filepath.Join(benchDirName("wordcount"), runFileName(2, "MLPX")),
+	}
+	var got []string
+	for rel := range storeFiles(t, path) {
+		got = append(got, rel)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("store files = %v, want %v", got, want)
 	}
 }
 
 func TestShardFileNameDistinct(t *testing.T) {
-	names := []string{"sort", "Sort", "so/rt", "so%2Frt", "sort.", ".sort", "日本"}
+	long := strings.Repeat("x", 300)
+	names := []string{"sort", "Sort", "so/rt", "so%2Frt", "sort.", ".sort", "日本", long + "a", long + "b"}
 	seen := map[string]string{}
 	for _, n := range names {
-		f := shardFileName(n)
-		if prev, dup := seen[f]; dup {
-			t.Errorf("benchmarks %q and %q map to the same shard file %q", prev, n, f)
+		for _, f := range []string{benchDirName(n), runFileName(1, n), runFileName(-1, n)} {
+			if prev, dup := seen[f]; dup {
+				t.Errorf("names %q and %q map to the same file %q", prev, n, f)
+			}
+			seen[f] = n
+			if filepath.Base(f) != f || f == "" || f[0] == '.' || len(f) > 150 {
+				t.Errorf("file %q for %q is not a short, plain, visible file name", f, n)
+			}
 		}
-		seen[f] = n
-		if filepath.Base(f) != f || f == "" || f[0] == '.' {
-			t.Errorf("shard file %q for %q is not a plain visible file name", f, n)
-		}
+	}
+	// A run id's sign and the mode stay apart: "1-a" is run 1 mode "a".
+	if runFileName(-1, "a") == runFileName(1, "-a") || runFileName(1, "2-a") == runFileName(12, "a") {
+		t.Error("run file names collide across run id and mode")
 	}
 }
 
@@ -225,8 +242,9 @@ func TestShardWritebackFlushesDirtyDuringIdle(t *testing.T) {
 	}
 }
 
-// TestShardFlushWritesOnlyDirtyShards: an incremental flush touches
-// O(dirty), not O(catalog).
+// TestShardFlushWritesOnlyDirtyShards: an incremental flush writes the
+// runs Put since the last flush, not the catalog or the rest of their
+// shard.
 func TestShardFlushWritesOnlyDirtyShards(t *testing.T) {
 	_, db := shardedStore(t, "alpha", "beta", "gamma")
 	var wrote []string
@@ -241,7 +259,7 @@ func TestShardFlushWritesOnlyDirtyShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wrote, []string{"beta"}) {
-		t.Errorf("flush wrote shards %v, want [beta] only", wrote)
+		t.Errorf("flush wrote runs of %v, want one run of beta only", wrote)
 	}
 	// A clean store flushes nothing at all.
 	wrote = nil
@@ -254,18 +272,12 @@ func TestShardFlushWritesOnlyDirtyShards(t *testing.T) {
 }
 
 // TestShardFlushInjectedIOErrorIsolation: an I/O failure mid
-// multi-shard flush leaves every untouched shard's file intact and the
-// store reopenable; retrying after the fault clears finishes the job.
+// multi-shard flush leaves every run file it did not write intact and
+// the store reopenable; retrying after the fault clears finishes the
+// job.
 func TestShardFlushInjectedIOErrorIsolation(t *testing.T) {
 	path, db := shardedStore(t, "alpha", "beta", "gamma")
-	before := map[string][]byte{}
-	for _, bench := range []string{"alpha", "beta", "gamma"} {
-		raw, err := os.ReadFile(filepath.Join(path, shardFileName(bench)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[bench] = raw
-	}
+	before := storeFiles(t, path)
 	// Dirty all three, then fail the middle one (flush walks shards in
 	// benchmark order: alpha, beta, gamma).
 	for _, bench := range []string{"alpha", "beta", "gamma"} {
@@ -283,14 +295,18 @@ func TestShardFlushInjectedIOErrorIsolation(t *testing.T) {
 	if err := db.Flush(); !errors.Is(err, injected) {
 		t.Fatalf("Flush error = %v, want injected fault", err)
 	}
-	// alpha was rewritten; beta and gamma keep their previous bytes.
-	for bench, wantChanged := range map[string]bool{"alpha": true, "beta": false, "gamma": false} {
-		raw, err := os.ReadFile(filepath.Join(path, shardFileName(bench)))
-		if err != nil {
-			t.Fatalf("shard %s unreadable after failed flush: %v", bench, err)
+	// alpha gained its run 2 file; beta and gamma did not; every run 1
+	// file keeps its previous bytes.
+	after := storeFiles(t, path)
+	for rel, raw := range before {
+		if !bytes.Equal(after[rel], raw) {
+			t.Errorf("run file %s changed by the failed flush", rel)
 		}
-		if changed := !bytes.Equal(raw, before[bench]); changed != wantChanged {
-			t.Errorf("shard %s changed=%v, want %v", bench, changed, wantChanged)
+	}
+	for bench, wantWritten := range map[string]bool{"alpha": true, "beta": false, "gamma": false} {
+		_, err := os.Stat(runFile(path, bench, 2))
+		if written := err == nil; written != wantWritten {
+			t.Errorf("run 2 of %s written=%v, want %v", bench, written, wantWritten)
 		}
 	}
 	// The store reopens: untouched shards serve their old contents.
@@ -372,7 +388,7 @@ func writeV2File(t *testing.T, path string, recs []Record) {
 }
 
 // TestMigrateV2SingleFile: a v2 single-file store opens, migrates on
-// first flush, and reopens intact — and the migrated shard files are
+// first flush, and reopens intact — and the migrated run files are
 // byte-identical to the ones a fresh store produces from the same
 // records.
 func TestMigrateV2SingleFile(t *testing.T) {
@@ -425,8 +441,8 @@ func TestMigrateV2SingleFile(t *testing.T) {
 		t.Errorf("Skipped = %d after migration reopen, want 0", re.Skipped())
 	}
 
-	// Bit-identical round trip: a fresh sharded store built from the
-	// same records produces the same shard files.
+	// Bit-identical round trip: a fresh store built from the same
+	// records produces the same run files.
 	fresh := filepath.Join(dir, "fresh.db")
 	fdb, err := Open(fresh)
 	if err != nil {
@@ -440,18 +456,9 @@ func TestMigrateV2SingleFile(t *testing.T) {
 	if err := fdb.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, bench := range []string{"wordcount", "pagerank"} {
-		migrated, err := os.ReadFile(filepath.Join(path, shardFileName(bench)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := os.ReadFile(filepath.Join(fresh, shardFileName(bench)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(migrated, direct) {
-			t.Errorf("migrated shard %s differs from a directly-built one", bench)
-		}
+	migrated, direct := storeFiles(t, path), storeFiles(t, fresh)
+	if len(migrated) != 3 || !reflect.DeepEqual(migrated, direct) {
+		t.Errorf("migrated store (%d files) differs from a directly-built one (%d files)", len(migrated), len(direct))
 	}
 }
 
@@ -524,7 +531,7 @@ func TestMigrateInjectedErrorLeavesOriginal(t *testing.T) {
 }
 
 // TestShardDeterministicAcrossWorkers: concurrent Put traffic at any
-// worker count flushes to bit-identical shard files.
+// worker count flushes to bit-identical run files.
 func TestShardDeterministicAcrossWorkers(t *testing.T) {
 	benches := []string{"alpha", "beta", "gamma", "delta"}
 	type job struct {
@@ -559,23 +566,15 @@ func TestShardDeterministicAcrossWorkers(t *testing.T) {
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		out := map[string][]byte{}
-		for _, bench := range benches {
-			raw, err := os.ReadFile(filepath.Join(path, shardFileName(bench)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[bench] = raw
-		}
-		return out
+		return storeFiles(t, path)
 	}
 	base := dump(1)
+	if len(base) != len(jobs) {
+		t.Fatalf("store holds %d files, want %d run files", len(base), len(jobs))
+	}
 	for _, workers := range []int{2, 8} {
-		got := dump(workers)
-		for _, bench := range benches {
-			if !bytes.Equal(base[bench], got[bench]) {
-				t.Errorf("shard %s bytes differ between workers=1 and workers=%d", bench, workers)
-			}
+		if got := dump(workers); !reflect.DeepEqual(base, got) {
+			t.Errorf("run files differ between workers=1 and workers=%d", workers)
 		}
 	}
 }
@@ -588,8 +587,8 @@ func TestShardDeleteEmptyShardRemovesFile(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(path, shardFileName("alpha"))); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("empty shard's file still on disk: %v", err)
+	if _, err := os.Stat(filepath.Join(path, benchDirName("alpha"))); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("empty shard's directory still on disk: %v", err)
 	}
 	re, err := Open(path)
 	if err != nil {
@@ -603,10 +602,21 @@ func TestShardDeleteEmptyShardRemovesFile(t *testing.T) {
 	}
 }
 
+// TestCompactRewritesAndCleans: Compact drops what a damaged store
+// left behind — a damaged run file, the directory it emptied, stale
+// temp files — converts v3 shards, and leaves healthy runs alone.
 func TestCompactRewritesAndCleans(t *testing.T) {
-	path, _ := shardedStore(t, "alpha", "beta")
-	// Damage alpha's tail and drop a stale temp file in the dir.
-	file := filepath.Join(path, shardFileName("alpha"))
+	path, db := shardedStore(t, "alpha", "beta")
+	if err := db.Put(mediumRecord("beta", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Damage alpha's only run and beta's run 2 (a flipped series byte
+	// only the checksum sees), drop stale temp files in the store and
+	// in beta's directory, and add the v3 fixture's sort shard.
+	file := runFile(path, "alpha", 1)
 	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
@@ -614,12 +624,33 @@ func TestCompactRewritesAndCleans(t *testing.T) {
 	if err := os.WriteFile(file, raw[:len(raw)-30], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(path, ".cmdb-stale123")
-	if err := os.WriteFile(stale, []byte("junk"), 0o644); err != nil {
+	file = runFile(path, "beta", 2)
+	if raw, err = os.ReadFile(file); err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-20] ^= 1
+	if err := os.WriteFile(file, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{filepath.Join(path, ".cmdb-stale123"), filepath.Join(path, benchDirName("beta"), ".cmdb-stale456")}
+	for _, f := range stale {
+		if err := os.WriteFile(f, []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "v3store", "sort-042bc8d1.shard"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path, "sort-042bc8d1.shard"), v3, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	db, err := Open(path)
+	db, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beta1, err := os.ReadFile(runFile(path, "beta", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,11 +658,24 @@ func TestCompactRewritesAndCleans(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if n != 2 {
-		t.Errorf("Compact wrote %d shards, want 2", n)
+	// sort's conversion, then five removals: alpha's damaged run and
+	// its directory, beta's damaged run 2, and the two temp files.
+	if n != 6 {
+		t.Errorf("Compact made %d changes, want 6", n)
 	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("stale temp file survived Compact: %v", err)
+	if db.Skipped() != 2 {
+		t.Errorf("Compact found %d damaged runs, want 2", db.Skipped())
+	}
+	for _, f := range append(stale, filepath.Join(path, benchDirName("alpha")), runFile(path, "beta", 2)) {
+		if _, err := os.Stat(f); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived Compact: %v", f, err)
+		}
+	}
+	if files := v3Files(t, path); len(files) != 0 {
+		t.Errorf("Compact left .shard files: %v", files)
+	}
+	if after, err := os.ReadFile(runFile(path, "beta", 1)); err != nil || !bytes.Equal(after, beta1) {
+		t.Errorf("Compact rewrote a healthy run file (err %v)", err)
 	}
 	// The rewritten store is healthy: the damaged record is gone and a
 	// fresh open skips nothing.
@@ -639,18 +683,100 @@ func TestCompactRewritesAndCleans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re.Get("alpha", 1, "MLPX")
 	re.Get("beta", 1, "MLPX")
+	re.Get("sort", 3, "MLPX")
 	if re.Skipped() != 0 {
 		t.Errorf("Skipped = %d after Compact, want 0", re.Skipped())
 	}
+	if n := re.Len(); n != 2 {
+		t.Errorf("Len = %d after Compact, want 2 (beta/1 and sort/3)", n)
+	}
 	if _, ok := re.Get("beta", 1, "MLPX"); !ok {
-		t.Error("healthy shard lost by Compact")
+		t.Error("healthy run lost by Compact")
 	}
 
 	mem, _ := Open("")
 	if _, err := mem.Compact(); err == nil {
 		t.Error("Compact of in-memory store should error")
+	}
+}
+
+// TestShardCompactKeepsUnreadableFiles: Compact removes only files it
+// read and found damaged. A run file or .shard file the OS cannot open
+// (here a dangling symlink, as EACCES or EMFILE would leave it) and a
+// run file that decodes but is misnamed stay on disk, still counted in
+// Skipped; a run file that was unreadable only while Compact ran reads
+// again once it is back.
+func TestShardCompactKeepsUnreadableFiles(t *testing.T) {
+	path, db := shardedStore(t, "alpha", "beta")
+	if err := db.Put(mediumRecord("beta", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	gone := filepath.Join(t.TempDir(), "gone")
+	ghostRun := filepath.Join(path, benchDirName("alpha"), runFileName(5, "MLPX"))
+	ghostShard := filepath.Join(path, "ghost-00000000.shard")
+	for _, f := range []string{ghostRun, ghostShard} {
+		if err := os.Symlink(gone, f); err != nil {
+			t.Skip("no symlinks:", err)
+		}
+	}
+	beta1, err := os.ReadFile(runFile(path, "beta", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	misnamed := runFile(path, "beta", 7)
+	junkShard := filepath.Join(path, "junk-00000000.shard")
+	for f, raw := range map[string][]byte{misnamed: beta1, junkShard: []byte("not a shard")} {
+		if err := os.WriteFile(f, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Skipped() != 4 {
+		t.Fatalf("Skipped = %d at Open, want 4 (two unopenable, one misnamed, one garbage .shard)", db.Skipped())
+	}
+	// beta/1 becomes unopenable after Open, while Compact loads it.
+	if err := os.Remove(runFile(path, "beta", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(gone, runFile(path, "beta", 1)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := db.Compact()
+	if err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if n != 1 {
+		t.Errorf("Compact made %d changes, want 1 (the garbage .shard file)", n)
+	}
+	if _, err := os.Stat(junkShard); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("garbage .shard file survived Compact: %v", err)
+	}
+	for _, f := range []string{ghostRun, ghostShard, misnamed, runFile(path, "beta", 1)} {
+		if _, err := os.Lstat(f); err != nil {
+			t.Errorf("Compact removed %s, which it could not read: %v", f, err)
+		}
+	}
+
+	if err := os.Remove(runFile(path, "beta", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(runFile(path, "beta", 1), beta1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := re.Get("beta", 1, "MLPX"); !ok || !sameRecord(got, mediumRecord("beta", 1)) {
+		t.Error("a run unreadable during Compact did not come back")
 	}
 }
 

@@ -6,21 +6,26 @@
 // series of each run. This package reproduces that organisation as an
 // embedded, file-backed store on the standard library.
 //
-// On disk the store is a directory with one file per benchmark shard.
-// Each shard carries its own first level (run metadata, read eagerly at
-// Open) and second level (the series, loaded lazily on first touch);
-// every shard is guarded by its own lock, so concurrent analyses of
-// different benchmarks never serialise on Put/Get/Flush. Flush rewrites
-// only dirty shards — each atomically (temp file + rename) and
-// byte-deterministically. With SetMemBudget the store is memory-bounded:
-// clean shards evict under an LRU byte budget and reload on demand, and
-// StartWriteback flushes dirty shards in the background so eviction can
-// keep up, letting one daemon host catalogs far larger than RAM.
+// In memory the store is a set of per-benchmark shards, each behind its
+// own lock, so concurrent analyses of different benchmarks never
+// serialise on Put/Get/Flush. On disk the run is the unit, as a row is
+// in the paper's tables: the store is a directory with one directory
+// per benchmark and one file per run. A run file's head is the run's
+// first-level row (read eagerly at Open); its body is the run's series
+// (read when the benchmark's shard is first touched). Flush writes only
+// the runs Put since the last flush and unlinks the runs Deleted, each
+// atomically (temp file + rename) and byte-deterministically, so its
+// cost follows the runs it adds, not the runs already stored. With
+// SetMemBudget the store is memory-bounded: clean shards evict under an
+// LRU byte budget and reload on demand, and StartWriteback flushes in
+// the background so eviction can keep up, letting one daemon host
+// catalogs far larger than RAM.
 //
-// The single-file formats of earlier versions (v1 blob, v2 record
-// stream) still open; the first Flush migrates them to the sharded
-// layout, keeping a crash-recoverable backup of the original file until
-// the rename completes.
+// Earlier formats still open. A v3 store (one .shard file per
+// benchmark) converts to run files on the first Flush; the single-file
+// v1 blob and v2 record stream migrate there, keeping a
+// crash-recoverable backup of the original file until the rename
+// completes.
 package store
 
 import (
@@ -66,8 +71,8 @@ type Record struct {
 
 // DB is the two-level store: a set of per-benchmark shards, each behind
 // its own lock. DB-level state (the shard map, the LRU list) is guarded
-// by mu; lock order is shard.mu before db.mu, and db.mu is never held
-// while acquiring a shard lock.
+// by mu; lock order is flushMu before shard.mu before db.mu, and db.mu
+// is never held while acquiring a shard lock.
 type DB struct {
 	path   string // store path; "" = purely in-memory
 	legacy bool   // opened from a single-file image; first Flush migrates
@@ -76,7 +81,7 @@ type DB struct {
 	shards map[string]*shard
 	lru    list.List // least-recently-used at the back; shard.elem guarded by mu
 
-	flushMu sync.Mutex // serialises Flush/writeback/migration
+	flushMu sync.Mutex // serialises Flush/writeback/migration/Compact; guards legacy
 
 	budget   atomic.Int64 // eviction byte budget; <= 0 means unlimited
 	resident atomic.Int64 // resident second-level bytes across loaded shards
@@ -87,11 +92,15 @@ type DB struct {
 	writebackErrs atomic.Uint64
 	skipped       atomic.Int64 // records dropped at open or lazy load
 
+	// damaged holds the files read since Open and found damaged, which
+	// Compact removes; guarded by mu.
+	damaged map[string]bool
+
 	wbStop chan struct{}
 	wbDone chan struct{}
 
-	// failFlush, when set by tests, injects an I/O error before a shard
-	// file (or migration entry) for the named benchmark is written.
+	// failFlush, when set by tests, injects an I/O error before each
+	// run file of the named benchmark is written.
 	failFlush func(benchmark string) error
 }
 
@@ -99,16 +108,16 @@ const ipcColumn = "__ipc__"
 
 // Open opens (or creates) a store at path. An empty path creates a
 // purely in-memory store that cannot be flushed. A directory opens as a
-// sharded store (only each shard's first level is read; series load
-// lazily). A regular file opens as a legacy v1/v2 single-file store,
-// fully loaded, and migrates to the sharded layout on first Flush.
+// store of run files (only each file's head is read; series load
+// lazily), merging any v3 .shard files. A regular file opens as a
+// legacy v1/v2 single-file store, fully loaded, and migrates to run
+// files on first Flush.
 //
-// Open is resilient to damage: shard records that are corrupt,
-// truncated, or internally inconsistent are skipped (and counted in
-// Skipped / Stats.SkippedRecords) rather than failing the whole open —
-// one damaged shard loses that shard's tail, not the catalog. Only an
-// unreadable path, or a single file that is not a store at all, returns
-// an error.
+// Open is resilient to damage: run files that are corrupt, truncated,
+// or internally inconsistent are skipped (and counted in Skipped /
+// Stats.SkippedRecords) rather than failing the whole open — a damaged
+// file loses that run, not the catalog. Only an unreadable path, or a
+// single file that is not a store at all, returns an error.
 func Open(path string) (*DB, error) {
 	db := &DB{path: path, shards: make(map[string]*shard)}
 	if path == "" {
@@ -140,9 +149,10 @@ func Open(path string) (*DB, error) {
 }
 
 // Skipped reports how many records have been dropped so far while
-// reading damaged files (0 for a healthy store). Because shards load
-// lazily, damage in a shard's series section is discovered — and
-// counted — on first touch, not at Open.
+// reading damaged files (0 for a healthy store). Because series load
+// lazily, damage a run file's head does not reveal (a checksum
+// mismatch, say) is discovered — and counted — on first touch of its
+// benchmark, not at Open.
 func (db *DB) Skipped() int {
 	return int(db.skipped.Load())
 }
@@ -180,13 +190,18 @@ func (db *DB) snapshotShards() []*shard {
 }
 
 // Put stores a record, replacing any previous record of the same
-// (benchmark, run, mode).
+// (benchmark, run, mode). The event name "__ipc__" is reserved for the
+// IPC column, and the names together must fit a run file's 16 MiB
+// head.
 func (db *DB) Put(rec Record) error {
 	if rec.Meta.Benchmark == "" {
 		return errors.New("store: record without benchmark name")
 	}
 	if rec.Meta.Mode == "" {
 		return errors.New("store: record without mode")
+	}
+	if _, ok := rec.Series[ipcColumn]; ok {
+		return fmt.Errorf("store: event name %q is reserved", ipcColumn)
 	}
 	k := key(rec.Meta.Benchmark, rec.Meta.RunID, rec.Meta.Mode)
 	table := "series/" + k
@@ -202,6 +217,9 @@ func (db *DB) Put(rec Record) error {
 	if meta.Intervals == 0 {
 		meta.Intervals = len(rec.IPC)
 	}
+	if runHeadLen(meta) > maxRunHead {
+		return errors.New("store: record names exceed a run file's head")
+	}
 
 	series := make(map[string][]float64, len(rec.Series)+1)
 	for ev, vals := range rec.Series {
@@ -211,25 +229,30 @@ func (db *DB) Put(rec Record) error {
 		series[ipcColumn] = append([]float64(nil), rec.IPC...)
 	}
 
-	s := db.shardFor(meta.Benchmark, true)
-	s.mu.Lock()
-	s.load(db)
-	if old, ok := s.metas[k]; ok {
-		s.dropSeries(db, old.SeriesTable)
+	for {
+		s := db.shardFor(meta.Benchmark, true)
+		s.mu.Lock()
+		if s.dropped {
+			// A flush emptied and unlinked this shard after we found
+			// it; the next lookup creates a fresh one.
+			s.mu.Unlock()
+			continue
+		}
+		s.load(db)
+		if old, ok := s.metas[k]; ok {
+			s.dropSeries(db, old.SeriesTable)
+		}
+		s.metas[k] = meta
+		s.series[table] = series
+		n := countSamples(series)
+		s.samples += n
+		db.resident.Add(n * bytesPerSample)
+		s.markPending(k, meta)
+		s.mu.Unlock()
+		db.touch(s)
+		db.maybeEvict(s)
+		return nil
 	}
-	s.metas[k] = meta
-	s.series[table] = series
-	n := int64(0)
-	for _, vals := range series {
-		n += int64(len(vals))
-	}
-	s.samples += n
-	db.resident.Add(n * bytesPerSample)
-	s.dirty = true
-	s.mu.Unlock()
-	db.touch(s)
-	db.maybeEvict(s)
-	return nil
 }
 
 // Get retrieves a record by key, loading the benchmark's shard if it
@@ -305,7 +328,7 @@ func (db *DB) Delete(benchmark string, runID int, mode string) bool {
 	}
 	delete(s.metas, k)
 	s.dropSeries(db, meta.SeriesTable)
-	s.dirty = true
+	s.markPending(k, meta)
 	s.mu.Unlock()
 	db.touch(s)
 	return true
@@ -416,11 +439,16 @@ func (db *DB) ForEachRun(fn func(Record) bool) {
 	}
 }
 
-// Flush writes every dirty shard to disk, each atomically (temp file +
-// rename) and byte-deterministically; clean shards are not rewritten.
-// A store opened from a legacy single file migrates to the sharded
-// directory layout here. Flush is a no-op when nothing changed, and an
+// Flush writes every run Put since the last flush, each to its own
+// file atomically (temp file + rename) and byte-deterministically, and
+// unlinks the files of runs Deleted since; untouched runs are not
+// rewritten. A v3 shard is rewritten as run files and its .shard file
+// removed, and a store opened from a legacy single file migrates to a
+// directory of run files. Flush is a no-op when nothing changed, and an
 // error for in-memory stores.
+//
+// The unit of atomicity is the run: after a process crash each run
+// file holds either its old or its new contents.
 func (db *DB) Flush() error {
 	if db.path == "" {
 		return errors.New("store: in-memory store cannot be flushed")
@@ -429,80 +457,95 @@ func (db *DB) Flush() error {
 	return err
 }
 
-// flush performs one incremental flush pass and reports how many shard
-// files were written (or removed).
+// flush performs one incremental flush pass and reports how many
+// shards it wrote.
 func (db *DB) flush() (int, error) {
 	db.flushMu.Lock()
 	defer db.flushMu.Unlock()
+	return db.flushLocked()
+}
+
+// flushLocked migrates a legacy store or flushes every dirty shard, and
+// reports how many shards it wrote. The caller holds flushMu.
+func (db *DB) flushLocked() (int, error) {
 	if db.legacy {
 		return db.migrate()
 	}
-	shards := db.snapshotShards()
-	dirCreated := false
 	written := 0
-	for _, s := range shards {
-		wrote, err := db.flushShard(s, &dirCreated)
-		if err != nil {
-			return written, err
-		}
+	for _, s := range db.snapshotShards() {
+		wrote, err := db.flushShard(s)
 		if wrote {
 			written++
+			// Converting a v3 shard loads it; let it go if over budget.
+			db.maybeEvict(nil)
+		}
+		if err != nil {
+			return written, err
 		}
 	}
 	return written, nil
 }
 
-// flushShard writes one shard if dirty. An empty dirty shard's file is
-// removed and the shard dropped from the catalog.
-func (db *DB) flushShard(s *shard, dirCreated *bool) (bool, error) {
+// flushShard brings one dirty shard's files in line with memory: it
+// writes each pending run still stored, unlinks each pending run since
+// deleted, removes a converted v3 .shard file, and removes the
+// benchmark's directory once it holds no run (dropping the shard from
+// the catalog). It reports whether it changed any file.
+func (db *DB) flushShard(s *shard) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.dirty {
+	if !s.dirty() {
 		return false, nil
 	}
-	file := filepath.Join(db.path, shardFileName(s.bench))
-	if len(s.metas) == 0 {
-		if err := os.Remove(file); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return false, fmt.Errorf("store: remove shard %s: %w", s.bench, err)
+	if s.v3 != "" {
+		// Converting writes every run: those without a run file load
+		// from the .shard file, and the rest rewrite their own bytes.
+		s.load(db)
+		for k, m := range s.metas {
+			s.markPending(k, m)
 		}
-		s.dirty = false
-		db.dropShard(s)
-		return true, nil
 	}
-	if !*dirCreated {
-		if err := os.MkdirAll(db.path, 0o755); err != nil {
+	dir := filepath.Join(db.path, benchDirName(s.bench))
+	if len(s.metas) > 0 {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return false, fmt.Errorf("store: flush: %w", err)
 		}
-		*dirCreated = true
 	}
-	if db.failFlush != nil {
-		if err := db.failFlush(s.bench); err != nil {
-			return false, fmt.Errorf("store: flush shard %s: %w", s.bench, err)
+	wrote := false
+	for _, k := range sortedKeys(s.pending) {
+		if meta, ok := s.metas[k]; ok {
+			if db.failFlush != nil {
+				if err := db.failFlush(s.bench); err != nil {
+					return wrote, fmt.Errorf("store: flush run %s: %w", k, err)
+				}
+			}
+			if err := writeRun(dir, meta, s.series[meta.SeriesTable]); err != nil {
+				return wrote, fmt.Errorf("store: flush run %s: %w", k, err)
+			}
+		} else if err := os.Remove(filepath.Join(dir, s.pending[k])); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return wrote, fmt.Errorf("store: remove run %s: %w", k, err)
 		}
+		delete(s.pending, k)
+		wrote = true
 	}
-	tmp, err := os.CreateTemp(db.path, ".cmdb-*")
-	if err != nil {
-		return false, fmt.Errorf("store: flush: %w", err)
+	if s.v3 != "" {
+		if err := os.Remove(filepath.Join(db.path, s.v3)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return wrote, fmt.Errorf("store: remove shard %s: %w", s.bench, err)
+		}
+		s.v3 = ""
+		wrote = true
 	}
-	tmpName := tmp.Name()
-	if err := s.encodeTo(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return false, fmt.Errorf("store: encode shard %s: %w", s.bench, err)
+	if len(s.metas) == 0 {
+		if err := os.RemoveAll(dir); err != nil {
+			return wrote, fmt.Errorf("store: remove shard %s: %w", s.bench, err)
+		}
+		s.dropped = true
+		db.dropShard(s)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return false, fmt.Errorf("store: close: %w", err)
-	}
-	if err := os.Rename(tmpName, file); err != nil {
-		os.Remove(tmpName)
-		return false, fmt.Errorf("store: rename: %w", err)
-	}
-	s.dirty = false
-	return true, nil
+	return wrote, nil
 }
 
-// dropShard unlinks an (empty, flushed) shard from the catalog.
+// dropShard unlinks a shard from the catalog.
 func (db *DB) dropShard(s *shard) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -59,6 +60,17 @@ func TestPutValidation(t *testing.T) {
 	}
 	if err := db.Put(Record{Meta: RunMeta{Benchmark: "x"}}); err == nil {
 		t.Error("record without mode should error")
+	}
+	reserved := Record{Meta: RunMeta{Benchmark: "x", Mode: "MLPX"}, Series: map[string][]float64{ipcColumn: {1}}}
+	if err := db.Put(reserved); err == nil {
+		t.Error("record with an event named like the IPC column should error")
+	}
+	huge := Record{Meta: RunMeta{Benchmark: "x", Mode: "MLPX"}, Series: map[string][]float64{strings.Repeat("E", maxRunHead): {1}}}
+	if err := db.Put(huge); err == nil {
+		t.Error("record whose names overflow a run file's head should error")
+	}
+	if db.Len() != 0 {
+		t.Errorf("Len = %d after refused Puts", db.Len())
 	}
 }
 

@@ -686,9 +686,13 @@ func (ar *analysisRun) fingerprint(ctx context.Context) error {
 
 // persist writes every surviving run — its raw, as-collected series —
 // into the sink and flushes. A failed write loses persistence only,
-// never the analysis; a cancellation between writes aborts before the
-// flush, so the on-disk store is either the previous image or the
-// complete new one, never a partial tail.
+// never the analysis. A cancellation between writes skips this
+// analysis's own Flush, but the runs it already put stay in the store
+// and reach disk with the next flush, by writeback or by another
+// analysis. The store's flush writes only the runs put since the last
+// flush, each to its own file atomically, so its cost does not grow
+// with the runs already stored and a crash leaves each run with either
+// its old or its new contents.
 func (ar *analysisRun) persist(ctx context.Context) error {
 	p, deg := ar.p, ar.deg
 	if p.sink == nil {

@@ -1,6 +1,8 @@
 #!/bin/sh
-# Full pre-commit gate: formatting, vet, build, race-enabled tests, and
-# a short allocation-aware pass over the hot-path micro-benchmarks.
+# Full pre-commit gate: formatting, vet, build, race-enabled tests, the
+# Analysis digests, race and chaos soaks, a fuzz smoke of the store's
+# readers, and a short allocation-aware pass over the hot-path
+# micro-benchmarks.
 # Equivalent to `make check` for environments without make.
 set -eu
 
@@ -44,6 +46,14 @@ go test -race -count=2 \
 echo "== index race soak =="
 go test -race -count=10 -run '^TestIndexConcurrent' ./internal/fingerprint/
 go test -race -count=10 -run '^TestIndexingSink' ./internal/serve/
+
+# The store's on-disk readers take whatever bytes the disk holds; give
+# each native fuzzer a short run beyond its committed seed corpus. A
+# short minimisation keeps the run exploring; a failing input is still
+# written under testdata/fuzz.
+echo "== fuzz smoke (store readers) =="
+go test -run='^$' -fuzz='^FuzzShardRunFile$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
+go test -run='^$' -fuzz='^FuzzMigrateShardFile$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
 
 echo "== short benchmarks =="
 go test -run='^$' -bench='Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|IndexUpsert|PrioritySchedule|StreamFanout' \
