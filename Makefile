@@ -1,9 +1,9 @@
 GO ?= go
 BENCH_COUNT ?= 3
 
-.PHONY: check fmt vet build test race digests index-race fuzz-smoke bench bench-json chaos
+.PHONY: check fmt vet build test race digests index-race team-race fuzz-smoke bench bench-json chaos
 
-check: fmt vet build race digests index-race fuzz-smoke bench chaos
+check: fmt vet build race digests index-race team-race fuzz-smoke bench chaos
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -22,10 +22,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The committed Analysis digests (digest_test.go). The file builds only
-# without the race detector, so the race run above skips it.
+# The committed Analysis digests (digest_test.go and
+# internal/serve/digest_test.go). The files build only without the race
+# detector, so the race run above skips them.
 digests:
 	$(GO) test -count=1 -run '^TestAnalysisDigests$$' .
+	$(GO) test -count=1 -run '^TestServedAnalysisDigest$$' ./internal/serve/
 
 # The fingerprint index is written by every persisting job and
 # reclustered by whichever reader comes next, and the daemon's sink
@@ -33,6 +35,13 @@ digests:
 index-race:
 	$(GO) test -race -count=10 -run '^TestIndexConcurrent' ./internal/fingerprint/
 	$(GO) test -race -count=10 -run '^TestIndexingSink' ./internal/serve/
+
+# Every SGBRT fit runs its level scans and F updates on one resident
+# helper team, thousands of fan-outs per fit; soak the team's job
+# publication, wake-up and shutdown, and the fits that run on it.
+team-race:
+	$(GO) test -race -count=10 -run '^TestTeam' ./internal/parallel/
+	$(GO) test -race -count=10 -run '^(TestFitOnTeamMatchesSerial|TestFitParallelMatchesSerial|TestFitCtxCancelStopsTeam|TestBestSplitTieBreakFeature)$$' ./internal/sgbrt/
 
 # Seeded chaos soak: the fault-injection sweep (failed runs, corrupt
 # series, broken stores at 0%/5%/20%), the fault unit tests, the

@@ -3,6 +3,7 @@ package counterminer
 import (
 	"errors"
 	"math"
+	"math/big"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -134,5 +135,46 @@ func TestNewPipelineRejectsBadCleanerOptions(t *testing.T) {
 	var oe *clean.OptionError
 	if !errors.As(err, &oe) || oe.Field != "K" {
 		t.Errorf("negative K error = %v, want *OptionError on K", err)
+	}
+}
+
+// TestNewPipelineRejectsCollidingRunIDs: run r of an analysis has id
+// Seed*100 + r, so NewPipeline accepts at most MaxRuns runs and only
+// seeds whose run ids Seed*100 + 1 .. Seed*100 + Runs fit in an int,
+// checked here against exact big-integer arithmetic on both sides of
+// each bound.
+func TestNewPipelineRejectsCollidingRunIDs(t *testing.T) {
+	if _, err := NewPipeline(Options{Runs: MaxRuns}); err != nil {
+		t.Errorf("Runs = MaxRuns: %v", err)
+	}
+	_, err := NewPipeline(Options{Runs: MaxRuns + 1})
+	var oe *OptionError
+	if !errors.Is(err, ErrBadOptions) || !errors.As(err, &oe) || oe.Field != "Runs" {
+		t.Errorf("Runs = MaxRuns+1: error %v, want *OptionError on Runs", err)
+	}
+
+	minInt, maxInt := big.NewInt(math.MinInt), big.NewInt(math.MaxInt)
+	fits := func(seed int64, runs int) bool {
+		id := new(big.Int).Mul(big.NewInt(seed), big.NewInt(100))
+		first := new(big.Int).Add(id, big.NewInt(1))
+		last := new(big.Int).Add(id, big.NewInt(int64(runs)))
+		return first.Cmp(minInt) >= 0 && last.Cmp(maxInt) <= 0
+	}
+	for _, runs := range []int{1, 3, MaxRuns} {
+		hi := (int64(math.MaxInt) - int64(runs)) / 100
+		lo := int64(math.MinInt) / 100
+		for _, seed := range []int64{hi - 1, hi, hi + 1, lo - 1, lo, lo + 1, math.MaxInt64, math.MinInt64} {
+			_, err := NewPipeline(Options{Runs: runs, Seed: seed})
+			want := fits(seed, runs)
+			if (err == nil) != want {
+				t.Errorf("Runs %d Seed %d: error %v, want accepted=%v", runs, seed, err, want)
+			}
+			if err != nil && (!errors.As(err, &oe) || oe.Field != "Seed") {
+				t.Errorf("Runs %d Seed %d: error %v, want *OptionError on Seed", runs, seed, err)
+			}
+		}
+		if !fits(hi, runs) || fits(hi+1, runs) || !fits(lo, runs) || fits(lo-1, runs) {
+			t.Errorf("Runs %d: seeds %d and %d are not the bounds", runs, lo, hi)
+		}
 	}
 }

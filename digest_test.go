@@ -45,6 +45,42 @@ var analysisDigests = map[string]string{
 	"fingerprint/sort":          "3b6e13716bb61d03bbdaa7438e34b70ef4b904ebc608c281019d69d51fba78a3",
 	"real/wordcount/seed=12345": "00406dd696e253793fb9c30ea5c430b9cdddce7c267720b91ab5445f675fc24a",
 	"real/wordcount/seed=777":   "259772bc9ed94074f6b41ead8e0297caaa52722a8b356d9e9e72d3ef60334aea",
+
+	// The served shape, generated at 5038767.
+	"served/bayes/DataAnalytics":                 "86390feafd3aba510ca9378308983da103dfe7c6f855bcdfdf521bfc6fe0ddc6",
+	"served/bayes/DataCaching":                   "a699834cea53d9e7a01cab6be174af0b35697376086d5520058a35a432b6b572",
+	"served/bayes/DataServing":                   "df2d4c1f8811cee887ce522022443fc7ccd0568ead6c24379efe8bf3ac16fa7a",
+	"served/bayes/GraphAnalytics":                "d7d9a9bde5dda2071f749140fa043adf66abf5e87e0d4a9a478ca12c8e32bef9",
+	"served/bayes/InMemoryAnalytics":             "b8d3ac0289736cb60c421ca5b27cf7db75a24a23d844de8e6ce729a2e0615819",
+	"served/bayes/MediaStreaming":                "b484aa530fb07b55175917ee4a885392677839f818dd2195f124063d64cbd235",
+	"served/bayes/WebSearch":                     "4e47e5b91d76fbd8804edbda7d4dda1222bbbe7f802217b13b3767a6ab0fabad",
+	"served/bayes/WebServing":                    "c0267154bea83b3361783ebfba813ba4fb92b3b758fac6db994ab6a757aaff8e",
+	"served/bayes/aggregation":                   "eeb62afbd1e3d62ba413200739f19effe317f9f4768d7992b9c5a46670d8d0a3",
+	"served/bayes/bayes":                         "beffbc0bd934f0d3b4fa6691d799ba6f348deff2dfac559ce6c1ab15c8aa2c72",
+	"served/bayes/join":                          "37a3000172213d11fc113dcc229f97ff1af773fb89fac8f95046d05758190c7b",
+	"served/bayes/kmeans":                        "5dac1f5011b4e60d607c4a2d4c11bcfdc926df6dd21ad625b55ceb0aa7606180",
+	"served/bayes/pagerank":                      "e0a1bc6ef53527b9abd3da8fc6baeee803cd3ffe4e7c8945c2ac3b5034dad80a",
+	"served/bayes/scan":                          "1cbe0651ded1f11998a14c1d066377436b0d2c203086814762b38292bd34e081",
+	"served/bayes/sort":                          "5fd3ff8b5a52416aca702cfcd76a694409bde431b03df4cc978ae67f38cc9916",
+	"served/bayes/wordcount":                     "85a6ddc6444ebaf4e5b195cb0544679c69d9ec0c7d7250d2e389488439212817",
+	"served/threshold-knn/DataAnalytics":         "abb7a7ae4d61466863b972bbdb33913ad07c59e5779678430102ea42e78a4bb2",
+	"served/threshold-knn/DataCaching":           "f2a22c50088cd4e7649e9458d1d37e357c8de7a7752a9cb275ecfd79b18b96c9",
+	"served/threshold-knn/DataServing":           "0d8e939e196f5dc7dc450be060f0df6bbafa1c1954a9d0554e18ead81a107758",
+	"served/threshold-knn/GraphAnalytics":        "19989147521326effa6a9823f2b6f7150d707349ba7b98349efa2fcd1e1d5f31",
+	"served/threshold-knn/InMemoryAnalytics":     "9a0eb97693b764153a2332e4891195ec1cb17647c3a44d653ccbec78daf863ac",
+	"served/threshold-knn/MediaStreaming":        "dc50cb98f2791ddda92168097eca69ac68d2c06c3869991a3046efaecae9d022",
+	"served/threshold-knn/WebSearch":             "d5643db584b2b9e48a7b08d89211217d11966fc47b8fe8aa98b5be24ab6fe263",
+	"served/threshold-knn/WebServing":            "fed6a550ca36927beb41a49069b549ecbe65d32785080cf23389cbfddc1bff0c",
+	"served/threshold-knn/aggregation":           "d6acf574ddcc30dbbbfb4ca9b1af25a3ddffe546a71ce67074bef4729f816f0f",
+	"served/threshold-knn/bayes":                 "1bbcb45556526ea4296905ab343869347e7129fd58c5e2ebca636fa6997ba2a0",
+	"served/threshold-knn/join":                  "424476ac1ce821b7d3eb6345dfe4cb2e369fae80284abd9469ae3dab21caf9d0",
+	"served/threshold-knn/kmeans":                "184c31d627da8e716e5c20694aed2e6d1ed63e456369ffbd03f2c1139b35982a",
+	"served/threshold-knn/kmeans/seed=123456":    "243c73535d08f0ee219ba52e5a5053c4a97db099acc5a77d857fe67ff082a3eb",
+	"served/threshold-knn/pagerank":              "52beefe36f90c0e4c6c1b55d435b2af9fc7f9060b984a810c7f187a046b09bc1",
+	"served/threshold-knn/scan":                  "373020e56c6c8101284534a07b4ce34dc68191d19eb64eaf00a721cbf0150746",
+	"served/threshold-knn/sort":                  "36fbddf7170e0183297ca9474a88d2115827e2132e2c2fb6fa29373c85fc8d16",
+	"served/threshold-knn/wordcount":             "f1c70bb7bd380ccf20aacfa8f385b08aff9af23f07ff8968e37be54333a0125d",
+	"served/threshold-knn/wordcount/seed=123456": "d6888d4bc9a9298941b13a485c7bde95f47e9a79b5f3d05aae7db7a2ab55a530",
 }
 
 // The test is pinned to amd64: on other targets the Go compiler may
@@ -81,6 +117,30 @@ func TestAnalysisDigests(t *testing.T) {
 		opts := Options{SkipEIR: true, Seed: 1}
 		opts.CleanOptions.Cleaner = clean.BayesCleaner
 		cases = append(cases, digestCase{"fast/" + b, analyze(b, opts)})
+	}
+	// The served shape: the 11 events of ICACHE.*, L2_RQSTS.* and
+	// BR_INST_RETIRED.*, 2 runs, 20 trees and SkipEIR, as counterminerd
+	// analyses them, over every benchmark under both cleaners, plus two
+	// benchmarks at a large seed.
+	served, err := probe.Catalogue().Select([]string{"ICACHE.*", "L2_RQSTS.*", "BR_INST_RETIRED.*"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedOpts := func(cleaner string, seed int64) Options {
+		opts := Options{Events: served, Runs: 2, Trees: 20, SkipEIR: true, Seed: seed}
+		opts.CleanOptions.Cleaner = cleaner
+		return opts
+	}
+	for _, cleaner := range []string{clean.DefaultCleaner, clean.BayesCleaner} {
+		for _, b := range probe.Benchmarks() {
+			cases = append(cases, digestCase{"served/" + cleaner + "/" + b, analyze(b, servedOpts(cleaner, 1))})
+		}
+	}
+	for _, b := range []string{"wordcount", "kmeans"} {
+		cases = append(cases, digestCase{
+			fmt.Sprintf("served/%s/%s/seed=123456", clean.DefaultCleaner, b),
+			analyze(b, servedOpts(clean.DefaultCleaner, 123456)),
+		})
 	}
 	cases = append(cases,
 		digestCase{"data/csv-40x600", func(ctx context.Context) (any, error) {

@@ -31,6 +31,25 @@ var (
 	ErrCanceled = errors.New("counterminer: analysis canceled")
 )
 
+// ErrBadOptions marks Options that NewPipeline rejects before any
+// compute is spent. The concrete error is an *OptionError.
+var ErrBadOptions = errors.New("counterminer: invalid options")
+
+// OptionError reports one invalid Options field. It matches
+// ErrBadOptions under errors.Is.
+type OptionError struct {
+	// Field names the offending Options field; Reason says what is
+	// wrong with it.
+	Field, Reason string
+}
+
+func (e *OptionError) Error() string {
+	return fmt.Sprintf("counterminer: invalid option %s: %s", e.Field, e.Reason)
+}
+
+// Is matches ErrBadOptions.
+func (e *OptionError) Is(target error) bool { return target == ErrBadOptions }
+
 // CancelError reports an analysis abandoned at a stage boundary (or
 // inside a stage's interior loop) because the context was done. It
 // matches ErrCanceled under errors.Is and unwraps to the underlying

@@ -63,7 +63,8 @@ type Options struct {
 	// MaxSamples bounds how many observation rows are used per pair
 	// (default 200; rows are strided evenly).
 	MaxSamples int
-	// Basis selects the additive null model (default BasisAdditive).
+	// Basis selects the per-pair null model; the zero value is
+	// BasisANOVA, the default.
 	Basis Basis
 	// Workers bounds how many pairs are scored concurrently; <= 0 uses
 	// GOMAXPROCS. Results are identical for every worker count.

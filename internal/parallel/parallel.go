@@ -3,7 +3,8 @@
 // stage updates, the pairwise interaction ranker, the DTW error
 // sweeps, and KNN imputation in the cleaner. It replaces the ad-hoc
 // per-package goroutine helpers with one implementation and one
-// determinism contract:
+// determinism contract, shared by the one-shot fan-outs (ForEach and
+// its variants) and by Team:
 //
 //   - Work items are identified by index; every result must be written
 //     to its own index-addressed slot, never appended or reduced
@@ -20,6 +21,16 @@
 // the late cancellation is ignored and the call reports the work that
 // was done. No goroutine outlives the call either way: the pool always
 // drains before returning.
+//
+// A Team is the one exception to that rule, and it is scoped: its
+// helper goroutines outlive each Team.Run, so that a caller that fans
+// out thousands of times in a row — an SGBRT fit, once per tree level
+// and per stage update — does not start goroutines for every fan-out.
+// No helper outlives Team.Close, and the owner closes the team before
+// the call that created it returns, on every path (sgbrt's
+// Presorted.FitCtx defers it), so no goroutine outlives that call
+// either. Team.Run has no context: its items are short, and the owner
+// checks for cancellation between fan-outs.
 //
 // A worker count <= 0 selects runtime.GOMAXPROCS(0), so the engine
 // scales with cores by default and can be pinned (e.g. the cmexp

@@ -113,10 +113,16 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		job := Job{Kind: KindFingerprint, AnalyzeRequest: client.AnalyzeRequest{
 			Benchmark: req.Benchmark,
 			Colocate:  req.Colocate,
-			Events:    s.storeEventVocabulary(),
 			Runs:      req.Runs,
 			Seed:      req.Seed,
-		}}.keyed()
+		}}
+		if err := job.options().Validate(); err != nil {
+			s.metrics.IncBadRequest()
+			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+			return
+		}
+		job.Events = s.storeEventVocabulary()
+		job = job.keyed()
 		base = job.Key
 		compute = func() ([]float64, error) {
 			// The embedding job rides the ordinary serving machinery:

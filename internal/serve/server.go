@@ -509,10 +509,11 @@ type httpError struct {
 }
 
 // resolve validates an AnalyzeRequest into a keyed Job: the benchmarks
-// must exist, event patterns must resolve to at least two events, and
-// the cleaner name must be registered. The Job carries the resolved
-// event names and the canonical cleaner name, never the raw request
-// strings, so equal analyses share one content address.
+// must exist, event patterns must resolve to at least two events, the
+// cleaner name must be registered, and the runs and seed must give
+// distinct run ids (counterminer.Options.Validate). The Job carries
+// the resolved event names and the canonical cleaner name, never the
+// raw request strings, so equal analyses share one content address.
 func (s *Server) resolve(req client.AnalyzeRequest) (Job, *httpError) {
 	if req.Benchmark == "" {
 		return Job{}, &httpError{http.StatusBadRequest, "bad_request", "benchmark is required (see GET /benchmarks)"}
@@ -558,7 +559,11 @@ func (s *Server) resolve(req client.AnalyzeRequest) (Job, *httpError) {
 	}
 	req.Events = events
 	req.Cleaner = cleaner.Name()
-	return Job{AnalyzeRequest: req}.keyed(), nil
+	job := Job{AnalyzeRequest: req}
+	if err := job.options().Validate(); err != nil {
+		return Job{}, &httpError{http.StatusBadRequest, "bad_request", err.Error()}
+	}
+	return job.keyed(), nil
 }
 
 // runPipeline is the production analyze function: one pipeline per

@@ -3,6 +3,8 @@ package sgbrt
 import (
 	"math/rand"
 	"testing"
+
+	"counterminer/internal/parallel"
 )
 
 // benchMatrix builds a synthetic regression problem of n rows and p
@@ -65,7 +67,9 @@ func BenchmarkBuildTreeOrdered(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tb := newBuilder(ps.cols, ps.orders, y, TreeParams{MaxDepth: 4})
+	team := parallel.NewTeam(0)
+	b.Cleanup(team.Close)
+	tb := newBuilder(ps.cols, ps.orders, y, TreeParams{MaxDepth: 4}, team)
 	idx := allIdx(benchRows)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,9 +10,11 @@ import (
 	"counterminer/internal/parallel"
 )
 
-// parallelRowThreshold is the minimum row count before the per-stage
-// F-update fans out to the pool.
-const parallelRowThreshold = 512
+// parallelLevelThreshold is the minimum sample rows × features of a
+// fit before it runs on more than one worker: below it a tree level's
+// scans take less time than handing them to a helper and waiting for
+// it (DESIGN.md §6).
+const parallelLevelThreshold = 2048
 
 // Params configures a boosted ensemble. The defaults mirror common
 // scikit-learn GradientBoostingRegressor settings, which is what the
@@ -142,7 +144,6 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 	p := len(features)
 	params = params.withDefaults()
 	rng := rand.New(rand.NewSource(params.Seed))
-	workers := parallel.Workers(params.Workers)
 
 	reuse := ps.reusableTrees(prev, features, y, params)
 	e := &Ensemble{
@@ -170,21 +171,29 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 		sampleSize = n
 	}
 
-	// One builder reused for every stage: trees fit the residuals, so
-	// the builder's target is the residual buffer updated in place.
-	tb := newBuilder(cols, full, residual, TreeParams{
-		MaxDepth: params.MaxDepth,
-		MinLeaf:  params.MinLeaf,
-		Workers:  params.Workers,
-	})
 	useColSample := params.ColSample > 0 && params.ColSample < 1
-	nCols := 0
+	nCols := p
 	if useColSample {
 		nCols = int(params.ColSample * float64(p))
 		if nCols < 1 {
 			nCols = 1
 		}
 	}
+	// One team runs every fan-out of the fit, level scans and F updates
+	// alike, and stops on every return.
+	workers := params.Workers
+	if sampleSize*nCols < parallelLevelThreshold {
+		workers = 1
+	}
+	team := parallel.NewTeam(workers)
+	defer team.Close()
+	workers = team.Workers()
+	// One builder reused for every stage: trees fit the residuals, so
+	// the builder's target is the residual buffer updated in place.
+	tb := newBuilder(cols, full, residual, TreeParams{
+		MaxDepth: params.MaxDepth,
+		MinLeaf:  params.MinLeaf,
+	}, team)
 	colPerm := make([]int, p)
 	for i := range colPerm {
 		colPerm[i] = i
@@ -220,31 +229,16 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 			}
 		}
 		e.trees = append(e.trees, tree)
-		// Update F on ALL rows (not only the subsample). Every row is
-		// independent, so chunks update concurrently with no change in
-		// the result.
+		// Update F on ALL rows (not only the subsample), one chunk per
+		// worker. Every row is independent, so chunks update
+		// concurrently with no change in the result.
 		lr := params.LearningRate
-		update := func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		chunk := (n + workers - 1) / workers
+		team.Run(workers, func(c int) {
+			for i := c * chunk; i < min((c+1)*chunk, n); i++ {
 				F[i] += lr * tree.predictRow(cols, i)
 			}
-		}
-		if workers > 1 && n >= parallelRowThreshold {
-			chunk := (n + workers - 1) / workers
-			parallel.ForEach(workers, workers, func(c int) error {
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				if lo < hi {
-					update(lo, hi)
-				}
-				return nil
-			})
-		} else {
-			update(0, n)
-		}
+		})
 	}
 	return e, nil
 }

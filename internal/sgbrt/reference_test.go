@@ -60,10 +60,10 @@ func refSortOrders(cols [][]float64, n int) [][]int {
 	return orders
 }
 
-func newRefBuilder(cols [][]float64, y []float64, p TreeParams) *refBuilder {
+func newRefBuilder(cols [][]float64, y []float64, p TreeParams, workers int) *refBuilder {
 	p = p.withDefaults()
 	n, nf := len(y), len(cols)
-	workers := parallel.Workers(p.Workers)
+	workers = parallel.Workers(workers)
 	b := &refBuilder{cols: cols, y: y, p: p, workers: workers}
 	buf := make([]int, nf*n)
 	b.orders = make([][]int, nf)
@@ -269,7 +269,7 @@ func refBuildTree(X [][]float64, y []float64, idx []int, p TreeParams) (*Tree, e
 	for _, i := range idx {
 		keep[i] = true
 	}
-	b := newRefBuilder(cols, y, p)
+	b := newRefBuilder(cols, y, p, 0)
 	b.loadFiltered(full, keep)
 	return b.build()
 }
@@ -304,8 +304,7 @@ func refFit(X [][]float64, y []float64, params Params) (*Ensemble, error) {
 	tb := newRefBuilder(cols, residual, TreeParams{
 		MaxDepth: params.MaxDepth,
 		MinLeaf:  params.MinLeaf,
-		Workers:  params.Workers,
-	})
+	}, params.Workers)
 	useColSample := params.ColSample > 0 && params.ColSample < 1
 	nCols := 0
 	if useColSample {

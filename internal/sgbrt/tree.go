@@ -15,12 +15,15 @@
 // phase stably partitions each feature's order under the previous
 // level's splits (branch-free, on byte side flags) and scans it for the
 // best split of every node of the level; and a serial reduce picks each
-// node's split in ascending feature order. Equal-gain splits go to the
-// lowest feature index, then the lowest threshold, so the induced tree
-// is identical for every worker count. Nodes are stored in depth-first
-// preorder. A fit handed an earlier fit on more of the columns copies
-// that fit's leading trees wherever the dropped columns provably change
-// nothing (Presorted.FitCtx), which is what makes EIR rounds cheap.
+// node's split in ascending feature order. A fit runs that phase, and
+// its per-stage prediction update, on one resident helper team
+// (parallel.Team) that lives as long as the fit. Equal-gain splits go
+// to the lowest feature index, then the lowest threshold, so the
+// induced tree is identical for every worker count. Nodes are stored
+// in depth-first preorder. A fit handed an earlier fit on more of the
+// columns copies that fit's leading trees wherever the dropped columns
+// provably change nothing (Presorted.FitCtx), which is what makes EIR
+// rounds cheap.
 package sgbrt
 
 import (
@@ -37,11 +40,6 @@ import (
 // beat another; candidates within it are ties and lose to the earlier
 // (lower-threshold, then lower-feature-index) candidate.
 const gainEpsilon = 1e-12
-
-// parallelLevelThreshold is the minimum sample-rows × features product
-// before a level's feature tasks fan out to the pool; below it the
-// goroutine handoff costs more than the scans.
-const parallelLevelThreshold = 4096
 
 // node is one node of a CART regression tree stored in a flat slice.
 type node struct {
@@ -83,10 +81,6 @@ type TreeParams struct {
 	// FeatureMask, when non-nil, restricts splits to features with
 	// mask[f] == true (per-tree column subsampling).
 	FeatureMask []bool
-	// Workers bounds the feature-parallel partition and split search;
-	// <= 0 uses GOMAXPROCS. The induced tree is identical for every
-	// worker count.
-	Workers int
 }
 
 func (p TreeParams) withDefaults() TreeParams {
@@ -165,11 +159,13 @@ func Presort(X [][]float64, workers int) (*Presorted, error) {
 // induction buffer across levels and trees, so fitting a tree allocates
 // only its node slice.
 type builder struct {
-	cols    [][]float64 // cols[f][row] of the fitted features
-	full    [][]int32   // full[f]: every row, ascending by cols[f]; never written
-	y       []float64   // fit target, indexed by row
-	p       TreeParams
-	workers int
+	cols [][]float64 // cols[f][row] of the fitted features
+	full [][]int32   // full[f]: every row, ascending by cols[f]; never written
+	y    []float64   // fit target, indexed by row
+	p    TreeParams
+	// team runs the level fan-outs; the induced tree is identical for
+	// every team size.
+	team *parallel.Team
 	// inv[k] = 1/k for k in [1, rows]: the reciprocals behind
 	// scanFeature's division screen.
 	inv []float64
@@ -223,11 +219,11 @@ type splitCand struct {
 
 // newBuilder sizes all working buffers for len(y) rows and len(cols)
 // features; full[f] must list every row in ascending order of cols[f].
-func newBuilder(cols [][]float64, full [][]int32, y []float64, p TreeParams) *builder {
+// The level fan-outs run on team.
+func newBuilder(cols [][]float64, full [][]int32, y []float64, p TreeParams, team *parallel.Team) *builder {
 	p = p.withDefaults()
 	n, nf := len(y), len(cols)
-	workers := parallel.Workers(p.Workers)
-	b := &builder{cols: cols, full: full, y: y, p: p, workers: workers}
+	b := &builder{cols: cols, full: full, y: y, p: p, team: team}
 	b.inv = make([]float64, n+1)
 	for k := 1; k <= n; k++ {
 		b.inv[k] = 1 / float64(k)
@@ -272,7 +268,7 @@ func (b *builder) build(sample []int) (*Tree, error) {
 		if b.open(depth) == 0 {
 			break
 		}
-		b.scan(n, depth == 1)
+		b.scan(depth == 1)
 		b.reduce()
 		b.level, b.next = b.next, b.level[:0]
 	}
@@ -318,44 +314,38 @@ func (b *builder) open(depth int) int {
 	return splittable
 }
 
-// scan is the level's parallel phase over the n sample rows: one task
-// per active feature brings the feature's order up to this level —
-// projecting the sample at the root, partitioning under the previous
-// level's splits below it; feature 0's order is already current — and
-// scans it for the feature's best split of every open node.
-func (b *builder) scan(n int, root bool) {
-	nf := len(b.cols)
-	if need := len(b.level) * nf; cap(b.cands) < need {
+// scan is the level's parallel phase: one task per active feature
+// (scanActive), run on the team.
+func (b *builder) scan(root bool) {
+	if need := len(b.level) * len(b.cols); cap(b.cands) < need {
 		b.cands = make([]splitCand, need)
 	} else {
 		b.cands = b.cands[:need]
 	}
-	task := func(f int) {
-		if f != 0 {
-			if root {
-				filterInto(b.orders[f], b.full[f], b.keep)
-			} else {
-				b.partition(f)
-			}
-		}
-		col, o := b.cols[f], b.orders[f]
-		for k := range b.level {
-			s := &b.level[k]
-			if !s.open {
-				continue
-			}
-			b.cands[k*nf+f] = scanFeature(col, b.y, o[s.lo:s.hi], s.sum, s.sq, s.sse, b.p.MinLeaf, b.inv)
+	b.team.Run(len(b.active), func(k int) { b.scanActive(k, root) })
+}
+
+// scanActive is the level task of the k-th active feature: it brings
+// the feature's order up to this level — projecting the sample at the
+// root, partitioning under the previous level's splits below it;
+// feature 0's order is already current — and scans it for the
+// feature's best split of every open node.
+func (b *builder) scanActive(k int, root bool) {
+	f, nf := b.active[k], len(b.cols)
+	if f != 0 {
+		if root {
+			filterInto(b.orders[f], b.full[f], b.keep)
+		} else {
+			b.partition(f)
 		}
 	}
-	if b.workers > 1 && n*len(b.active) >= parallelLevelThreshold {
-		parallel.ForEach(len(b.active), b.workers, func(k int) error {
-			task(b.active[k])
-			return nil
-		})
-		return
-	}
-	for _, f := range b.active {
-		task(f)
+	col, o := b.cols[f], b.orders[f]
+	for k := range b.level {
+		s := &b.level[k]
+		if !s.open {
+			continue
+		}
+		b.cands[k*nf+f] = scanFeature(col, b.y, o[s.lo:s.hi], s.sum, s.sq, s.sse, b.p.MinLeaf, b.inv)
 	}
 }
 
@@ -499,7 +489,8 @@ func (b *builder) emit(t *Tree, i int) int {
 // scanFeature finds one feature's best split over a node's segment of
 // the feature's sorted order. A candidate must beat the running best by
 // more than gainEpsilon, so near-equal gains keep the earlier — lower —
-// threshold. inv[k] must hold 1/k for k in [1, len(order)).
+// threshold. inv[k] must hold 1/k for k in [1, len(order)), and minLeaf
+// must be at least 1.
 //
 // Division screen. The exact gain of a candidate is
 //
@@ -528,10 +519,22 @@ func (b *builder) emit(t *Tree, i int) int {
 // division-only scan returns. The bound assumes no overflow; past
 // S = MaxFloat64/16 the margin is +Inf, which disables the screen (a
 // NaN or −Inf bar rejects nothing).
+//
+// Check order. A candidate is kept only if it leaves minLeaf rows on
+// each side, passes the screen, and splits between two distinct
+// feature values. The positions that break MinLeaf are skipped by the
+// loop bounds, the screen comes next, and the two feature values are
+// gathered and compared only for the few positions it passes. None of
+// the three checks has a side effect and only a kept candidate moves
+// the running best, so any order keeps the same candidates, in the
+// same order, and returns the same split.
 func scanFeature(col, y []float64, order []int32, totalSum, totalSq, parentSSE float64, minLeaf int, inv []float64) splitCand {
 	n := len(order)
 	var c splitCand
-	if n < 2 {
+	// The split after position k leaves k+1 rows on the left and
+	// n-k-1 on the right; both meet minLeaf for k in [first, last].
+	first, last := minLeaf-1, n-1-minLeaf
+	if first > last {
 		return c
 	}
 	margin := 64 * 0x1p-53 * (totalSq + math.Abs(parentSSE))
@@ -542,33 +545,41 @@ func scanFeature(col, y []float64, order []int32, totalSum, totalSq, parentSSE f
 	// bar is best + gainEpsilon + base − margin: a candidate whose
 	// reciprocal score L²/nl + R²/nr does not exceed it cannot win.
 	bar := (c.gain + gainEpsilon + base) - margin
-	rest := order[1:]
-	// invL[k] = 1/(k+1) and invL[len(rest)-1-k] = 1/(n-1-k): the
-	// reciprocals of the side counts of the split after position k.
-	invL := inv[1:n]
-	invL = invL[:len(rest)]
 	leftSum, leftSq := 0.0, 0.0
-	prev := order[0]
-	v := col[prev]
-	for k, j := range rest {
-		yi := y[prev]
-		prev = j
+	for _, i := range order[:first] {
+		yi := y[i]
 		leftSum += yi
 		leftSq += yi * yi
-		cur, next := v, col[j]
-		v = next
+	}
+	// For the split after position first+k, invL[k] and invR[m-1-k]
+	// are the reciprocals of its side counts.
+	seg := order[first : last+1]
+	m := len(seg)
+	invL := inv[first+1 : last+2][:m]
+	invR := inv[n-1-last : n-first][:m]
+	for k := 0; k < m; k++ {
+		// Advance to the next position the screen passes. The loop does
+		// nothing else, so its few live values stay in registers.
+		var rightSum float64
+		for ; k < m; k++ {
+			yi := y[seg[k]]
+			leftSum += yi
+			leftSq += yi * yi
+			rightSum = totalSum - leftSum
+			if !(leftSum*leftSum*invL[k]+rightSum*rightSum*invR[m-1-k] <= bar) {
+				break
+			}
+		}
+		if k == m {
+			break
+		}
+		pos := first + k
+		cur, next := col[seg[k]], col[order[pos+1]]
 		// Can't split between equal feature values.
 		if cur == next {
 			continue
 		}
-		nl, nr := k+1, n-k-1
-		if nl < minLeaf || nr < minLeaf {
-			continue
-		}
-		rightSum := totalSum - leftSum
-		if leftSum*leftSum*invL[k]+rightSum*rightSum*invL[len(invL)-1-k] <= bar {
-			continue
-		}
+		nl, nr := pos+1, n-pos-1
 		rightSq := totalSq - leftSq
 		sse := (leftSq - leftSum*leftSum/float64(nl)) +
 			(rightSq - rightSum*rightSum/float64(nr))

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"counterminer/internal/parallel"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -18,19 +20,27 @@ func allIdx(n int) []int {
 	return idx
 }
 
-// buildTree fits one regression tree on the rows of X indexed by idx.
+// buildTree fits one regression tree on the rows of X indexed by idx,
+// on GOMAXPROCS workers.
 func buildTree(X [][]float64, y []float64, idx []int, p TreeParams) (*Tree, error) {
+	return growTree(X, y, idx, p, 0)
+}
+
+// growTree is buildTree on a team of the given number of workers.
+func growTree(X [][]float64, y []float64, idx []int, p TreeParams, workers int) (*Tree, error) {
 	if len(X) != len(y) {
 		return nil, fmt.Errorf("sgbrt: %d rows but %d targets", len(X), len(y))
 	}
 	if len(idx) == 0 {
 		return nil, errors.New("sgbrt: empty sample index")
 	}
-	ps, err := Presort(X, p.Workers)
+	ps, err := Presort(X, workers)
 	if err != nil {
 		return nil, err
 	}
-	return newBuilder(ps.cols, ps.orders, y, p).build(idx)
+	team := parallel.NewTeam(workers)
+	defer team.Close()
+	return newBuilder(ps.cols, ps.orders, y, p, team).build(idx)
 }
 
 func TestTreeFitsStepFunction(t *testing.T) {

@@ -23,7 +23,8 @@ import (
 // defaults sized for interactive use.
 type Options struct {
 	// Runs is how many benchmark executions feed each analysis
-	// (default 3). More runs mean more training examples.
+	// (default 3, at most MaxRuns). More runs mean more training
+	// examples.
 	Runs int
 	// Events restricts the measured event set; nil measures the full
 	// catalogue (229 events).
@@ -140,6 +141,35 @@ func (r RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
 		}
 	}
 	return ctx.Err()
+}
+
+// MaxRuns is the most runs one analysis may collect. Run r of an
+// analysis has id Seed*100 + r, so more runs would let seeds s and s+1
+// share runs.
+const MaxRuns = 100
+
+// Validate reports the first option NewPipeline would reject, as a
+// typed error: invalid clean options (clean.ErrBadOptions,
+// clean.ErrUnknownCleaner), more than MaxRuns runs, or a Seed whose run
+// ids Seed*100 + 1 .. Seed*100 + Runs overflow int (ErrBadOptions).
+// Unset fields are checked at the values NewPipeline resolves them to.
+func (o Options) Validate() error {
+	// Check the clean options before defaulting: WithDefaults raises
+	// out-of-range N/K onto the paper defaults, and a typo should be
+	// an error, not a silent fallback.
+	if err := o.CleanOptions.Validate(); err != nil {
+		return err
+	}
+	o = o.withDefaults()
+	if o.Runs > MaxRuns {
+		return &OptionError{Field: "Runs", Reason: fmt.Sprintf("at most %d runs, got %d", MaxRuns, o.Runs)}
+	}
+	// Seed*100 + 1 >= MinInt and Seed*100 + Runs <= MaxInt, without
+	// overflowing on the way.
+	if lo, hi := int64(math.MinInt)/100, (int64(math.MaxInt)-int64(o.Runs))/100; o.Seed < lo || o.Seed > hi {
+		return &OptionError{Field: "Seed", Reason: fmt.Sprintf("with %d runs the seed must lie in [%d, %d], got %d", o.Runs, lo, hi, o.Seed)}
+	}
+	return nil
 }
 
 // WithDefaults returns a copy of o with every unset field resolved to
@@ -276,15 +306,11 @@ type Pipeline struct {
 	sink    fault.RunSink
 }
 
-// NewPipeline builds a pipeline with the given options. Invalid clean
-// options — including an unknown cleaner name — are rejected here, with
-// typed errors (clean.ErrBadOptions, clean.ErrUnknownCleaner), before
-// any compute is spent.
+// NewPipeline builds a pipeline with the given options. Invalid
+// options (Options.Validate) are rejected here, with typed errors,
+// before any compute is spent.
 func NewPipeline(opts Options) (*Pipeline, error) {
-	// Validate before defaulting: WithDefaults raises out-of-range N/K
-	// onto the paper defaults, and a typo should be an error, not a
-	// silent fallback.
-	if err := opts.CleanOptions.Validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()

@@ -30,10 +30,11 @@ go build ./pkg/client/ ./examples/...
 echo "== go test -race =="
 go test -race ./...
 
-# digest_test.go builds only without the race detector, so the race run
-# above skips the committed Analysis digests.
+# The digest tests build only without the race detector, so the race
+# run above skips the committed Analysis digests.
 echo "== Analysis digests =="
 go test -count=1 -run '^TestAnalysisDigests$' .
+go test -count=1 -run '^TestServedAnalysisDigest$' ./internal/serve/
 
 echo "== chaos soak (seeded fault-injection + cancellation + overload + batch + store + cluster + cleaner + fingerprint + stream sweep) =="
 go test -race -count=2 \
@@ -46,6 +47,13 @@ go test -race -count=2 \
 echo "== index race soak =="
 go test -race -count=10 -run '^TestIndexConcurrent' ./internal/fingerprint/
 go test -race -count=10 -run '^TestIndexingSink' ./internal/serve/
+
+# Every SGBRT fit runs its level scans and F updates on one resident
+# helper team, thousands of fan-outs per fit; soak the team's job
+# publication, wake-up and shutdown, and the fits that run on it.
+echo "== team race soak =="
+go test -race -count=10 -run '^TestTeam' ./internal/parallel/
+go test -race -count=10 -run '^(TestFitOnTeamMatchesSerial|TestFitParallelMatchesSerial|TestFitCtxCancelStopsTeam|TestBestSplitTieBreakFeature)$' ./internal/sgbrt/
 
 # The store's on-disk readers take whatever bytes the disk holds; give
 # each native fuzzer a short run beyond its committed seed corpus. A
