@@ -61,10 +61,12 @@ chaos:
 # The store's on-disk readers take whatever bytes the disk holds; give
 # each native fuzzer a short run beyond its committed seed corpus. A
 # short minimisation keeps the run exploring; a failing input is still
-# written under testdata/fuzz.
+# written under testdata/fuzz. The order-statistics fuzzer checks the
+# cleaners' and the fingerprint's selection against sorting.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzShardRunFile$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzMigrateShardFile$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzOrderStatistics$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/stats/
 
 # Short allocation-aware sweep over the hot-path micro-benchmarks.
 bench:

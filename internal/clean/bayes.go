@@ -97,8 +97,8 @@ type bayesSeries struct {
 	values    []float64
 	isMissing []bool // zeros classified missing + non-finite garbage
 	missing   []int
-	isOutlier []bool // burst-overshoot suspects
-	outliers  []int
+	outliers  []int   // burst-overshoot suspects
+	trust     []bool  // neither missing nor an outlier: see trusted
 	med       float64 // robust location of the trusted values
 	sigma     float64 // robust scale (1.4826·MAD, std fallback)
 	threshold float64
@@ -108,7 +108,7 @@ type bayesSeries struct {
 }
 
 // trusted reports whether interval t carries a believable raw value.
-func (p *bayesSeries) trusted(t int) bool { return !p.isMissing[t] && !p.isOutlier[t] }
+func (p *bayesSeries) trusted(t int) bool { return p.trust[t] }
 
 // Clean repairs every series of the set with Bayesian inference. See
 // the package comment of this file for the model and the determinism
@@ -172,7 +172,6 @@ func (b *bayes) profile(values []float64, event string, opts Options) (*bayesSer
 	p := &bayesSeries{
 		values:    append([]float64(nil), values...),
 		isMissing: make([]bool, len(values)),
-		isOutlier: make([]bool, len(values)),
 	}
 	if meta, ok := b.catalogue().ByName(event); ok {
 		p.gev = meta.Dist == sim.DistGEV
@@ -243,10 +242,14 @@ func (b *bayes) profile(values []float64, event string, opts Options) (*bayesSer
 		mult *= gevTailFactor
 	}
 	p.threshold = p.med + mult*p.sigma
+	p.trust = make([]bool, len(p.values))
+	for t := range p.trust {
+		p.trust[t] = !p.isMissing[t]
+	}
 	if !opts.SkipOutliers && p.sigma > 0 && len(present) >= 3 {
 		for t, v := range p.values {
-			if !p.isMissing[t] && v > p.threshold {
-				p.isOutlier[t] = true
+			if p.trust[t] && v > p.threshold {
+				p.trust[t] = false
 				p.outliers = append(p.outliers, t)
 			}
 		}
@@ -441,16 +444,18 @@ func (b *bayes) selectPeers(i int, profs []*bayesSeries, events []string) []peer
 }
 
 // trustedCorrelation computes the Pearson correlation of two series
-// over intervals both trust, capped at maxCorrPoints samples.
+// over intervals both trust, capped at the first maxCorrPoints of
+// them. The first pass sums the shared intervals and stops at the cap;
+// the second revisits the same intervals, up to where the first
+// stopped, for the centred products.
 func trustedCorrelation(a, b *bayesSeries) (float64, bool) {
-	var n int
+	ta, tb := a.trust, b.trust[:len(a.trust)]
+	var n, end int
 	var sumA, sumB float64
-	idx := make([]int, 0, maxCorrPoints)
-	for t := 0; t < len(a.values) && n < maxCorrPoints; t++ {
-		if a.trusted(t) && b.trusted(t) {
-			idx = append(idx, t)
-			sumA += a.values[t]
-			sumB += b.values[t]
+	for ; end < len(ta) && n < maxCorrPoints; end++ {
+		if ta[end] && tb[end] {
+			sumA += a.values[end]
+			sumB += b.values[end]
 			n++
 		}
 	}
@@ -459,11 +464,13 @@ func trustedCorrelation(a, b *bayesSeries) (float64, bool) {
 	}
 	meanA, meanB := sumA/float64(n), sumB/float64(n)
 	var cov, varA, varB float64
-	for _, t := range idx {
-		da, db := a.values[t]-meanA, b.values[t]-meanB
-		cov += da * db
-		varA += da * da
-		varB += db * db
+	for t := 0; t < end; t++ {
+		if ta[t] && tb[t] {
+			da, db := a.values[t]-meanA, b.values[t]-meanB
+			cov += da * db
+			varA += da * da
+			varB += db * db
+		}
 	}
 	if varA == 0 || varB == 0 {
 		return 0, false

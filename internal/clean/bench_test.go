@@ -9,8 +9,8 @@ import (
 	"counterminer/internal/timeseries"
 )
 
-// benchSet mimics a 36-event MLPX collection: correlated series with
-// burst overshoots and missing zeros.
+// benchSet mimics an MLPX collection of the given events × intervals:
+// correlated series with burst overshoots and missing zeros.
 func benchSet(events, n int) *timeseries.Set {
 	rng := rand.New(rand.NewSource(42))
 	phase := make([]float64, n)
@@ -39,12 +39,22 @@ func benchSet(events, n int) *timeseries.Set {
 // inference over a 36-event set — the highest multiplexing rate the
 // experiments sweep.
 func BenchmarkBayesClean(b *testing.B) {
-	in := benchSet(36, 300)
+	benchBayes(b, benchSet(36, 300), 9)
+}
+
+// BenchmarkBayesCleanAnalysisShape is the Bayesian cleaner at the shape
+// one run of an analysis hands it: all 229 catalogue events, ~416
+// intervals, multiplexed in 58 groups of four counters.
+func BenchmarkBayesCleanAnalysisShape(b *testing.B) {
+	benchBayes(b, benchSet(229, 416), 58)
+}
+
+func benchBayes(b *testing.B, in *timeseries.Set, groups int) {
 	c, err := Lookup(BayesCleaner)
 	if err != nil {
 		b.Fatal(err)
 	}
-	meta := Meta{Benchmark: "bench", Groups: 9}
+	meta := Meta{Benchmark: "bench", Groups: groups}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,6 @@ package fingerprint
 import (
 	"hash/fnv"
 	"math"
-	"sort"
 	"strconv"
 
 	"counterminer/internal/stats"
@@ -71,9 +70,10 @@ func Embed(set *timeseries.Set, ipc []float64) []float64 {
 	events := set.Events()
 	names := make([]string, 0, len(events)+1)
 	feats := make([][featCount]float64, 0, len(events)+1)
+	var sc scratch
 	meanLog := 0.0
 	add := func(name string, vals []float64) {
-		f, ok := eventFeatures(vals, ipc)
+		f, ok := sc.eventFeatures(vals, ipc)
 		if !ok {
 			return
 		}
@@ -114,6 +114,17 @@ func Embed(set *timeseries.Set, ipc []float64) []float64 {
 	return vec
 }
 
+// scratch holds the per-event working slices of one Embed call, so the
+// events of a run reuse them instead of allocating their own.
+type scratch struct {
+	finite, idx, sel, wins []float64
+	xs, ys                 []float64 // ipcCorrelation's aligned pairs
+}
+
+// percentiles are the order statistics eventFeatures takes: p05, p50
+// and p95.
+var percentiles = []float64{0.05, 0.50, 0.95}
+
 // eventFeatures summarises one event series into featCount robust,
 // roughly unit-scale features. Event importance deliberately enters
 // as the IPC-coupling *feature* rather than as a multiplicative
@@ -121,30 +132,33 @@ func Embed(set *timeseries.Set, ipc []float64) []float64 {
 // modulate every feature by its own estimation noise, which measured
 // ~3× worse same-benchmark reproducibility in calibration. ok is
 // false when the series has too few finite samples to summarise.
-func eventFeatures(vals, ipc []float64) (feats [featCount]float64, ok bool) {
-	finite := make([]float64, 0, len(vals))
-	idx := make([]float64, 0, len(vals))
+func (sc *scratch) eventFeatures(vals, ipc []float64) (feats [featCount]float64, ok bool) {
+	finite, idx := sc.finite[:0], sc.idx[:0]
 	for i, v := range vals {
 		if isFinite(v) {
 			finite = append(finite, v)
 			idx = append(idx, float64(i))
 		}
 	}
+	sc.finite, sc.idx = finite, idx
 	if len(finite) < minSamples {
 		return feats, false
 	}
-	sorted := append([]float64(nil), finite...)
-	sort.Float64s(sorted)
-	p05 := percentile(sorted, 0.05)
-	p50 := percentile(sorted, 0.50)
-	p95 := percentile(sorted, 0.95)
+	// The percentiles come from selection on a copy (finite keeps its
+	// time order for the trend and skew below): the values equal
+	// lookups into the sorted sample.
+	sc.sel = append(sc.sel[:0], finite...)
+	var q [3]float64
+	stats.Quantiles(sc.sel, percentiles, q[:])
+	p05, p50, p95 := q[0], q[1], q[2]
 
 	// Winsorise: MLPX extrapolation bursts and corrupt samples live in
 	// the tails; clipping them keeps raw and cleaned series close.
-	wins := make([]float64, len(finite))
-	for i, v := range finite {
-		wins[i] = clamp(v, p05, p95)
+	wins := sc.wins[:0]
+	for _, v := range finite {
+		wins = append(wins, clamp(v, p05, p95))
 	}
+	sc.wins = wins
 
 	// level: log-compressed median magnitude — separates cache-miss
 	// scale events from branch scale events without letting absolute
@@ -159,8 +173,7 @@ func eventFeatures(vals, ipc []float64) (feats [featCount]float64, ok bool) {
 	// skew: burstiness of the distribution.
 	feats[3] = clamp(stats.Skewness(finite), -4, 4) / 4
 	// ipc coupling: signed correlation with the fixed-counter IPC.
-	corr := ipcCorrelation(vals, ipc)
-	feats[4] = corr
+	feats[4] = sc.ipcCorrelation(vals, ipc)
 
 	return feats, true
 }
@@ -168,19 +181,19 @@ func eventFeatures(vals, ipc []float64) (feats [featCount]float64, ok bool) {
 // ipcCorrelation is the Pearson correlation between an event series
 // and the IPC series over their finite, index-aligned overlap (0 when
 // the overlap is too short or either side is constant).
-func ipcCorrelation(vals, ipc []float64) float64 {
+func (sc *scratch) ipcCorrelation(vals, ipc []float64) float64 {
 	n := len(vals)
 	if len(ipc) < n {
 		n = len(ipc)
 	}
-	xs := make([]float64, 0, n)
-	ys := make([]float64, 0, n)
+	xs, ys := sc.xs[:0], sc.ys[:0]
 	for i := 0; i < n; i++ {
 		if isFinite(vals[i]) && isFinite(ipc[i]) {
 			xs = append(xs, vals[i])
 			ys = append(ys, ipc[i])
 		}
 	}
+	sc.xs, sc.ys = xs, ys
 	if len(xs) < minSamples {
 		return 0
 	}
@@ -245,22 +258,6 @@ func Distance(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// percentile returns the p-quantile (0 ≤ p ≤ 1) of an already-sorted
-// sample using linear interpolation.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	f := p * float64(len(sorted)-1)
-	lo := int(math.Floor(f))
-	hi := int(math.Ceil(f))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := f - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -33,35 +33,23 @@ func quantileGrid(xs []float64, k int) []float64 {
 //	SS_int = Σ_ij (y_ij − ȳ_i· − ȳ_·j + ȳ··)²
 //
 // Zero means the response surface is perfectly additive over the pair.
-// point is scratch space of model dimensionality.
-func anovaInteraction(ens *sgbrt.Ensemble, point, means []float64, ca, cb int, gridA, gridB []float64) (float64, error) {
+// y is scratch space for the len(gridA)·len(gridB) cells. The cells
+// come from Ensemble.PredictPairGrid, which walks each tree once over
+// the grid and returns Predict's values bit for bit.
+func anovaInteraction(ens *sgbrt.Ensemble, y, means []float64, ca, cb int, gridA, gridB []float64) (float64, error) {
 	ka, kb := len(gridA), len(gridB)
-	y := make([][]float64, ka)
-	copy(point, means)
-	for i, va := range gridA {
-		y[i] = make([]float64, kb)
-		point[ca] = va
-		for j, vb := range gridB {
-			point[cb] = vb
-			p, err := ens.Predict(point)
-			if err != nil {
-				return 0, err
-			}
-			y[i][j] = p
-		}
+	if err := ens.PredictPairGrid(means, ca, cb, gridA, gridB, y); err != nil {
+		return 0, err
 	}
-	// Restore scratch positions for the next pair.
-	point[ca] = means[ca]
-	point[cb] = means[cb]
 
 	grand := 0.0
 	rowMean := make([]float64, ka)
 	colMean := make([]float64, kb)
 	for i := 0; i < ka; i++ {
 		for j := 0; j < kb; j++ {
-			rowMean[i] += y[i][j]
-			colMean[j] += y[i][j]
-			grand += y[i][j]
+			rowMean[i] += y[i*kb+j]
+			colMean[j] += y[i*kb+j]
+			grand += y[i*kb+j]
 		}
 	}
 	for i := range rowMean {
@@ -75,7 +63,7 @@ func anovaInteraction(ens *sgbrt.Ensemble, point, means []float64, ca, cb int, g
 	ss := 0.0
 	for i := 0; i < ka; i++ {
 		for j := 0; j < kb; j++ {
-			d := y[i][j] - rowMean[i] - colMean[j] + grand
+			d := y[i*kb+j] - rowMean[i] - colMean[j] + grand
 			ss += d * d
 		}
 	}

@@ -10,12 +10,11 @@ import (
 	"counterminer/internal/sgbrt"
 )
 
-// benchModel fits a small performance model over nEvents synthetic
-// events so RankPairs does realistic per-pair work.
-func benchModel(b *testing.B, nEvents int) (*rank.Model, [][]float64, []string) {
+// benchModel fits a performance model over nEvents synthetic events,
+// n rows, so RankPairs does realistic per-pair work.
+func benchModel(b *testing.B, nEvents, n int, params sgbrt.Params) (*rank.Model, [][]float64, []string) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(5))
-	n := 240
 	events := make([]string, nEvents)
 	for j := range events {
 		events[j] = fmt.Sprintf("EV%02d", j)
@@ -30,9 +29,7 @@ func benchModel(b *testing.B, nEvents int) (*rank.Model, [][]float64, []string) 
 		X[i] = row
 		y[i] = row[0]*row[1] + 2*row[2] + rng.NormFloat64()*0.1
 	}
-	m, err := rank.Fit(X, y, events, rank.Options{
-		Params: sgbrt.Params{Trees: 30, Seed: 1},
-	})
+	m, err := rank.Fit(X, y, events, rank.Options{Params: params})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +37,7 @@ func benchModel(b *testing.B, nEvents int) (*rank.Model, [][]float64, []string) 
 }
 
 func BenchmarkRankPairs(b *testing.B) {
-	m, X, events := benchModel(b, 10)
+	m, X, events := benchModel(b, 10, 240, sgbrt.Params{Trees: 30, Seed: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,11 +48,26 @@ func BenchmarkRankPairs(b *testing.B) {
 }
 
 func BenchmarkRankPairsParallel(b *testing.B) {
-	m, X, events := benchModel(b, 10)
+	m, X, events := benchModel(b, 10, 240, sgbrt.Params{Trees: 30, Seed: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := interact.RankPairs(m, X, events, interact.Options{Workers: 8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRankPairsAnalysisShape ranks pairs at the shape of an
+// analysis's Interact stage, on one worker: the top 10 events, a
+// 160-tree depth-4 model (twice the 80 trees of Rank), over the ~936
+// rows of three collected runs.
+func BenchmarkRankPairsAnalysisShape(b *testing.B) {
+	m, X, events := benchModel(b, 10, 936, sgbrt.Params{Trees: 160, MaxDepth: 4, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := interact.RankPairs(m, X, events, interact.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -161,22 +161,27 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 		}
 	}
 	workers := parallel.Workers(opts.Workers)
-	points := make([][]float64, workers)
-	for w := range points {
-		points[w] = append([]float64(nil), means...)
+	// Per-worker scratch: the ANOVA grid's cells, or a point of model
+	// dimensionality for the sampled bases.
+	scratch := make([][]float64, workers)
+	for w := range scratch {
+		if opts.Basis == BasisANOVA {
+			scratch[w] = make([]float64, anovaGridSize*anovaGridSize)
+		} else {
+			scratch[w] = append([]float64(nil), means...)
+		}
 	}
 	scores := make([]PairScore, len(pairs))
 	err := parallel.ForEachWorkerCtx(ctx, len(pairs), workers, func(w, k int) error {
 		a, b := important[pairs[k].ai], important[pairs[k].bi]
 		ca, cb := colIdx[a], colIdx[b]
-		point := points[w]
 
 		var v float64
 		if opts.Basis == BasisANOVA {
 			// Evaluate the performance model on the pair's grid,
 			// everything else at its mean, and take the two-way
 			// interaction sum of squares.
-			iv, err := anovaInteraction(m.Ensemble, point, means, ca, cb, grids[ca], grids[cb])
+			iv, err := anovaInteraction(m.Ensemble, scratch[w], means, ca, cb, grids[ca], grids[cb])
 			if err != nil {
 				return fmt.Errorf("interact: pair %s-%s: %w", a, b, err)
 			}
@@ -184,6 +189,7 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 		} else {
 			// Query the performance model over the pair's observed
 			// joint values, everything else at its mean.
+			point := scratch[w]
 			xa := make([]float64, len(rows))
 			xb := make([]float64, len(rows))
 			obs := make([]float64, len(rows))

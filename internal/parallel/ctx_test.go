@@ -48,10 +48,24 @@ func TestForEachCtxCancelMidFlight(t *testing.T) {
 	for _, cancelAt := range []int{0, 1, 7, 31} {
 		for _, workers := range []int{1, 2, 8} {
 			ctx, cancel := context.WithCancel(context.Background())
-			var ran atomic.Int64
+			var ran, atCancel atomic.Int64
+			var canceled atomic.Bool
 			err := ForEachCtx(ctx, 10_000, workers, func(i int) error {
-				if int(ran.Add(1)) == cancelAt+1 {
+				switch n := int(ran.Add(1)); {
+				case n == cancelAt+1:
 					cancel()
+					// The done channel is closed once cancel returns;
+					// count the items started by then.
+					atCancel.Store(ran.Load())
+					canceled.Store(true)
+				case n > cancelAt+1:
+					// Items that start after the cancelling one wait for
+					// cancel to return, so the other workers cannot
+					// finish every item while the canceller is
+					// descheduled inside cancel.
+					for !canceled.Load() {
+						runtime.Gosched()
+					}
 				}
 				return nil
 			})
@@ -60,12 +74,13 @@ func TestForEachCtxCancelMidFlight(t *testing.T) {
 				t.Fatalf("cancelAt=%d workers=%d: err = %v, want context.Canceled",
 					cancelAt, workers, err)
 			}
-			// Cancellation is observed between items: each in-flight
-			// worker may finish the item it already claimed, but no
-			// more than `workers` extra items can run.
-			if n := ran.Load(); n > int64(cancelAt+1+workers) {
-				t.Errorf("cancelAt=%d workers=%d: %d items ran after cancel",
-					cancelAt, workers, n)
+			// Cancellation is observed between items: after the close,
+			// the canceller claims nothing more, and each other worker
+			// may start only the one item it claimed before it saw the
+			// close.
+			if n := ran.Load() - atCancel.Load(); n > int64(workers-1) {
+				t.Errorf("cancelAt=%d workers=%d: %d items started after cancel returned, want at most %d",
+					cancelAt, workers, n, workers-1)
 			}
 		}
 	}

@@ -318,9 +318,16 @@ func (e *Ensemble) Predict(x []float64) (float64, error) {
 func (e *Ensemble) predictUnchecked(x []float64) float64 {
 	out := e.base
 	for _, t := range e.trees {
-		out += e.params.LearningRate * t.predictUnchecked(x)
+		out = e.addStage(out, t.predictUnchecked(x))
 	}
 	return out
+}
+
+// addStage adds one tree's shrunk leaf value to a running prediction.
+// Predict and PredictPairGrid both sum their stages through it, so the
+// two round the same way.
+func (e *Ensemble) addStage(acc, leaf float64) float64 {
+	return acc + e.params.LearningRate*leaf
 }
 
 // PredictAll evaluates the ensemble on every row of X.

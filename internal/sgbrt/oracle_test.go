@@ -163,13 +163,14 @@ func TestNearTiedGainsMatchReference(t *testing.T) {
 				sq += v * v
 			}
 			sse := sq - sum*sum/float64(n)
-			inv := make([]float64, n+1)
+			inv, rinv := make([]float64, n+1), make([]float64, n)
 			for k := 1; k <= n; k++ {
 				inv[k] = 1 / float64(k)
+				rinv[n-k] = inv[k]
 			}
 			minLeaf := 1 + rng.Intn(2)
 			want := refScanFeature(col, y, order, sum, sq, sse, minLeaf)
-			got := scanFeature(col, y, order32, sum, sq, sse, minLeaf, inv)
+			got := scanFeature(col, y, order32, sum, sq, sse, minLeaf, inv, rinv)
 			if got != want {
 				t.Fatalf("scale %g trial %d: screened scan %+v, division-only scan %+v", scale, trial, got, want)
 			}

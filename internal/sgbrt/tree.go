@@ -166,9 +166,11 @@ type builder struct {
 	// team runs the level fan-outs; the induced tree is identical for
 	// every team size.
 	team *parallel.Team
-	// inv[k] = 1/k for k in [1, rows]: the reciprocals behind
-	// scanFeature's division screen.
-	inv []float64
+	// inv[k] = 1/k for k in [1, rows] and rinv[j] = 1/(rows−j) for j
+	// in [0, rows): the reciprocals behind scanFeature's division
+	// screen, ascending for the left side's count and descending for
+	// the right side's.
+	inv, rinv []float64
 
 	// orders holds, per feature, the working row order of the tree
 	// being grown: the sample's rows, stably partitioned level by level
@@ -224,9 +226,10 @@ func newBuilder(cols [][]float64, full [][]int32, y []float64, p TreeParams, tea
 	p = p.withDefaults()
 	n, nf := len(y), len(cols)
 	b := &builder{cols: cols, full: full, y: y, p: p, team: team}
-	b.inv = make([]float64, n+1)
+	b.inv, b.rinv = make([]float64, n+1), make([]float64, n)
 	for k := 1; k <= n; k++ {
 		b.inv[k] = 1 / float64(k)
+		b.rinv[n-k] = b.inv[k]
 	}
 	buf := make([]int32, 2*nf*n)
 	b.orders, b.spare = make([][]int32, nf), make([][]int32, nf)
@@ -345,7 +348,7 @@ func (b *builder) scanActive(k int, root bool) {
 		if !s.open {
 			continue
 		}
-		b.cands[k*nf+f] = scanFeature(col, b.y, o[s.lo:s.hi], s.sum, s.sq, s.sse, b.p.MinLeaf, b.inv)
+		b.cands[k*nf+f] = scanFeature(col, b.y, o[s.lo:s.hi], s.sum, s.sq, s.sse, b.p.MinLeaf, b.inv, b.rinv)
 	}
 }
 
@@ -489,8 +492,9 @@ func (b *builder) emit(t *Tree, i int) int {
 // scanFeature finds one feature's best split over a node's segment of
 // the feature's sorted order. A candidate must beat the running best by
 // more than gainEpsilon, so near-equal gains keep the earlier — lower —
-// threshold. inv[k] must hold 1/k for k in [1, len(order)), and minLeaf
-// must be at least 1.
+// threshold. inv[k] must hold 1/k for k in [1, len(order)), rinv[j]
+// must hold 1/(len(rinv)−j) for j in [0, len(rinv)) with len(rinv) at
+// least len(order), and minLeaf must be at least 1.
 //
 // Division screen. The exact gain of a candidate is
 //
@@ -528,7 +532,7 @@ func (b *builder) emit(t *Tree, i int) int {
 // the three checks has a side effect and only a kept candidate moves
 // the running best, so any order keeps the same candidates, in the
 // same order, and returns the same split.
-func scanFeature(col, y []float64, order []int32, totalSum, totalSq, parentSSE float64, minLeaf int, inv []float64) splitCand {
+func scanFeature(col, y []float64, order []int32, totalSum, totalSq, parentSSE float64, minLeaf int, inv, rinv []float64) splitCand {
 	n := len(order)
 	var c splitCand
 	// The split after position k leaves k+1 rows on the left and
@@ -551,22 +555,26 @@ func scanFeature(col, y []float64, order []int32, totalSum, totalSq, parentSSE f
 		leftSum += yi
 		leftSq += yi * yi
 	}
-	// For the split after position first+k, invL[k] and invR[m-1-k]
-	// are the reciprocals of its side counts.
+	// For the split after position first+k, invL[k] and invR[k] are
+	// the reciprocals of its side counts, k+first+1 and n-first-1-k:
+	// both tables are read at k, and every slice below has length m.
 	seg := order[first : last+1]
 	m := len(seg)
 	invL := inv[first+1 : last+2][:m]
-	invR := inv[n-1-last : n-first][:m]
+	r0 := len(rinv) - (n - 1 - first)
+	invR := rinv[r0 : r0+m]
 	for k := 0; k < m; k++ {
 		// Advance to the next position the screen passes. The loop does
-		// nothing else, so its few live values stay in registers.
+		// nothing else, so its few live values stay in registers. Its
+		// unsigned bound proves every index in range, so the only
+		// bounds check left is the y[seg[k]] gather.
 		var rightSum float64
-		for ; k < m; k++ {
+		for ; uint(k) < uint(m); k++ {
 			yi := y[seg[k]]
 			leftSum += yi
 			leftSq += yi * yi
 			rightSum = totalSum - leftSum
-			if !(leftSum*leftSum*invL[k]+rightSum*rightSum*invR[m-1-k] <= bar) {
+			if !(leftSum*leftSum*invL[k]+rightSum*rightSum*invR[k] <= bar) {
 				break
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"counterminer/internal/parallel"
@@ -191,5 +192,42 @@ func TestTreeDuplicateFeatureValues(t *testing.T) {
 	got, _ := tree.Predict([]float64{5})
 	if !approx(got, 2.5, 1e-12) {
 		t.Errorf("Predict = %v, want mean 2.5", got)
+	}
+}
+
+// TestScanFeatureSegmentOfLargerFit checks scanFeature against the
+// division-only reference on random node segments of a larger fit, so
+// the descending reciprocal table is read at an offset, as the
+// builder's deeper levels read it.
+func TestScanFeatureSegmentOfLargerFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const rows = 300
+	inv, rinv := make([]float64, rows+1), make([]float64, rows)
+	for k := 1; k <= rows; k++ {
+		inv[k] = 1 / float64(k)
+		rinv[rows-k] = inv[k]
+	}
+	col, y := make([]float64, rows), make([]float64, rows)
+	for i := range col {
+		col[i] = math.Round(rng.NormFloat64() * 20)
+		y[i] = col[i]*col[i]/50 + rng.NormFloat64()
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(rows-1)
+		order := rng.Perm(rows)[:n]
+		sort.Slice(order, func(a, b int) bool { return col[order[a]] < col[order[b]] })
+		order32 := make([]int32, n)
+		sum, sq := 0.0, 0.0
+		for k, i := range order {
+			order32[k] = int32(i)
+			sum += y[i]
+			sq += y[i] * y[i]
+		}
+		sse := sq - sum*sum/float64(n)
+		minLeaf := 1 + rng.Intn(3)
+		want := refScanFeature(col, y, order, sum, sq, sse, minLeaf)
+		if got := scanFeature(col, y, order32, sum, sq, sse, minLeaf, inv, rinv); got != want {
+			t.Fatalf("trial %d (n=%d, minLeaf=%d): scan %+v, reference %+v", trial, n, minLeaf, got, want)
+		}
 	}
 }

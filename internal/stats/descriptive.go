@@ -83,18 +83,30 @@ func MinMax(xs []float64) (min, max float64) {
 }
 
 // Median returns the median of xs, or 0 for empty input. xs is not
-// modified.
+// modified. The middle order statistics of a copy come from selection
+// (select.go), so the result equals the sorted-copy median; an input
+// holding a NaN is sorted instead, as before.
 func Median(xs []float64) float64 {
-	if len(xs) == 0 {
+	n := len(xs)
+	if n == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
+	buf := append([]float64(nil), xs...)
+	if hasNaN(buf) {
+		sort.Float64s(buf)
+		if n%2 == 1 {
+			return buf[n/2]
+		}
+		return (buf[n/2-1] + buf[n/2]) / 2
 	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
+	selectRank(buf, n/2)
+	if n%2 == 1 {
+		return buf[n/2]
+	}
+	// buf[:n/2] holds the n/2 smallest values; its maximum is the
+	// lower middle order statistic.
+	swapMax(buf[:n/2])
+	return (buf[n/2-1] + buf[n/2]) / 2
 }
 
 // Skewness returns the sample skewness (Fisher-Pearson, population

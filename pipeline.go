@@ -12,6 +12,7 @@ import (
 	"counterminer/internal/fault"
 	"counterminer/internal/fingerprint"
 	"counterminer/internal/interact"
+	"counterminer/internal/parallel"
 	"counterminer/internal/rank"
 	"counterminer/internal/sgbrt"
 	"counterminer/internal/sim"
@@ -693,18 +694,21 @@ func (ar *analysisRun) interact(ctx context.Context) error {
 // embeddings bit-for-bit) and combines them into the analysis's
 // workload signature. On the collect-only path (FingerprintContext)
 // no raw snapshot exists yet and the runs still carry their raw
-// series directly.
+// series directly. The runs embed concurrently on Options.Workers
+// workers; each embedding reads only its own run, and Combine folds
+// them in run order, so the signature is the same for every worker
+// count.
 func (ar *analysisRun) fingerprint(ctx context.Context) error {
-	vecs := make([][]float64, 0, len(ar.runs))
-	for i, r := range ar.runs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	vecs, err := parallel.MapCtx(ctx, len(ar.runs), ar.p.opts.Workers, func(i int) ([]float64, error) {
+		r := ar.runs[i]
 		set := r.Series
 		if ar.raw != nil {
 			set = ar.raw[i]
 		}
-		vecs = append(vecs, fingerprint.Embed(set, r.IPC))
+		return fingerprint.Embed(set, r.IPC), nil
+	})
+	if err != nil {
+		return err
 	}
 	ar.ana.Fingerprint = fingerprint.Combine(vecs)
 	return nil
