@@ -11,9 +11,6 @@ import (
 
 	"counterminer/internal/clean"
 	"counterminer/internal/fingerprint"
-	"counterminer/internal/interact"
-	"counterminer/internal/rank"
-	"counterminer/internal/sgbrt"
 	"counterminer/internal/timeseries"
 )
 
@@ -84,15 +81,7 @@ func (d *DataSet) CleanContext(ctx context.Context, opts clean.Options) (outlier
 	if err != nil {
 		return 0, 0, err
 	}
-	set := timeseries.NewSet()
-	for j, ev := range d.Events {
-		col := make([]float64, len(d.X))
-		for i := range d.X {
-			col[i] = d.X[i][j]
-		}
-		set.Put(timeseries.New(ev, col))
-	}
-	cleaned, rep, err := cleaner.Clean(ctx, set, clean.Meta{Benchmark: "external"}, opts)
+	cleaned, rep, err := cleaner.Clean(ctx, d.columns(), clean.Meta{Benchmark: "external"}, opts)
 	if err != nil {
 		return 0, 0, fmt.Errorf("counterminer: %w", err)
 	}
@@ -110,24 +99,16 @@ func (d *DataSet) CleanContext(ctx context.Context, opts clean.Options) (outlier
 
 // Fingerprint returns the data set's workload fingerprint: the
 // counter-signature embedding of its event columns, with Y as the IPC
-// series (see internal/fingerprint). Raw and cleaned data embed
-// closely — the features are robust statistics — so the fingerprint
-// of an uncleaned perf capture can be classified against an index
-// built from cleaned analyses. Counter values too extreme to embed
+// series (see internal/fingerprint). The features are robust
+// statistics, so raw and cleaned data embed closely; the /classify
+// index embeds raw, as-collected runs, so a raw perf capture is
+// classified like for like. Counter values too extreme to embed
 // finitely are an error.
 func (d *DataSet) Fingerprint() ([]float64, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	set := timeseries.NewSet()
-	for j, ev := range d.Events {
-		col := make([]float64, len(d.X))
-		for i := range d.X {
-			col[i] = d.X[i][j]
-		}
-		set.Put(timeseries.New(ev, col))
-	}
-	vec := fingerprint.Embed(set, d.Y)
+	vec := fingerprint.Embed(d.columns(), d.Y)
 	for i, v := range vec {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("counterminer: fingerprint component %d is %v", i, v)
@@ -136,12 +117,28 @@ func (d *DataSet) Fingerprint() ([]float64, error) {
 	return vec, nil
 }
 
-// AnalyzeDataContext runs the mining stages — optional cleaning,
-// EIR/MAPM importance ranking, interaction ranking, and workload
-// fingerprinting — on an external data set, under the given context
-// with the AnalyzeContext cancellation contract (stage plan Clean →
-// Rank → Interact → Fingerprint). The simulator is not involved; this
-// is the entry point for real perf measurements. Options fields that
+// columns returns each event column of X as that event's time series,
+// copied out of the rows.
+func (d *DataSet) columns() *timeseries.Set {
+	set := timeseries.NewSet()
+	for j, ev := range d.Events {
+		col := make([]float64, len(d.X))
+		for i := range d.X {
+			col[i] = d.X[i][j]
+		}
+		set.Put(timeseries.New(ev, col))
+	}
+	return set
+}
+
+// AnalyzeDataContext runs the mining stages — cleaning, EIR/MAPM
+// importance ranking, interaction ranking, and workload fingerprinting
+// — on an external data set, under the given context with the
+// AnalyzeContext cancellation contract (stage plan Clean → Rank →
+// Interact → Fingerprint). Clean repairs a copy of d's rows, which the
+// later stages read; d itself is left as given. The simulator is not
+// involved; this is the entry point for real perf measurements, and
+// event names are reported as given, unabbreviated. Options fields that
 // concern collection (Runs, Events, StorePath) are ignored.
 func AnalyzeDataContext(ctx context.Context, d *DataSet, opts Options) (*Analysis, error) {
 	if err := d.Validate(); err != nil {
@@ -154,86 +151,34 @@ func AnalyzeDataContext(ctx context.Context, d *DataSet, opts Options) (*Analysi
 	}
 	opts = opts.withDefaults()
 
-	ana := &Analysis{Benchmark: "external", Cleaner: opts.CleanOptions.Cleaner, Events: len(d.Events)}
-	var mapm *rank.Model
+	work := &DataSet{Events: d.Events, X: make([][]float64, len(d.X)), Y: d.Y}
+	for i, row := range d.X {
+		work.X[i] = append([]float64(nil), row...)
+	}
+	// The miner reads work's rows, which the Clean stage repairs in
+	// place before Rank runs.
+	m := &miner{
+		opts: opts,
+		ana:  &Analysis{Benchmark: "external", Cleaner: opts.CleanOptions.Cleaner, Events: len(d.Events)},
+		kept: work.Events,
+		X:    work.X,
+		y:    work.Y,
+	}
+	ana := m.ana
 	sr := &stageRunner{ctx: ctx}
 	err := sr.run([]stage{
 		{StageClean, func(ctx context.Context) error {
-			copts := opts.CleanOptions
-			if copts.Workers == 0 {
-				copts.Workers = opts.Workers
-			}
-			out, miss, err := d.CleanContext(ctx, copts)
+			out, miss, err := work.CleanContext(ctx, opts.cleanOptions())
 			if err != nil {
 				return err
 			}
 			ana.OutliersReplaced, ana.MissingFilled = out, miss
 			return nil
 		}},
-		{StageRank, func(ctx context.Context) error {
-			ropts := rank.Options{
-				Params:    sgbrt.Params{Trees: opts.Trees, MaxDepth: 4, Seed: opts.Seed, Workers: opts.Workers},
-				PruneStep: opts.PruneStep,
-				Seed:      opts.Seed,
-			}
-			if opts.SkipEIR {
-				m, err := rank.FitCtx(ctx, d.X, d.Y, d.Events, ropts)
-				if err != nil {
-					return err
-				}
-				mapm = m
-				ana.EIRNumEvents = []int{len(d.Events)}
-				ana.EIRErrors = []float64{m.TestError}
-			} else {
-				res, err := rank.EIRCtx(ctx, d.X, d.Y, d.Events, ropts)
-				if err != nil {
-					return err
-				}
-				mapm = res.MAPM()
-				ana.EIRNumEvents, ana.EIRErrors = res.Curve()
-			}
-			ana.ModelError = mapm.TestError
-			ana.MAPMEvents = len(mapm.Events)
-			for _, ei := range mapm.Ranking {
-				ana.Importance = append(ana.Importance, EventScore{
-					Event: ei.Event, Abbrev: ei.Event, Importance: ei.Importance,
-				})
-			}
-			return nil
-		}},
-		{StageInteract, func(ctx context.Context) error {
-			top := mapm.TopK(opts.TopK)
-			if len(top) < 2 {
-				return nil
-			}
-			names := make([]string, len(top))
-			for i, ei := range top {
-				names[i] = ei.Event
-			}
-			subX, err := matrixColumns(d.X, d.Events, names)
-			if err != nil {
-				return err
-			}
-			iModel, err := rank.FitCtx(ctx, subX, d.Y, names, rank.Options{
-				Params: sgbrt.Params{Trees: opts.Trees * 2, MaxDepth: 4, Seed: opts.Seed, Workers: opts.Workers},
-				Seed:   opts.Seed,
-			})
-			if err != nil {
-				return err
-			}
-			pairs, err := interact.RankPairsCtx(ctx, iModel, subX, names, interact.Options{Workers: opts.Workers})
-			if err != nil {
-				return err
-			}
-			for _, ps := range pairs {
-				ana.Interactions = append(ana.Interactions, PairScore{
-					A: ps.A, B: ps.B, Importance: ps.Importance,
-				})
-			}
-			return nil
-		}},
+		{StageRank, m.rank},
+		{StageInteract, m.interact},
 		{StageFingerprint, func(ctx context.Context) error {
-			vec, err := d.Fingerprint()
+			vec, err := work.Fingerprint()
 			if err != nil {
 				return err
 			}

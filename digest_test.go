@@ -8,8 +8,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math/rand"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -194,38 +192,4 @@ func resultDigest(t *testing.T, res any) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// digestCSV renders a seeded external data set of rows intervals over
-// events columns in LoadCSV's layout. IPC falls with the first six
-// events, by descending weight, so EIR keeps them while it prunes the
-// noise columns.
-func digestCSV(events, rows int) string {
-	rng := rand.New(rand.NewSource(16))
-	var sb strings.Builder
-	sb.WriteString("interval")
-	for j := 0; j < events; j++ {
-		fmt.Fprintf(&sb, ",EV%02d", j)
-	}
-	sb.WriteString(",ipc\n")
-	row := make([]float64, events)
-	for i := 0; i < rows; i++ {
-		ipc := 2.0
-		for j := range row {
-			row[j] = 1000 * (1 + 9*rng.Float64())
-			if j < 6 {
-				ipc -= float64(6-j) * 0.008 * row[j] / 1000
-			}
-		}
-		ipc += 0.05 * rng.NormFloat64()
-		sb.WriteString(strconv.Itoa(i))
-		for _, v := range row {
-			sb.WriteByte(',')
-			sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		sb.WriteByte(',')
-		sb.WriteString(strconv.FormatFloat(ipc, 'g', -1, 64))
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

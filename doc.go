@@ -16,8 +16,12 @@
 //     relative influence, refined by iteratively pruning the least
 //     important events (EIR) until the most accurate performance model
 //     (MAPM) is found;
-//   - an interaction ranker scoring event pairs by the residual
-//     variance of pairwise linear models.
+//   - an interaction ranker scoring event pairs by how far the
+//     performance model is from additive over each pair: the
+//     interaction sum of squares of an exact two-way ANOVA on a 12×12
+//     quantile grid of the pair. The paper's pairwise linear residual
+//     would also score one event's curvature as interaction; the
+//     ANOVA removes every univariate effect first.
 //
 // Because this build is hardware-free, the paper's 4-node Haswell-E
 // cluster, Linux perf, and the CloudSuite/HiBench benchmarks are

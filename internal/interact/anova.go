@@ -6,8 +6,7 @@ import (
 	"counterminer/internal/sgbrt"
 )
 
-// anovaGridSize is the per-axis grid resolution of the BasisANOVA
-// interaction estimator.
+// anovaGridSize is the per-axis resolution of each pair's grid.
 const anovaGridSize = 12
 
 // quantileGrid returns k representative values of xs: the

@@ -1,15 +1,22 @@
 // Package interact implements CounterMiner's interaction ranker
-// (§III-D). For each pair of important events it trains a linear
-// regression model of performance on the pair — with every other event
-// held at its mean — and takes the residual variance (eq. (12)) as the
-// interaction intensity: an additive pair is captured perfectly by the
-// linear model, an interacting pair is not. Intensities are normalised
-// across pairs into percentages (eq. (13)).
+// (§III-D): it scores every pair of important events by how far the
+// performance response over the pair is from additive, and normalises
+// the intensities across pairs into percentages (eq. (13)).
 //
 // "Performance with all other events at their means" cannot be
 // re-measured on demand, so, as in the paper, the fitted SGBRT
 // performance model stands in for the machine: it is queried on
-// synthetic points that vary only the pair under study.
+// synthetic points that vary only the pair under study. The paper fits
+// a linear regression of performance on the pair and takes its
+// residual variance (eq. (12)) as the intensity. This package
+// evaluates the model instead on a 12×12 grid of the pair's quantiles
+// and removes the row and column effects exactly (a two-way ANOVA):
+// the remaining sum of squares is the response surface's non-additive
+// — interacting — part. This is the grid form of Friedman and
+// Popescu's H-statistic (Predictive Learning via Rule Ensembles, 2008).
+// Unlike a linear residual it absorbs any univariate structure, such
+// as one event's curvature or the staircase of a tree-ensemble model,
+// so a single event's nonlinearity is never scored as interaction.
 package interact
 
 import (
@@ -20,14 +27,14 @@ import (
 
 	"counterminer/internal/parallel"
 	"counterminer/internal/rank"
-	"counterminer/internal/regress"
 )
 
 // PairScore is one ranked event-pair interaction.
 type PairScore struct {
 	// A and B are the pair's event names, in the order given.
 	A, B string
-	// Intensity is the raw residual variance of eq. (12).
+	// Intensity is the raw interaction sum of squares over the pair's
+	// grid.
 	Intensity float64
 	// Importance is the normalised share of eq. (13), in percent.
 	Importance float64
@@ -36,47 +43,18 @@ type PairScore struct {
 // Key renders the pair as "A-B".
 func (p PairScore) Key() string { return p.A + "-" + p.B }
 
-// Basis selects the per-pair model whose residual variance measures
-// interaction intensity.
-type Basis int
-
-const (
-	// BasisANOVA (default) evaluates the performance model on a
-	// quantile grid over the pair and removes row and column effects
-	// exactly (two-way ANOVA): the remaining sum of squares is the
-	// response surface's non-additive — interacting — part. It absorbs
-	// arbitrary univariate structure, including the staircase artifacts
-	// of a tree-ensemble oracle.
-	BasisANOVA Basis = iota
-	// BasisAdditive backfits binned partial effects
-	// mu + f_a(x_a) + f_b(x_b) on sampled points.
-	BasisAdditive
-	// BasisLinear is the paper's literal linear regression on
-	// (x_a, x_b).
-	BasisLinear
-	// BasisQuadratic adds squared self-terms to the linear basis.
-	BasisQuadratic
-)
-
 // Options configures the interaction ranking.
 type Options struct {
-	// MaxSamples bounds how many observation rows are used per pair
-	// (default 200; rows are strided evenly).
-	MaxSamples int
-	// Basis selects the per-pair null model; the zero value is
-	// BasisANOVA, the default.
-	Basis Basis
 	// Workers bounds how many pairs are scored concurrently; <= 0 uses
 	// GOMAXPROCS. Results are identical for every worker count.
 	Workers int
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxSamples <= 0 {
-		o.MaxSamples = 200
-	}
-	return o
-}
+// maxSamples bounds the rows that set each event's quantile grid. Rows
+// are taken at stride len(X)/maxSamples (at least 1), so 200–399 rows
+// set each grid once X has 200 or more. Changing this rule moves every
+// Analysis.
+const maxSamples = 200
 
 // RankPairs scores every unordered pair among `important` (a subset of
 // the model's events) and returns the pairs sorted by descending
@@ -88,7 +66,7 @@ func RankPairs(m *rank.Model, X [][]float64, important []string, opts Options) (
 
 // RankPairsCtx is RankPairs with cooperative cancellation: the pair
 // pool checks the context between pairs, so a done context aborts
-// within one pairwise fit and surfaces as ctx.Err().
+// within one pair's grid and surfaces as ctx.Err().
 func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important []string, opts Options) ([]PairScore, error) {
 	if m == nil || m.Ensemble == nil {
 		return nil, errors.New("interact: nil model")
@@ -99,8 +77,6 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 	if len(important) < 2 {
 		return nil, fmt.Errorf("interact: need at least 2 events, got %d", len(important))
 	}
-	opts = opts.withDefaults()
-
 	colIdx := make(map[string]int, len(m.Events))
 	for i, ev := range m.Events {
 		colIdx[ev] = i
@@ -126,31 +102,20 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 		means[j] /= float64(len(X))
 	}
 
-	// Strided row subset.
-	stride := 1
-	if len(X) > opts.MaxSamples {
-		stride = len(X) / opts.MaxSamples
-	}
-	var rows [][]float64
-	for i := 0; i < len(X); i += stride {
-		rows = append(rows, X[i])
-	}
-
-	// Per-column quantile grids for the ANOVA basis.
-	grids := make(map[int][]float64, len(important))
-	if opts.Basis == BasisANOVA {
-		for _, ev := range important {
-			c := colIdx[ev]
-			col := make([]float64, len(rows))
-			for i, row := range rows {
-				col[i] = row[c]
-			}
-			grids[c] = quantileGrid(col, anovaGridSize)
+	// Per-event quantile grids over a strided row subset.
+	stride := max(1, len(X)/maxSamples)
+	grids := make([][]float64, len(important))
+	for k, ev := range important {
+		c := colIdx[ev]
+		col := make([]float64, 0, (len(X)+stride-1)/stride)
+		for i := 0; i < len(X); i += stride {
+			col = append(col, X[i][c])
 		}
+		grids[k] = quantileGrid(col, anovaGridSize)
 	}
 
 	// Enumerate the pairs up front, then score them concurrently: every
-	// pairwise fit is independent, each result lands in its own indexed
+	// pair's score is independent, each result lands in its own indexed
 	// slot, and the normalisation below runs serially in pair order, so
 	// the ranking is identical for every worker count.
 	type pairIdx struct{ ai, bi int }
@@ -161,58 +126,21 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 		}
 	}
 	workers := parallel.Workers(opts.Workers)
-	// Per-worker scratch: the ANOVA grid's cells, or a point of model
-	// dimensionality for the sampled bases.
+	// Per-worker scratch for the grid's cells.
 	scratch := make([][]float64, workers)
 	for w := range scratch {
-		if opts.Basis == BasisANOVA {
-			scratch[w] = make([]float64, anovaGridSize*anovaGridSize)
-		} else {
-			scratch[w] = append([]float64(nil), means...)
-		}
+		scratch[w] = make([]float64, anovaGridSize*anovaGridSize)
 	}
 	scores := make([]PairScore, len(pairs))
 	err := parallel.ForEachWorkerCtx(ctx, len(pairs), workers, func(w, k int) error {
-		a, b := important[pairs[k].ai], important[pairs[k].bi]
-		ca, cb := colIdx[a], colIdx[b]
-
-		var v float64
-		if opts.Basis == BasisANOVA {
-			// Evaluate the performance model on the pair's grid,
-			// everything else at its mean, and take the two-way
-			// interaction sum of squares.
-			iv, err := anovaInteraction(m.Ensemble, scratch[w], means, ca, cb, grids[ca], grids[cb])
-			if err != nil {
-				return fmt.Errorf("interact: pair %s-%s: %w", a, b, err)
-			}
-			v = iv
-		} else {
-			// Query the performance model over the pair's observed
-			// joint values, everything else at its mean.
-			point := scratch[w]
-			xa := make([]float64, len(rows))
-			xb := make([]float64, len(rows))
-			obs := make([]float64, len(rows))
-			for i, row := range rows {
-				copy(point, means)
-				point[ca] = row[ca]
-				point[cb] = row[cb]
-				p, err := m.Ensemble.Predict(point)
-				if err != nil {
-					return err
-				}
-				xa[i], xb[i] = row[ca], row[cb]
-				obs[i] = p
-			}
-			pred, err := fitPair(xa, xb, obs, opts.Basis)
-			if err != nil {
-				return fmt.Errorf("interact: pair %s-%s: %w", a, b, err)
-			}
-			rv, err := regress.ResidualVariance(pred, obs)
-			if err != nil {
-				return err
-			}
-			v = rv
+		ai, bi := pairs[k].ai, pairs[k].bi
+		a, b := important[ai], important[bi]
+		// Evaluate the performance model on the pair's grid,
+		// everything else at its mean, and take the two-way
+		// interaction sum of squares.
+		v, err := anovaInteraction(m.Ensemble, scratch[w], means, colIdx[a], colIdx[b], grids[ai], grids[bi])
+		if err != nil {
+			return fmt.Errorf("interact: pair %s-%s: %w", a, b, err)
 		}
 		scores[k] = PairScore{A: a, B: b, Intensity: v}
 		return nil
@@ -235,42 +163,4 @@ func RankPairsCtx(ctx context.Context, m *rank.Model, X [][]float64, important [
 		return scores[i].Importance > scores[j].Importance
 	})
 	return scores, nil
-}
-
-// fitPair fits the selected additive null model and returns fitted
-// values for each observation.
-func fitPair(xa, xb, obs []float64, basis Basis) ([]float64, error) {
-	switch basis {
-	case BasisAdditive:
-		return fitAdditive(xa, xb, obs)
-	case BasisLinear, BasisQuadratic:
-		design := make([][]float64, len(obs))
-		for i := range obs {
-			if basis == BasisLinear {
-				design[i] = []float64{xa[i], xb[i]}
-			} else {
-				design[i] = []float64{xa[i], xb[i], xa[i] * xa[i], xb[i] * xb[i]}
-			}
-		}
-		lin, err := regress.Fit(design, obs)
-		if err != nil {
-			return nil, err
-		}
-		return lin.PredictAll(design)
-	default:
-		return nil, fmt.Errorf("interact: unknown basis %d", basis)
-	}
-}
-
-// TopK returns the k strongest interactions (fewer if fewer exist).
-func TopK(scores []PairScore, k int) []PairScore {
-	if k > len(scores) {
-		k = len(scores)
-	}
-	return append([]PairScore(nil), scores[:k]...)
-}
-
-// ContainsEvent reports whether the pair involves the named event.
-func (p PairScore) ContainsEvent(ev string) bool {
-	return p.A == ev || p.B == ev
 }

@@ -97,39 +97,3 @@ func TestRankPairsValidation(t *testing.T) {
 		t.Error("column mismatch should error")
 	}
 }
-
-func TestRankPairsMaxSamples(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	X, y, events := interactionData(rng, 1200)
-	m := fitModel(t, X, y, events)
-	s1, err := RankPairs(m, X, []string{"E0", "E1", "E2"}, Options{MaxSamples: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := RankPairs(m, X, []string{"E0", "E1", "E2"}, Options{MaxSamples: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both sample sizes must agree on the dominant pair.
-	if s1[0].Key() != s2[0].Key() {
-		t.Errorf("dominant pair differs across sample sizes: %s vs %s", s1[0].Key(), s2[0].Key())
-	}
-}
-
-func TestTopKAndContains(t *testing.T) {
-	scores := []PairScore{
-		{A: "a", B: "b", Importance: 50},
-		{A: "c", B: "d", Importance: 30},
-		{A: "e", B: "f", Importance: 20},
-	}
-	top := TopK(scores, 2)
-	if len(top) != 2 || top[0].Key() != "a-b" {
-		t.Errorf("TopK = %+v", top)
-	}
-	if len(TopK(scores, 10)) != 3 {
-		t.Error("TopK overflow not clamped")
-	}
-	if !scores[0].ContainsEvent("a") || !scores[0].ContainsEvent("b") || scores[0].ContainsEvent("c") {
-		t.Error("ContainsEvent wrong")
-	}
-}

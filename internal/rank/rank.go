@@ -349,21 +349,3 @@ func (m *Model) TopK(k int) []EventImportance {
 	}
 	return append([]EventImportance(nil), m.Ranking[:k]...)
 }
-
-// SMICount reports how many of the top three events are "significantly
-// more important": their importance exceeds ratio times the
-// fourth-ranked importance. The paper's one–three SMI law says this is
-// 1 to 3 for every benchmark.
-func (m *Model) SMICount(ratio float64) int {
-	if len(m.Ranking) < 4 {
-		return len(m.Ranking)
-	}
-	cutoff := m.Ranking[3].Importance * ratio
-	n := 0
-	for _, ei := range m.Ranking[:3] {
-		if ei.Importance > cutoff {
-			n++
-		}
-	}
-	return n
-}

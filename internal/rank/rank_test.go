@@ -198,22 +198,6 @@ func TestEIRSingleStepWhenSmall(t *testing.T) {
 	}
 }
 
-func TestSMICount(t *testing.T) {
-	m := &Model{Ranking: []EventImportance{
-		{Event: "a", Importance: 10},
-		{Event: "b", Importance: 8},
-		{Event: "c", Importance: 2},
-		{Event: "d", Importance: 2},
-	}}
-	if got := m.SMICount(1.5); got != 2 {
-		t.Errorf("SMICount = %d, want 2", got)
-	}
-	small := &Model{Ranking: []EventImportance{{Event: "a", Importance: 100}}}
-	if got := small.SMICount(1.5); got != 1 {
-		t.Errorf("SMICount small = %d", got)
-	}
-}
-
 func TestTopKClamps(t *testing.T) {
 	m := &Model{Ranking: []EventImportance{{Event: "a"}, {Event: "b"}}}
 	if got := m.TopK(10); len(got) != 2 {

@@ -1,8 +1,9 @@
-// Package regress implements ordinary least squares linear regression.
-// The interaction ranker (§III-D) fits a linear model of IPC on each
-// pair of important events and uses the residual variance — eq. (12) —
-// as the interaction intensity: an additive (non-interacting) pair is
-// explained well by the linear model, an interacting pair is not.
+// Package regress implements ordinary least squares linear regression,
+// its R², and the eq. (12) residual variance that R² is built from.
+// The Spark case study (internal/spark, Fig. 13) scores each
+// (parameter, event) pair by the R² of a linear fit of performance on
+// the event. The interaction ranker does not use it: internal/interact
+// explains why it replaces the paper's pairwise linear fit.
 package regress
 
 import (

@@ -203,6 +203,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// cleanOptions returns the options the Clean stage runs with: the
+// cleaner works on Workers workers unless its own options set a bound.
+func (o Options) cleanOptions() clean.Options {
+	c := o.CleanOptions
+	if c.Workers == 0 {
+		c.Workers = o.Workers
+	}
+	return c
+}
+
 // EventScore is one ranked event in an Analysis.
 type EventScore struct {
 	// Event is the full event name, Abbrev the Table III code.
@@ -410,17 +420,7 @@ func (p *Pipeline) FingerprintContext(ctx context.Context, benchmark, colocate s
 		}
 		prof = sim.Colocate(prof, other)
 	}
-	events := p.opts.Events
-	if events == nil {
-		events = p.cat.Events()
-	}
-	ar := &analysisRun{
-		p:      p,
-		prof:   prof,
-		events: events,
-		ana:    &Analysis{Benchmark: prof.Name, Cleaner: p.cleaner.Name(), Events: len(events)},
-	}
-	ar.deg = &ar.ana.Degradation
+	ar := p.newRun(prof)
 	sr := &stageRunner{ctx: ctx}
 	if err := sr.run([]stage{
 		{StageCollect, ar.collect},
@@ -433,40 +433,48 @@ func (p *Pipeline) FingerprintContext(ctx context.Context, benchmark, colocate s
 
 // analysisRun carries one analysis through the stage plan: the options
 // and profile going in, the intermediate products handed from stage to
-// stage, and the Analysis being assembled.
+// stage, and the Analysis being assembled. Validate sets its miner's
+// kept columns and Clean fills X and y, which the miner's Rank and
+// Interact stages read.
 type analysisRun struct {
+	miner
 	p      *Pipeline
 	prof   sim.Profile
 	events []string // requested events
-	ana    *Analysis
 	deg    *Degradation
 
 	runs []*collector.Run  // Collect: surviving runs
 	raw  []*timeseries.Set // Clean: each run's raw series, kept for Persist
-	kept []string          // Validate: events surviving quarantine
-	X    [][]float64       // Clean: training matrix over kept columns
-	y    []float64         // Clean: per-interval IPC targets
-	mapm *rank.Model       // Rank: the most accurate performance model
+}
+
+// newRun starts an analysis of prof over the configured events (the
+// whole catalogue by default).
+func (p *Pipeline) newRun(prof sim.Profile) *analysisRun {
+	events := p.opts.Events
+	if events == nil {
+		events = p.cat.Events()
+	}
+	ar := &analysisRun{
+		miner: miner{
+			opts: p.opts,
+			cat:  p.cat,
+			ana:  &Analysis{Benchmark: prof.Name, Cleaner: p.cleaner.Name(), Events: len(events)},
+		},
+		p:      p,
+		prof:   prof,
+		events: events,
+	}
+	ar.deg = &ar.ana.Degradation
+	return ar
 }
 
 // analyzeProfile executes the stage plan over one (possibly
 // co-located) profile.
 func (p *Pipeline) analyzeProfile(ctx context.Context, prof sim.Profile) (*Analysis, error) {
-	events := p.opts.Events
-	if events == nil {
-		events = p.cat.Events()
-	}
-	if len(events) < 2 {
+	ar := p.newRun(prof)
+	if len(ar.events) < 2 {
 		return nil, errors.New("counterminer: need at least two events")
 	}
-
-	ar := &analysisRun{
-		p:      p,
-		prof:   prof,
-		events: events,
-		ana:    &Analysis{Benchmark: prof.Name, Cleaner: p.cleaner.Name(), Events: len(events)},
-	}
-	ar.deg = &ar.ana.Degradation
 	sr := &stageRunner{ctx: ctx}
 	err := sr.run([]stage{
 		{StageCollect, ar.collect},
@@ -583,10 +591,7 @@ func (ar *analysisRun) validate(ctx context.Context) error {
 // holds the raw measurement.
 func (ar *analysisRun) clean(ctx context.Context) error {
 	p, ana := ar.p, ar.ana
-	copts := p.opts.CleanOptions
-	if copts.Workers == 0 {
-		copts.Workers = p.opts.Workers
-	}
+	copts := p.opts.cleanOptions()
 	ar.raw = make([]*timeseries.Set, 0, len(ar.runs))
 	for _, r := range ar.runs {
 		if err := ctx.Err(); err != nil {
@@ -611,37 +616,54 @@ func (ar *analysisRun) clean(ctx context.Context) error {
 	return nil
 }
 
+// miner is the mining core both entry points share: over a cleaned
+// training matrix it runs the Rank stage (EIR → MAPM, or one fit under
+// SkipEIR) and then the Interact stage, and names the events it
+// reports. A Pipeline's analysisRun embeds one; AnalyzeData builds one
+// over the external data set.
+type miner struct {
+	opts Options        // resolved
+	cat  *sim.Catalogue // abbreviates event names; nil keeps them as given
+	ana  *Analysis
+
+	kept []string    // the column names of X
+	X    [][]float64 // training matrix, one row per interval
+	y    []float64   // per-interval IPC targets
+	mapm *rank.Model // Rank: the most accurate performance model
+}
+
+// params configures an SGBRT ensemble of the given size.
+func (m *miner) params(trees int) sgbrt.Params {
+	return sgbrt.Params{Trees: trees, MaxDepth: 4, Seed: m.opts.Seed, Workers: m.opts.Workers}
+}
+
 // rank fits the performance models (EIR → MAPM) and reads off the
 // importance ranking.
-func (ar *analysisRun) rank(ctx context.Context) error {
-	p, ana := ar.p, ar.ana
-	ropts := rank.Options{
-		Params:    sgbrt.Params{Trees: p.opts.Trees, MaxDepth: 4, Seed: p.opts.Seed, Workers: p.opts.Workers},
-		PruneStep: p.opts.PruneStep,
-		Seed:      p.opts.Seed,
-	}
-	if p.opts.SkipEIR {
-		m, err := rank.FitCtx(ctx, ar.X, ar.y, ar.kept, ropts)
+func (m *miner) rank(ctx context.Context) error {
+	ana := m.ana
+	ropts := rank.Options{Params: m.params(m.opts.Trees), PruneStep: m.opts.PruneStep, Seed: m.opts.Seed}
+	if m.opts.SkipEIR {
+		mod, err := rank.FitCtx(ctx, m.X, m.y, m.kept, ropts)
 		if err != nil {
 			return err
 		}
-		ar.mapm = m
-		ana.EIRNumEvents = []int{len(ar.kept)}
-		ana.EIRErrors = []float64{m.TestError}
+		m.mapm = mod
+		ana.EIRNumEvents = []int{len(m.kept)}
+		ana.EIRErrors = []float64{mod.TestError}
 	} else {
-		res, err := rank.EIRCtx(ctx, ar.X, ar.y, ar.kept, ropts)
+		res, err := rank.EIRCtx(ctx, m.X, m.y, m.kept, ropts)
 		if err != nil {
 			return err
 		}
-		ar.mapm = res.MAPM()
+		m.mapm = res.MAPM()
 		ana.EIRNumEvents, ana.EIRErrors = res.Curve()
 	}
-	ana.ModelError = ar.mapm.TestError
-	ana.MAPMEvents = len(ar.mapm.Events)
-	for _, ei := range ar.mapm.Ranking {
+	ana.ModelError = m.mapm.TestError
+	ana.MAPMEvents = len(m.mapm.Events)
+	for _, ei := range m.mapm.Ranking {
 		ana.Importance = append(ana.Importance, EventScore{
 			Event:      ei.Event,
-			Abbrev:     p.abbrev(ei.Event),
+			Abbrev:     m.abbrev(ei.Event),
 			Importance: ei.Importance,
 		})
 	}
@@ -650,12 +672,11 @@ func (ar *analysisRun) rank(ctx context.Context) error {
 
 // interact ranks the interactions among the top events. Per §III-D the
 // ranker runs after the important events are known: a dedicated model
-// is fitted on just those events, which concentrates the ensemble's
-// capacity on the pair structure instead of spreading it over hundreds
-// of inputs.
-func (ar *analysisRun) interact(ctx context.Context) error {
-	p, ana := ar.p, ar.ana
-	top := ar.mapm.TopK(p.opts.TopK)
+// of twice Rank's trees is fitted on just those events, which
+// concentrates the ensemble's capacity on the pair structure instead
+// of spreading it over hundreds of inputs.
+func (m *miner) interact(ctx context.Context) error {
+	top := m.mapm.TopK(m.opts.TopK)
 	if len(top) < 2 {
 		return nil
 	}
@@ -663,29 +684,37 @@ func (ar *analysisRun) interact(ctx context.Context) error {
 	for i, ei := range top {
 		names[i] = ei.Event
 	}
-	subX, err := matrixColumns(ar.X, ar.kept, names)
+	subX, err := matrixColumns(m.X, m.kept, names)
 	if err != nil {
 		return err
 	}
-	iModel, err := rank.FitCtx(ctx, subX, ar.y, names, rank.Options{
-		Params: sgbrt.Params{Trees: p.opts.Trees * 2, MaxDepth: 4, Seed: p.opts.Seed, Workers: p.opts.Workers},
-		Seed:   p.opts.Seed,
-	})
+	iModel, err := rank.FitCtx(ctx, subX, m.y, names, rank.Options{Params: m.params(m.opts.Trees * 2), Seed: m.opts.Seed})
 	if err != nil {
 		return err
 	}
-	pairs, err := interact.RankPairsCtx(ctx, iModel, subX, names, interact.Options{Workers: p.opts.Workers})
+	pairs, err := interact.RankPairsCtx(ctx, iModel, subX, names, interact.Options{Workers: m.opts.Workers})
 	if err != nil {
 		return err
 	}
 	for _, ps := range pairs {
-		ana.Interactions = append(ana.Interactions, PairScore{
-			A:          p.abbrev(ps.A),
-			B:          p.abbrev(ps.B),
+		m.ana.Interactions = append(m.ana.Interactions, PairScore{
+			A:          m.abbrev(ps.A),
+			B:          m.abbrev(ps.B),
 			Importance: ps.Importance,
 		})
 	}
 	return nil
+}
+
+// abbrev maps an event name to its catalogue abbreviation, or to
+// itself when it has none or the miner has no catalogue.
+func (m *miner) abbrev(event string) string {
+	if m.cat != nil {
+		if ev, ok := m.cat.ByName(event); ok {
+			return ev.Abbrev
+		}
+	}
+	return event
 }
 
 // fingerprint embeds each surviving run's raw, as-collected series
@@ -800,14 +829,6 @@ func subset(in *timeseries.Set, events []string) *timeseries.Set {
 		}
 	}
 	return out
-}
-
-// abbrev maps an event name to its catalogue abbreviation (or itself).
-func (p *Pipeline) abbrev(event string) string {
-	if ev, ok := p.cat.ByName(event); ok {
-		return ev.Abbrev
-	}
-	return event
 }
 
 // persistRun writes one collected run into the store, using the raw
