@@ -58,21 +58,23 @@ team-race:
 chaos:
 	$(GO) test -race -count=2 -run 'Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Shard|Evict|Migrate|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle|Priority' . ./internal/fault/ ./internal/serve/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
 
-# The store's on-disk readers take whatever bytes the disk holds, and
-# LoadCSV whatever file a user hands it; give each native fuzzer a
-# short run beyond its committed seed corpus. A short minimisation
-# keeps the run exploring; a failing input is still written under
-# testdata/fuzz. The order-statistics fuzzer checks the cleaners' and
-# the fingerprint's selection against sorting.
+# The store's on-disk readers take whatever bytes the disk holds,
+# LoadCSV whatever file a user hands it, and the client's SSE parser
+# whatever a server or proxy sends; give each native fuzzer a short run
+# beyond its committed seed corpus. A short minimisation keeps the run
+# exploring; a failing input is still written under testdata/fuzz. The
+# order-statistics fuzzer checks the cleaners' and the fingerprint's
+# selection against sorting.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzShardRunFile$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzMigrateShardFile$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadCSV$$' -fuzztime=10s -fuzzminimizetime=1s .
 	$(GO) test -run='^$$' -fuzz='^FuzzOrderStatistics$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/stats/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEvent$$' -fuzztime=10s -fuzzminimizetime=1s ./pkg/client/
 
 # Short allocation-aware sweep over the hot-path micro-benchmarks.
 bench:
-	$(GO) test -run=^$$ -bench='Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|IndexUpsert|PrioritySchedule|StreamFanout' -benchtime=1x -benchmem ./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
+	$(GO) test -run=^$$ -bench='Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|IndexUpsert|PrioritySchedule|StreamFanout|Collect' -benchtime=1x -benchmem ./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/ ./internal/collector/
 
 # Same sweep, repeated BENCH_COUNT times and written to an
 # auto-numbered machine-readable BENCH_<n>.json report.

@@ -79,6 +79,14 @@ var analysisDigests = map[string]string{
 	"served/threshold-knn/sort":                  "36fbddf7170e0183297ca9474a88d2115827e2132e2c2fb6fa29373c85fc8d16",
 	"served/threshold-knn/wordcount":             "f1c70bb7bd380ccf20aacfa8f385b08aff9af23f07ff8968e37be54333a0125d",
 	"served/threshold-knn/wordcount/seed=123456": "d6888d4bc9a9298941b13a485c7bde95f47e9a79b5f3d05aae7db7a2ab55a530",
+
+	// Collect paths the single-profile served cases do not reach: a
+	// co-located analysis, whose IPC reads the union of both tenants'
+	// events, and fingerprints over the served events, as /classify's
+	// benchmark probe collects them. Generated at 60200bd.
+	"served/threshold-knn/colocated/wordcount+sort": "e81bcc849282a9033354f749f2798643baa065711ac9801ebc8efc1197848155",
+	"fingerprint/served/sort":                       "f52491667ba72263b79bac918a170213f43b7bba7bd725a22eff12d3c053be21",
+	"fingerprint/served/DataCaching+GraphAnalytics": "4d337ba3ef23dba145e0ddcebc9c6037529940ca4b4527940ba73135cbdbe55a",
 }
 
 // The test is pinned to amd64: on other targets the Go compiler may
@@ -139,6 +147,29 @@ func TestAnalysisDigests(t *testing.T) {
 			fmt.Sprintf("served/%s/%s/seed=123456", clean.DefaultCleaner, b),
 			analyze(b, servedOpts(clean.DefaultCleaner, 123456)),
 		})
+	}
+	cases = append(cases, digestCase{
+		"served/threshold-knn/colocated/wordcount+sort",
+		func(ctx context.Context) (any, error) {
+			p, err := NewPipeline(servedOpts(clean.DefaultCleaner, 1))
+			if err != nil {
+				return nil, err
+			}
+			return p.AnalyzeColocatedContext(ctx, "wordcount", "sort")
+		},
+	})
+	for _, pair := range [][2]string{{"sort", ""}, {"DataCaching", "GraphAnalytics"}} {
+		name := "fingerprint/served/" + pair[0]
+		if pair[1] != "" {
+			name += "+" + pair[1]
+		}
+		cases = append(cases, digestCase{name, func(ctx context.Context) (any, error) {
+			p, err := NewPipeline(servedOpts(clean.DefaultCleaner, 1))
+			if err != nil {
+				return nil, err
+			}
+			return p.FingerprintContext(ctx, pair[0], pair[1])
+		}})
 	}
 	cases = append(cases,
 		digestCase{"data/csv-40x600", func(ctx context.Context) (any, error) {

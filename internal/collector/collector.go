@@ -127,6 +127,8 @@ func (c *Collector) MemoStats() (builds, hits uint64) {
 // Collect performs one benchmark run and samples the given events in
 // the given mode. In OCOE mode the event list must fit the programmable
 // counters; use CollectOCOESweep to cover a larger list across runs.
+// The run simulates only the requested events and those that feed IPC,
+// and samples exactly what a full simulation of the run would hold.
 func (c *Collector) Collect(p sim.Profile, runID int, mode Mode, events []string) (*Run, error) {
 	if len(events) == 0 {
 		return nil, errors.New("collector: no events requested")
@@ -135,7 +137,7 @@ func (c *Collector) Collect(p sim.Profile, runID int, mode Mode, events []string
 	if err != nil {
 		return nil, err
 	}
-	tr := g.Generate(runID)
+	tr := g.GenerateEvents(runID, events)
 	seed := p.Seed*4049 + int64(runID)*211
 
 	run := &Run{

@@ -79,6 +79,41 @@ type Model struct {
 	TestError float64
 	// Ranking lists events by descending importance.
 	Ranking []EventImportance
+
+	// d is the split the model was fitted on; FitEventsCtx fits on it
+	// again. Nil for a model FitEventsCtx returned.
+	d *dataset
+}
+
+// FitEventsCtx fits another ensemble on the model's own training split
+// over the named events, in the order given: feature j of the result
+// is events[j]. It reuses the split and the presorted rows, so the
+// result equals FitCtx on those columns re-projected, with the seed
+// and test fraction the model was fitted with. The result carries only
+// Events and Ensemble: it is neither scored nor ranked.
+func (m *Model) FitEventsCtx(ctx context.Context, events []string, params sgbrt.Params) (*Model, error) {
+	d := m.d
+	if d == nil {
+		return nil, errors.New("rank: model has no training split")
+	}
+	col := make(map[string]int, len(d.events))
+	for i, ev := range d.events {
+		col[ev] = i
+	}
+	cols := make([]int, len(events))
+	for j, ev := range events {
+		c, ok := col[ev]
+		if !ok {
+			return nil, fmt.Errorf("rank: event %q is not a column of the model's data, or is repeated", ev)
+		}
+		delete(col, ev)
+		cols[j] = c
+	}
+	ens, err := d.train.FitCtx(ctx, cols, d.trainY, params, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{Events: append([]string(nil), events...), Ensemble: ens}, nil
 }
 
 // Fit trains one performance model for IPC = perf(e1, ..., en) and
@@ -185,6 +220,7 @@ func (d *dataset) fit(ctx context.Context, cols []int, opts Options, prev *sgbrt
 		Ensemble:  ens,
 		TestError: testErr,
 		Ranking:   make([]EventImportance, len(cols)),
+		d:         d,
 	}
 	for j, c := range cols {
 		m.Events[j] = d.events[c]

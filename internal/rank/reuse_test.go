@@ -3,6 +3,7 @@ package rank
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -152,5 +153,113 @@ func assertSameModel(t *testing.T, step int, got, want *Model) {
 	}
 	if !reflect.DeepEqual(got.Ranking, want.Ranking) {
 		t.Errorf("step %d: ranking differs from a fresh fit", step)
+	}
+}
+
+// TestFitEventsMatchesFitOnProjectedColumns: an ensemble fitted on a
+// model's own training split over some of its events, in importance
+// order, equals FitCtx on those columns re-projected with the same seed
+// — the same tree count and bit-identical predictions on every row —
+// for a single fit's model and an EIR MAPM, on continuous and on tied
+// data, at 1 and 2 workers.
+func TestFitEventsMatchesFitOnProjectedColumns(t *testing.T) {
+	// 600 rows put the 10-event fit's subsample × columns past the
+	// level-parallel threshold, so at 2 workers it runs on the team.
+	rng := rand.New(rand.NewSource(5))
+	sX, sY, sEvents := synthData(rng, 600, 5, 25)
+	tX, tY, tEvents := tiedData(rng, 600, 30)
+	ctx := context.Background()
+	for _, data := range []struct {
+		name   string
+		X      [][]float64
+		y      []float64
+		events []string
+	}{{"synth", sX, sY, sEvents}, {"tied", tX, tY, tEvents}} {
+		for _, workers := range []int{1, 2} {
+			params := sgbrt.Params{Trees: 20, MaxDepth: 4, Seed: 3, Workers: workers}
+			opts := Options{Params: params, PruneStep: 5, Seed: 7}
+			fitted, err := FitCtx(ctx, data.X, data.y, data.events, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := EIRCtx(ctx, data.X, data.y, data.events, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []struct {
+				name  string
+				model *Model
+			}{{"fit", fitted}, {"mapm", res.MAPM()}} {
+				var names []string
+				for _, ei := range m.model.TopK(10) {
+					names = append(names, ei.Event)
+				}
+				iParams := params
+				iParams.Trees *= 2
+				got, err := m.model.FitEventsCtx(ctx, names, iParams)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var subX [][]float64
+				idx := make(map[string]int, len(data.events))
+				for i, ev := range data.events {
+					idx[ev] = i
+				}
+				for _, row := range data.X {
+					sub := make([]float64, len(names))
+					for j, ev := range names {
+						sub[j] = row[idx[ev]]
+					}
+					subX = append(subX, sub)
+				}
+				want, err := FitCtx(ctx, subX, data.y, names, Options{Params: iParams, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := data.name + "/" + m.name + "/workers=" + strconv.Itoa(workers)
+				if !reflect.DeepEqual(got.Events, names) {
+					t.Errorf("%s: events %v, want %v", label, got.Events, names)
+				}
+				if g, w := got.Ensemble.NumTrees(), want.Ensemble.NumTrees(); g != w {
+					t.Errorf("%s: %d trees, a fit on the projected columns has %d", label, g, w)
+				}
+				for r, row := range subX {
+					g, err := got.Ensemble.Predict(row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, _ := want.Ensemble.Predict(row)
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Errorf("%s: row %d predicts %v, a fit on the projected columns %v", label, r, g, w)
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFitEventsRejects: FitEventsCtx names only the model's own
+// columns, each once, and needs the split a fit left on the model.
+func TestFitEventsRejects(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	X, y, events := synthData(rng, 120, 3, 3)
+	ctx := context.Background()
+	m, err := FitCtx(ctx, X, y, events, Options{Params: fastParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.FitEventsCtx(ctx, []string{events[0], "NOPE"}, fastParams); err == nil {
+		t.Error("an unknown event should error")
+	}
+	if _, err := m.FitEventsCtx(ctx, []string{events[0], events[0]}, fastParams); err == nil {
+		t.Error("a repeated event should error")
+	}
+	sub, err := m.FitEventsCtx(ctx, events[:2], fastParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.FitEventsCtx(ctx, events[:2], fastParams); err == nil {
+		t.Error("a model without a training split should error")
 	}
 }

@@ -246,21 +246,27 @@ func suiteOf(label string) string {
 	return p.Suite.String()
 }
 
-// runEntry embeds one stored run into an index entry. The embedding
-// is computed from the run's raw persisted series — the same inputs
-// the pipeline's Fingerprint stage uses — so index entries and
+// runEntry turns one run into an index entry. Its embedding is the
+// embedding of the run's raw persisted series — the same inputs the
+// pipeline's Fingerprint stage embeds — so index entries and
 // classify-time embeddings are directly comparable regardless of
-// which cleaner any analysis ran.
+// which cleaner any analysis ran. A record the pipeline writes carries
+// that stage's embedding, which is taken as is; a record read back
+// from the store carries none and is embedded here.
 func runEntry(rec store.Record) fingerprint.Entry {
-	set := timeseries.NewSet()
-	for name, vals := range rec.Series {
-		set.Put(timeseries.New(name, vals))
+	vec := rec.Embedding
+	if vec == nil {
+		set := timeseries.NewSet()
+		for name, vals := range rec.Series {
+			set.Put(timeseries.New(name, vals))
+		}
+		vec = fingerprint.Embed(set, rec.IPC)
 	}
 	return fingerprint.Entry{
 		Key:   fmt.Sprintf("%s/%d/%s", rec.Meta.Benchmark, rec.Meta.RunID, rec.Meta.Mode),
 		Label: rec.Meta.Benchmark,
 		Suite: suiteOf(rec.Meta.Benchmark),
-		Vec:   fingerprint.Embed(set, rec.IPC),
+		Vec:   vec,
 	}
 }
 

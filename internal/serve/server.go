@@ -603,18 +603,20 @@ func (s *Server) runPipeline(ctx context.Context, job Job) (*counterminer.Analys
 
 // indexingSink is the pipeline's sink on a node with a store: it
 // persists each run and upserts that run's fingerprint-index entry in
-// the same step, so keeping /classify current costs one embedding per
-// persisted run, never a pass over the stored runs; the store's flush
-// likewise writes only the persisted runs.
+// the same step, so keeping /classify current costs no embedding — the
+// record carries the one the Fingerprint stage computed — and never a
+// pass over the stored runs; the store's flush likewise writes only
+// the persisted runs.
 type indexingSink struct{ s *Server }
 
 // persistStripes is the number of persistMu locks.
 const persistStripes = 64
 
-// Put embeds rec outside any lock, then writes the record and its index
-// entry under its benchmark's persistMu stripe. Two jobs with the same
-// benchmark and seed but different events have different content
-// addresses, so both execute and write the same run keys with
+// Put builds rec's index entry outside any lock (embedding the run only
+// when the record carries no embedding), then writes the record and
+// its index entry under its benchmark's persistMu stripe. Two jobs with
+// the same benchmark and seed but different events have different
+// content addresses, so both execute and write the same run keys with
 // different series; the lock makes the last store write to a key also
 // the last upsert for it. A run key names its benchmark, hence the
 // striping: the store write can wait on the benchmark's shard lock

@@ -7,7 +7,8 @@ import (
 )
 
 // Trace is the ground-truth machine behaviour of one benchmark run: the
-// true per-interval value of every catalogue event plus the true
+// true per-interval value of the catalogue events the run computed
+// (every event, unless it came from GenerateEvents) plus the true
 // per-interval IPC. Collectors sample a Trace the way perf samples a
 // live machine; no downstream component may peek at it directly.
 type Trace struct {
@@ -16,7 +17,8 @@ type Trace struct {
 	// Intervals is the number of sampling intervals in this run. It
 	// varies across runs of the same profile (OS nondeterminism).
 	Intervals int
-	// values[e][t] is the true value of catalogue event e in interval t.
+	// values[e][t] is the true value of catalogue event e in interval t;
+	// values[e] is nil when the run did not compute event e.
 	values [][]float64
 	// IPC[t] is the true instructions-per-cycle in interval t.
 	IPC []float64
@@ -39,6 +41,9 @@ type Generator struct {
 	wobble   []float64 // amplitude of the phase modulation
 	// Pairwise interaction terms resolved to catalogue indices.
 	pairs []resolvedPair
+	// feedsIPC marks the events rawPenalty reads: nonzero weight or a
+	// side of a pair. Every run computes them, whatever it measures.
+	feedsIPC []bool
 	// pMean and pStd normalise the raw penalty into a z-score; they are
 	// estimated once from a probe run so that every run of the profile
 	// shares the same calibration.
@@ -130,6 +135,14 @@ func NewGenerator(p Profile, cat *Catalogue) (*Generator, error) {
 		})
 	}
 
+	g.feedsIPC = make([]bool, cat.Len())
+	for e, wt := range g.weight {
+		g.feedsIPC[e] = wt != 0
+	}
+	for _, pp := range g.pairs {
+		g.feedsIPC[pp.a], g.feedsIPC[pp.b] = true, true
+	}
+
 	// Calibrate the penalty-to-IPC mapping from a probe run: the raw
 	// penalty (a sum over ~150 event saturations plus cross terms) is
 	// turned into a z-score so its fluctuations — not its DC level —
@@ -212,6 +225,31 @@ func (g *Generator) Generate(run int) *Trace {
 // IPC responds through the ground-truth surface. A nil or empty map is
 // equivalent to Generate.
 func (g *Generator) GenerateScaled(run int, scales map[string]float64) *Trace {
+	return g.generate(run, scales, nil)
+}
+
+// GenerateEvents produces run number `run` computing only the named
+// events and those that feed IPC; names outside the catalogue are
+// ignored. Every event the trace holds, and its IPC, equals Generate's
+// at the same run bit for bit: a skipped event still makes its draws
+// from the run's random stream, so every later draw is unchanged. The
+// trace's Series and Value report a skipped event as an error.
+func (g *Generator) GenerateEvents(run int, events []string) *Trace {
+	computed := append([]bool(nil), g.feedsIPC...)
+	for _, name := range events {
+		if i := g.cat.Index(name); i >= 0 {
+			computed[i] = true
+		}
+	}
+	return g.generate(run, nil, computed)
+}
+
+// generate produces a run with the given per-event activity scaling,
+// computing only the events marked in computed (every event when
+// computed is nil). An event left out makes the same random draws as a
+// computed one — none of them depends on a computed value — and
+// stores no series.
+func (g *Generator) generate(run int, scales map[string]float64, computed []bool) *Trace {
 	scale := make([]float64, g.cat.Len())
 	for i := range scale {
 		scale[i] = 1
@@ -251,6 +289,18 @@ func (g *Generator) GenerateScaled(run int, scales map[string]float64) *Trace {
 
 	for e := 0; e < g.cat.Len(); e++ {
 		ev := g.cat.At(e)
+		if computed != nil && !computed[e] {
+			// The draws of the loop below, in its order.
+			rng.Float64()
+			rng.Float64()
+			for t := 0; t < n; t++ {
+				rng.NormFloat64()
+				if ev.Dist == DistGEV && rng.Float64() < 0.03 {
+					rng.ExpFloat64()
+				}
+			}
+			continue
+		}
 		vals := make([]float64, n)
 		ar := 0.0 // AR(1) state
 		// Per-run level modulation: inputs and OS conditions shift the
@@ -313,9 +363,9 @@ func (g *Generator) saturate(e int, v float64) float64 {
 
 // Value returns the true value of the named event in interval t.
 func (tr *Trace) Value(eventName string, t int) (float64, error) {
-	i := tr.cat.Index(eventName)
-	if i < 0 {
-		return 0, fmt.Errorf("sim: unknown event %q", eventName)
+	i, err := tr.event(eventName)
+	if err != nil {
+		return 0, err
 	}
 	if t < 0 || t >= tr.Intervals {
 		return 0, fmt.Errorf("sim: interval %d out of range [0,%d)", t, tr.Intervals)
@@ -325,17 +375,24 @@ func (tr *Trace) Value(eventName string, t int) (float64, error) {
 
 // Series returns a copy of the true time series of the named event.
 func (tr *Trace) Series(eventName string) ([]float64, error) {
-	i := tr.cat.Index(eventName)
-	if i < 0 {
-		return nil, fmt.Errorf("sim: unknown event %q", eventName)
+	i, err := tr.event(eventName)
+	if err != nil {
+		return nil, err
 	}
 	return append([]float64(nil), tr.values[i]...), nil
 }
 
-// SeriesByIndex returns a copy of the true time series of catalogue
-// event index i.
-func (tr *Trace) SeriesByIndex(i int) []float64 {
-	return append([]float64(nil), tr.values[i]...)
+// event resolves an event name to the catalogue index of a series the
+// trace holds.
+func (tr *Trace) event(eventName string) (int, error) {
+	i := tr.cat.Index(eventName)
+	if i < 0 {
+		return 0, fmt.Errorf("sim: unknown event %q", eventName)
+	}
+	if tr.values[i] == nil {
+		return 0, fmt.Errorf("sim: event %q was not generated in this run", eventName)
+	}
+	return i, nil
 }
 
 // MeanIPC returns the run's average IPC.

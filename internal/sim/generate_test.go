@@ -177,10 +177,104 @@ func TestTraceAccessors(t *testing.T) {
 	if tr.Catalogue() == nil {
 		t.Error("Catalogue() nil")
 	}
-	s := tr.SeriesByIndex(0)
-	if len(s) != tr.Intervals {
-		t.Errorf("SeriesByIndex length = %d", len(s))
+}
+
+// TestGenerateEventsMatchesGenerate pins restricted generation against
+// full generation: over every profile and a co-located pair, and for
+// the served event list, a single event and the whole catalogue, the
+// restricted run holds exactly the requested events and those that
+// feed IPC — nonzero weight or a side of a designed pair, derived here
+// from the profile itself — each bit-identical to Generate's, with the
+// same length and IPC; any other event reads as an error.
+func TestGenerateEventsMatchesGenerate(t *testing.T) {
+	cat := NewCatalogue()
+	served, err := cat.Select([]string{"ICACHE.*", "L2_RQSTS.*", "BR_INST_RETIRED.*"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	lists := map[string][]string{
+		"served":    served,
+		"single":    {"ITLB_MISSES.WALK_COMPLETED"},
+		"catalogue": cat.Events(),
+	}
+	var profiles []Profile
+	for _, name := range AllBenchmarkNames() {
+		p, err := ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	wc, _ := ProfileByName("wordcount")
+	so, _ := ProfileByName("sort")
+	profiles = append(profiles, Colocate(wc, so))
+
+	for _, p := range profiles {
+		g, err := NewGenerator(p, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feeds := map[string]bool{}
+		for _, ev := range cat.Events() {
+			if g.Weight(ev) != 0 {
+				feeds[ev] = true
+			}
+		}
+		for _, pair := range p.Interactions {
+			for _, ab := range []string{pair.A, pair.B} {
+				ev, _ := cat.ByAbbrev(ab)
+				feeds[ev.Name] = true
+			}
+		}
+		const run = 3
+		full := g.Generate(run)
+		for name, events := range lists {
+			tr := g.GenerateEvents(run, events)
+			want := map[string]bool{}
+			for _, ev := range events {
+				want[ev] = true
+			}
+			if tr.Intervals != full.Intervals {
+				t.Fatalf("%s/%s: %d intervals, Generate has %d", p.Name, name, tr.Intervals, full.Intervals)
+			}
+			if !bitsEqual(tr.IPC, full.IPC) {
+				t.Errorf("%s/%s: IPC differs from Generate", p.Name, name)
+			}
+			for _, ev := range cat.Events() {
+				got, err := tr.Series(ev)
+				if !want[ev] && !feeds[ev] {
+					if err == nil {
+						t.Errorf("%s/%s: skipped event %s has a series", p.Name, name, ev)
+					}
+					if _, err := tr.Value(ev, 0); err == nil {
+						t.Errorf("%s/%s: skipped event %s has a value", p.Name, name, ev)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s/%s: %v", p.Name, name, err)
+					continue
+				}
+				ref, _ := full.Series(ev)
+				if !bitsEqual(got, ref) {
+					t.Errorf("%s/%s: series of %s differs from Generate", p.Name, name, ev)
+				}
+			}
+		}
+	}
+}
+
+// bitsEqual reports whether two series hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestNewGeneratorRejectsInvalidProfile(t *testing.T) {

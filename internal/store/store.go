@@ -67,6 +67,9 @@ type Record struct {
 	IPC []float64
 	// Series maps event name to its sampled values.
 	Series map[string][]float64
+	// Embedding is the run's fingerprint embedding, when the writer
+	// already computed it; the store neither keeps nor writes it.
+	Embedding []float64
 }
 
 // DB is the two-level store: a set of per-benchmark shards, each behind

@@ -445,6 +445,7 @@ type analysisRun struct {
 
 	runs []*collector.Run  // Collect: surviving runs
 	raw  []*timeseries.Set // Clean: each run's raw series, kept for Persist
+	vecs [][]float64       // Fingerprint: each run's embedding, handed to Persist
 }
 
 // newRun starts an analysis of prof over the configured events (the
@@ -674,7 +675,9 @@ func (m *miner) rank(ctx context.Context) error {
 // ranker runs after the important events are known: a dedicated model
 // of twice Rank's trees is fitted on just those events, which
 // concentrates the ensemble's capacity on the pair structure instead
-// of spreading it over hundreds of inputs.
+// of spreading it over hundreds of inputs. The model is fitted on the
+// MAPM's own training split, which is the split a fresh fit on the
+// re-projected columns would draw; the pair ranking reads every row.
 func (m *miner) interact(ctx context.Context) error {
 	top := m.mapm.TopK(m.opts.TopK)
 	if len(top) < 2 {
@@ -688,7 +691,7 @@ func (m *miner) interact(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	iModel, err := rank.FitCtx(ctx, subX, m.y, names, rank.Options{Params: m.params(m.opts.Trees * 2), Seed: m.opts.Seed})
+	iModel, err := m.mapm.FitEventsCtx(ctx, names, m.params(m.opts.Trees*2))
 	if err != nil {
 		return err
 	}
@@ -726,7 +729,7 @@ func (m *miner) abbrev(event string) string {
 // series directly. The runs embed concurrently on Options.Workers
 // workers; each embedding reads only its own run, and Combine folds
 // them in run order, so the signature is the same for every worker
-// count.
+// count. Persist hands each run's embedding to the sink with the run.
 func (ar *analysisRun) fingerprint(ctx context.Context) error {
 	vecs, err := parallel.MapCtx(ctx, len(ar.runs), ar.p.opts.Workers, func(i int) ([]float64, error) {
 		r := ar.runs[i]
@@ -739,6 +742,7 @@ func (ar *analysisRun) fingerprint(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	ar.vecs = vecs
 	ar.ana.Fingerprint = fingerprint.Combine(vecs)
 	return nil
 }
@@ -761,7 +765,7 @@ func (ar *analysisRun) persist(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := p.persistRun(r, ar.raw[i]); err != nil {
+		if err := p.persistRun(r, ar.raw[i], ar.vecs[i]); err != nil {
 			deg.StoreErrors = append(deg.StoreErrors, p.storeErr(err))
 		}
 	}
@@ -833,8 +837,9 @@ func subset(in *timeseries.Set, events []string) *timeseries.Set {
 
 // persistRun writes one collected run into the store, using the raw
 // as-collected series set (the run itself carries the cleaned subset
-// by the time Persist executes).
-func (p *Pipeline) persistRun(r *collector.Run, raw *timeseries.Set) error {
+// by the time Persist executes) and the Fingerprint stage's embedding
+// of that set.
+func (p *Pipeline) persistRun(r *collector.Run, raw *timeseries.Set, vec []float64) error {
 	rec := store.Record{
 		Meta: store.RunMeta{
 			Benchmark: r.Benchmark,
@@ -842,8 +847,9 @@ func (p *Pipeline) persistRun(r *collector.Run, raw *timeseries.Set) error {
 			Mode:      r.Mode.String(),
 			Intervals: len(r.IPC),
 		},
-		IPC:    r.IPC,
-		Series: make(map[string][]float64, raw.Len()),
+		IPC:       r.IPC,
+		Series:    make(map[string][]float64, raw.Len()),
+		Embedding: vec,
 	}
 	for _, ev := range raw.Events() {
 		s, err := raw.Lookup(ev)

@@ -223,9 +223,13 @@ type sseEvent struct {
 	data []byte
 }
 
-// readEvent parses the next SSE frame, skipping comment heartbeats.
+// readEvent parses the next SSE frame, skipping comment heartbeats. A
+// frame's id is its last id line that parses; a frame with none keeps
+// the resume cursor, since SSE's last event ID persists across frames
+// that carry no id. A frame is dispatched at the blank line that ends
+// it; input that ends before that line returns the read error instead.
 func (s *BatchStream) readEvent() (sseEvent, error) {
-	var ev sseEvent
+	ev := sseEvent{id: s.lastID}
 	dispatch := false
 	for {
 		line, err := s.rd.ReadString('\n')

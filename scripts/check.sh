@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full pre-commit gate: formatting, vet, build, race-enabled tests, the
 # Analysis digests, race and chaos soaks, a fuzz smoke of the store's
-# readers, the CSV loader and the order statistics, and a short
-# allocation-aware pass over the hot-path micro-benchmarks.
+# readers, the CSV loader, the order statistics and the client's SSE
+# parser, and a short allocation-aware pass over the hot-path
+# micro-benchmarks.
 # Equivalent to `make check` for environments without make.
 set -eu
 
@@ -55,20 +56,22 @@ echo "== team race soak =="
 go test -race -count=10 -run '^TestTeam' ./internal/parallel/
 go test -race -count=10 -run '^(TestFitOnTeamMatchesSerial|TestFitParallelMatchesSerial|TestFitCtxCancelStopsTeam|TestBestSplitTieBreakFeature)$' ./internal/sgbrt/
 
-# The store's on-disk readers take whatever bytes the disk holds, and
-# LoadCSV whatever file a user hands it; give each native fuzzer a
-# short run beyond its committed seed corpus. A short minimisation
-# keeps the run exploring; a failing input is still written under
-# testdata/fuzz. The order-statistics fuzzer checks the cleaners' and
-# the fingerprint's selection against sorting.
-echo "== fuzz smoke (store readers, CSV loader, order statistics) =="
+# The store's on-disk readers take whatever bytes the disk holds,
+# LoadCSV whatever file a user hands it, and the client's SSE parser
+# whatever a server or proxy sends; give each native fuzzer a short run
+# beyond its committed seed corpus. A short minimisation keeps the run
+# exploring; a failing input is still written under testdata/fuzz. The
+# order-statistics fuzzer checks the cleaners' and the fingerprint's
+# selection against sorting.
+echo "== fuzz smoke (store readers, CSV loader, order statistics, SSE parser) =="
 go test -run='^$' -fuzz='^FuzzShardRunFile$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
 go test -run='^$' -fuzz='^FuzzMigrateShardFile$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
 go test -run='^$' -fuzz='^FuzzLoadCSV$' -fuzztime=10s -fuzzminimizetime=1s .
 go test -run='^$' -fuzz='^FuzzOrderStatistics$' -fuzztime=10s -fuzzminimizetime=1s ./internal/stats/
+go test -run='^$' -fuzz='^FuzzReadEvent$' -fuzztime=10s -fuzzminimizetime=1s ./pkg/client/
 
 echo "== short benchmarks =="
-go test -run='^$' -bench='Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|IndexUpsert|PrioritySchedule|StreamFanout' \
-    -benchtime=1x -benchmem ./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
+go test -run='^$' -bench='Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|IndexUpsert|PrioritySchedule|StreamFanout|Collect' \
+    -benchtime=1x -benchmem ./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/ ./internal/collector/
 
 echo "check OK"
