@@ -13,8 +13,8 @@
 //     concurrency;
 //   - one streaming consumer: a single async batch handle
 //     (-stream-jobs jobs) is submitted up front and its SSE events
-//     are consumed while the synchronous load runs, proving the
-//     cross-batch scheduler interleaves fairly under pressure.
+//     are consumed while the synchronous load runs, so the handle's
+//     jobs share the admission queue with the synchronous requests.
 //
 // Usage:
 //
@@ -196,7 +196,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	d("singleflight shared", before.Requests.SingleflightShared, after.Requests.SingleflightShared)
 	d("handles opened", before.Stream.HandlesOpened, after.Stream.HandlesOpened)
 	d("stream events sent", before.Stream.EventsSent, after.Stream.EventsSent)
-	d("ring evictions", before.Stream.RingEvictions, after.Stream.RingEvictions)
 	if streamErr != nil {
 		return 1
 	}

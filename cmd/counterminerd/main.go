@@ -86,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batchMax      = fs.Int("batch-max", 64, "max jobs one /analyze/batch request may carry")
 		cleanerDef    = fs.String("cleaner", "", "default data cleaner for requests that don't name one (threshold-knn or bayes; empty = threshold-knn)")
 		streamHandles = fs.Int("stream-handles", 32, "async batch handles open at once; beyond it /analyze/batch?async=1 answers 429")
-		streamRing    = fs.Int("stream-ring", 256, "per-handle event ring size; older events are rebuilt from stored results on resume")
 		streamHB      = fs.Duration("stream-heartbeat", 10*time.Second, "SSE comment-heartbeat interval on idle /batch/{handle}/events streams")
 
 		role      = fs.String("role", "standalone", "node role: standalone, coordinator, or worker")
@@ -121,8 +120,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *batchMax <= 0:
 		fmt.Fprintln(stderr, "counterminerd: -batch-max must be > 0")
 		return 2
-	case *streamHandles <= 0 || *streamRing <= 0:
-		fmt.Fprintln(stderr, "counterminerd: -stream-handles and -stream-ring must be > 0")
+	case *streamHandles <= 0:
+		fmt.Fprintln(stderr, "counterminerd: -stream-handles must be > 0")
 		return 2
 	case *streamHB <= 0:
 		fmt.Fprintln(stderr, "counterminerd: -stream-heartbeat must be > 0")
@@ -167,7 +166,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		BatchMax:        *batchMax,
 		DefaultCleaner:  *cleanerDef,
 		StreamHandles:   *streamHandles,
-		StreamRing:      *streamRing,
 		StreamHeartbeat: *streamHB,
 	}
 	// On the CLI, 0 means "none"; in serve.Config that is encoded as a

@@ -207,7 +207,6 @@ func TestDaemonStreamShutdownDeliversTerminal(t *testing.T) {
 func TestDaemonStreamFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-stream-handles", "0"},
-		{"-stream-ring", "-1"},
 		{"-stream-heartbeat", "0s"},
 	}
 	for _, args := range cases {

@@ -191,7 +191,7 @@ func Series(values []float64, opts Options) ([]float64, Report, error) {
 			}
 		}
 	}
-	isMissing := make(map[int]bool, len(missing))
+	isMissing := make([]bool, len(out))
 	for _, i := range missing {
 		isMissing[i] = true
 	}

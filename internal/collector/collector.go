@@ -71,9 +71,8 @@ type Collector struct {
 
 	// Memoization accounting: builds counts expensive generator
 	// constructions, memoHits counts lookups served from the memo.
-	// counterminerd's batch scheduler groups jobs by benchmark exactly
-	// to grow the hit count, and /metrics exposes both so the grouping
-	// can be judged.
+	// /metrics exposes both; the memo never evicts, so builds equals
+	// the distinct profiles collected in any order.
 	builds   atomic.Uint64
 	memoHits atomic.Uint64
 }

@@ -103,7 +103,7 @@ func ImputeSeries(values []float64, missing []int, k int) ([]float64, error) {
 	if len(values) == 0 {
 		return nil, errors.New("knn: impute on empty series")
 	}
-	isMissing := make(map[int]bool, len(missing))
+	isMissing := make([]bool, len(values))
 	for _, i := range missing {
 		if i < 0 || i >= len(values) {
 			return nil, fmt.Errorf("knn: missing index %d out of range [0,%d)", i, len(values))

@@ -13,17 +13,15 @@ import (
 )
 
 // startJob is the one way work enters the admission queue: it submits
-// the cache leader for job.Key under deadline, filed under the job's
-// grouping key so stream.Scheduler keeps it adjacent to other work on
-// the same benchmark. The job records its outcome in /metrics and hands
-// the cache completion back to the queue, which publishes it only after
-// counting the job, so whoever the result wakes sees queue.executed
-// already include it. An admission rejection completes the call with
-// the typed error, so every waiter (single request, batch entry, or
-// singleflight follower) observes it instead of hanging. cancel fails
-// the job only while it is still queued.
+// the cache leader for job.Key under deadline. The job records its
+// outcome in /metrics and hands the cache completion back to the queue,
+// which publishes it only after counting the job, so whoever the result
+// wakes sees queue.executed already include it. An admission rejection
+// completes the call with the typed error, so every waiter (single
+// request, batch entry, or singleflight follower) observes it instead
+// of hanging. cancel fails the job only while it is still queued.
 func (s *Server) startJob(call *Call[*counterminer.Analysis], job Job, deadline time.Time) (cancel func(), err error) {
-	cancel, err = s.queue.Submit(job.GroupKey(), deadline, func(ctx context.Context) func() {
+	cancel, err = s.queue.Submit(deadline, func(ctx context.Context) func() {
 		start := time.Now()
 		a, aerr := s.analyze(ctx, job)
 		if job.Kind == KindFingerprint {
@@ -83,8 +81,7 @@ type plannedBatch struct {
 // per-job error, never a batch failure) and collapses exact duplicates
 // — equal content addresses — onto the first job with their key. That
 // is the whole plan: the distinct jobs enter the admission queue in
-// request order, and stream.Scheduler keeps each benchmark's jobs
-// adjacent from there.
+// request order and dispatch in that order.
 func (s *Server) planBatch(jobs []client.AnalyzeRequest) *plannedBatch {
 	pb := &plannedBatch{
 		results: make([]client.BatchJobResult, len(jobs)),

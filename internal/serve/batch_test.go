@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -147,7 +146,7 @@ func TestBatchDedupGroupingAndPerJobErrors(t *testing.T) {
 	}
 }
 
-// TestBatchDeterministicAcrossWorkers pins the scheduler's contract:
+// TestBatchDeterministicAcrossWorkers pins the batch planner's contract:
 // the same batch yields a bit-identical schedule order and per-job
 // results at every worker count (1, 2, 8), for both the queue's and
 // the analysis engine's parallelism.
@@ -450,13 +449,11 @@ func TestBatchMetricsPreRegistered(t *testing.T) {
 	}
 }
 
-// TestBatchQueuedGroupsDispatchContiguously pins where same-benchmark
-// adjacency lives: with the only worker busy, an async batch whose
-// benchmarks interleave queues whole in request order, and the
-// admission queue's scheduler still dispatches each benchmark's jobs
-// back to back. No group is split, so every job after a group's first
-// finds its trace generator warm.
-func TestBatchQueuedGroupsDispatchContiguously(t *testing.T) {
+// TestBatchQueuedDispatchesInRequestOrder pins the admission queue's
+// order: with the only worker busy, an async batch whose benchmarks
+// interleave queues whole in request order and dispatches in that same
+// order, first in, first out.
+func TestBatchQueuedDispatchesInRequestOrder(t *testing.T) {
 	s, g := newGatedServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -494,14 +491,9 @@ func TestBatchQueuedGroupsDispatchContiguously(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		order = append(order, <-g.entered)
 	}
-	left := map[string]bool{}
-	for i, bench := range order {
-		if i > 0 && bench != order[i-1] {
-			left[order[i-1]] = true
-		}
-		if left[bench] {
-			t.Fatalf("dispatch order %v splits the %s group", order, bench)
-		}
+	want := []string{"sort", "wordcount", "sort", "pagerank", "wordcount"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("dispatch order %v, want request order %v", order, want)
 	}
 }
 
@@ -562,22 +554,46 @@ func TestBatchAbandonedSyncBatchCounted(t *testing.T) {
 	}
 }
 
-// TestBatchSubmitDeadline: a batch job, filed under its benchmark group
-// the way startJob files it, runs under the explicit deadline the batch
-// carved at arrival, not under one of its own.
+// TestBatchSubmitDeadline: every job of a batch runs under the one
+// deadline the batch carved from the server budget at arrival, not
+// under one of its own, so a sweep holds the workers no longer than a
+// single request could.
 func TestBatchSubmitDeadline(t *testing.T) {
-	q := NewQueue(1, 0)
-	errc := make(chan error, 1)
-	waitFor(t, "deadline job admitted", func() bool {
-		_, err := q.Submit("wordcount", time.Now().Add(20*time.Millisecond), func(ctx context.Context) func() {
-			<-ctx.Done()
-			errc <- ctx.Err()
-			return nil
-		})
-		return err == nil
-	})
-	if err := <-errc; !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("deadline ctx error = %v, want DeadlineExceeded", err)
+	const budget = time.Minute
+	s, g := newGatedServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8, Budget: budget})
+	close(g.release)
+	gated := s.analyze
+	deadlines := make(chan time.Time, 3)
+	s.analyze = func(ctx context.Context, job Job) (*counterminer.Analysis, error) {
+		d, ok := ctx.Deadline()
+		if !ok {
+			t.Errorf("%s job runs without a deadline", job.Benchmark)
+		}
+		deadlines <- d
+		return gated(ctx, job)
 	}
-	q.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.queue.Drain()
+
+	before := time.Now()
+	resp, b := postBatch(t, ts.URL, batchBody(t,
+		client.AnalyzeRequest{Benchmark: "wordcount", Seed: 1},
+		client.AnalyzeRequest{Benchmark: "sort", Seed: 1},
+		client.AnalyzeRequest{Benchmark: "wordcount", Seed: 2},
+	))
+	after := time.Now()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d: %s", resp.StatusCode, b)
+	}
+	first := <-deadlines
+	if first.Before(before.Add(budget)) || first.After(after.Add(budget)) {
+		t.Errorf("batch deadline %v is not the budget carved at arrival (%v to %v)",
+			first, before.Add(budget), after.Add(budget))
+	}
+	for i := 1; i < 3; i++ {
+		if d := <-deadlines; !d.Equal(first) {
+			t.Errorf("job %d deadline %v, want the batch's %v", i, d, first)
+		}
+	}
 }

@@ -107,9 +107,8 @@ var metricsKeyPaths = []string{
 	"stream", "stream.events_sent", "stream.handles_canceled",
 	"stream.handles_expired", "stream.handles_finished",
 	"stream.handles_opened", "stream.late_completions",
-	"stream.open_handles", "stream.queue_groups",
-	"stream.retained_handles", "stream.ring_evictions",
-	"stream.ring_rebuilds", "stream.subscribers",
+	"stream.open_handles", "stream.retained_handles",
+	"stream.subscribers",
 	"uptime_seconds",
 }
 

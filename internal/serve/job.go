@@ -61,10 +61,9 @@ type Job struct {
 }
 
 // GroupKey is the job's grouping key: the benchmark identity, the unit
-// of collector memoization. The admission queue files jobs under it so
-// stream.Scheduler dispatches them adjacently, and the cluster layer
-// routes by it so jobs sharing a memoized trace generator land on the
-// same worker.
+// of collector memoization. The cluster layer routes by it so jobs
+// sharing a memoized trace generator land on the same worker, and the
+// batch planner counts a batch's distinct groups by it.
 func (j Job) GroupKey() string { return j.Benchmark + "\x00" + j.Colocate }
 
 // options maps the job's request fields onto pipeline options: the one

@@ -45,7 +45,7 @@ func TestQueueAdmissionOverload(t *testing.T) {
 	q := NewQueue(1, 1)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) func() {
+	if _, err := q.Submit(time.Time{}, func(ctx context.Context) func() {
 		close(started)
 		<-release
 		return nil
@@ -53,11 +53,11 @@ func TestQueueAdmissionOverload(t *testing.T) {
 		t.Fatalf("first submit: %v", err)
 	}
 	<-started
-	if _, err := q.Submit("", time.Time{}, noopJob); err != nil {
+	if _, err := q.Submit(time.Time{}, noopJob); err != nil {
 		t.Fatalf("buffered submit: %v", err)
 	}
 	// Worker busy, buffer full: the third job must be rejected, typed.
-	_, err := q.Submit("", time.Time{}, noopJob)
+	_, err := q.Submit(time.Time{}, noopJob)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overload submit error = %v, want ErrQueueFull", err)
 	}
@@ -72,7 +72,7 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 	q := NewQueue(1, 2)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) func() {
+	if _, err := q.Submit(time.Time{}, func(ctx context.Context) func() {
 		close(started)
 		<-release
 		return nil
@@ -89,7 +89,7 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	if _, err := q.Submit("", time.Time{}, func(ctx context.Context) func() {
+	if _, err := q.Submit(time.Time{}, func(ctx context.Context) func() {
 		_, aerr := pipe.AnalyzeContext(ctx, "wordcount")
 		errc <- aerr
 		return nil
@@ -106,7 +106,7 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 	// queued job under the same critical section), then let the active
 	// job finish so the worker reaches the queued, already-canceled one.
 	waitFor(t, "queue draining", func() bool {
-		_, err := q.Submit("", time.Time{}, noopJob)
+		_, err := q.Submit(time.Time{}, noopJob)
 		return errors.Is(err, ErrDraining)
 	})
 	close(release)
@@ -123,7 +123,7 @@ func TestQueueDrainCancelsQueuedViaCancelError(t *testing.T) {
 	if ce.Stage != counterminer.StageCollect {
 		t.Errorf("canceled stage = %q, want %q", ce.Stage, counterminer.StageCollect)
 	}
-	if _, err := q.Submit("", time.Time{}, noopJob); !errors.Is(err, ErrDraining) {
+	if _, err := q.Submit(time.Time{}, noopJob); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain = %v, want ErrDraining", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestQueueBudgetDeadline(t *testing.T) {
 	q := NewQueue(1, 0)
 	errc := make(chan error, 1)
 	waitFor(t, "budget job admitted", func() bool {
-		_, err := q.Submit("", time.Now().Add(20*time.Millisecond), func(ctx context.Context) func() {
+		_, err := q.Submit(time.Now().Add(20*time.Millisecond), func(ctx context.Context) func() {
 			<-ctx.Done()
 			errc <- ctx.Err()
 			return nil
@@ -146,6 +146,61 @@ func TestQueueBudgetDeadline(t *testing.T) {
 		t.Errorf("budget ctx error = %v, want DeadlineExceeded", err)
 	}
 	q.Drain()
+}
+
+// TestQueueCancelSparesClaimedJob pins the cancel-if-queued contract
+// at the moment of dispatch: a job's cancel either lands before a
+// worker claims the job (the job sees a canceled context from its
+// first instruction) or not at all. A cancel that slips in after the
+// claim would fail an executing job, and with it every singleflight
+// follower of its key. Each iteration releases a busy worker and fires
+// the queued job's cancel after a different delay, sweeping the race
+// window across dispatch.
+func TestQueueCancelSparesClaimedJob(t *testing.T) {
+	q := NewQueue(1, 1)
+	defer q.Drain()
+	spin := func(n int) int {
+		s := 0
+		for k := 0; k < n; k++ {
+			s += k
+		}
+		return s
+	}
+	violations := 0
+	for i := 0; i < 20000; i++ {
+		started := make(chan struct{})
+		release := make(chan struct{})
+		if _, err := q.Submit(time.Time{}, func(context.Context) func() {
+			close(started)
+			<-release
+			return nil
+		}); err != nil {
+			t.Fatalf("iteration %d: submit holder: %v", i, err)
+		}
+		<-started
+		var atEntry, afterSpin error
+		finished := make(chan struct{})
+		cancel, err := q.Submit(time.Time{}, func(ctx context.Context) func() {
+			atEntry = ctx.Err()
+			spin(2000)
+			afterSpin = ctx.Err()
+			close(finished)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("iteration %d: submit queued job: %v", i, err)
+		}
+		close(release)
+		spin(i * 7 % 16384)
+		cancel()
+		<-finished
+		if atEntry == nil && afterSpin != nil {
+			violations++
+		}
+	}
+	if violations > 0 {
+		t.Fatalf("%d of 20000 claimed jobs had their context canceled while executing", violations)
+	}
 }
 
 // --- cache -----------------------------------------------------------------

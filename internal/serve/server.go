@@ -93,11 +93,6 @@ type Config struct {
 	// (default 32). Twice as many finished handles are retained for
 	// late polling before expiring.
 	StreamHandles int
-	// StreamRing sizes each handle's event ring buffer, the frames a
-	// resuming consumer replays without re-encoding (default 256;
-	// evicted frames are rebuilt from the stored results, so a small
-	// ring costs CPU on resume, never data).
-	StreamRing int
 	// StreamHeartbeat paces the SSE comment heartbeats that keep idle
 	// streams alive through proxies (default 10s).
 	StreamHeartbeat time.Duration
@@ -119,9 +114,6 @@ func (c Config) validate() error {
 	}
 	if c.StreamHandles < 0 {
 		return fmt.Errorf("%w: StreamHandles must be >= 0, got %d", ErrConfig, c.StreamHandles)
-	}
-	if c.StreamRing < 0 {
-		return fmt.Errorf("%w: StreamRing must be >= 0, got %d", ErrConfig, c.StreamRing)
 	}
 	if c.StreamHeartbeat < 0 {
 		return fmt.Errorf("%w: StreamHeartbeat must be >= 0, got %v", ErrConfig, c.StreamHeartbeat)
@@ -162,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StreamHandles == 0 {
 		c.StreamHandles = 32
-	}
-	if c.StreamRing == 0 {
-		c.StreamRing = 256
 	}
 	if c.StreamHeartbeat == 0 {
 		c.StreamHeartbeat = 10 * time.Second
@@ -240,7 +229,7 @@ func New(cfg Config) (*Server, error) {
 		fpCache: NewCache[*client.Classification](cfg.CacheSize),
 		metrics: NewMetrics(),
 		extra:   make(map[string]http.Handler),
-		streams: stream.NewRegistry(cfg.StreamHandles, 2*cfg.StreamHandles, cfg.StreamRing),
+		streams: stream.NewRegistry(cfg.StreamHandles, 2*cfg.StreamHandles),
 	}
 	if cfg.StorePath != "" {
 		db, err := store.Open(cfg.StorePath)
@@ -419,7 +408,7 @@ func (s *Server) snapshot() client.Snapshot {
 		queue: s.queue, cache: s.cache, coll: s.coll, db: s.db, index: s.fpIndex,
 		cluster: s.clusterStats,
 	})
-	snap.Stream = s.streams.Stats(streamGroupGauges(s.queue.GroupDepths()))
+	snap.Stream = s.streams.Stats()
 	return snap
 }
 

@@ -106,9 +106,8 @@ func (s *Server) handleBatchHandle(w http.ResponseWriter, r *http.Request) {
 // Every event carries its sequence number as the SSE id, and a
 // reconnecting consumer resumes with Last-Event-ID (header, or the
 // last_event_id query parameter for curl): exactly the missed events
-// replay, served from the per-handle ring buffer or rebuilt from the
-// stored results when evicted. A cursor that is not an event id of the
-// stream — 0 through the done event's id — is a 400.
+// replay from the handle's event log. A cursor that is not an event id
+// of the stream — 0 through the done event's id — is a 400.
 func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, h *stream.Handle) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -166,39 +165,4 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, h *stream.H
 			return
 		}
 	}
-}
-
-// streamGroupGauges renders the queue's per-grouping-key state for the
-// /metrics stream section, translating scheduler keys into display
-// form.
-func streamGroupGauges(depths []stream.GroupDepth) []client.StreamGroupGauge {
-	out := make([]client.StreamGroupGauge, len(depths))
-	for i, gd := range depths {
-		g := client.StreamGroupGauge{
-			Group:     displayGroup(gd.Group),
-			Depth:     gd.Depth,
-			Executing: gd.Executing,
-		}
-		if !gd.Oldest.IsZero() {
-			g.OldestWaitMs = msSince(gd.Oldest)
-		}
-		out[i] = g
-	}
-	return out
-}
-
-// displayGroup turns a scheduler grouping key (benchmark + NUL +
-// colocate) into its display form: "wordcount", "wordcount+sort", or
-// "(ungrouped)" for keyless submissions.
-func displayGroup(key string) string {
-	var parts []string
-	for _, p := range strings.Split(key, "\x00") {
-		if p != "" {
-			parts = append(parts, p)
-		}
-	}
-	if len(parts) == 0 {
-		return "(ungrouped)"
-	}
-	return strings.Join(parts, "+")
 }

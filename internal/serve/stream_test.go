@@ -410,7 +410,7 @@ func TestAsyncBatchDrainDeliversTerminal(t *testing.T) {
 		close(drained)
 	}()
 	waitFor(t, "queue draining", func() bool {
-		_, err := s.queue.Submit("", time.Time{}, noopJob)
+		_, err := s.queue.Submit(time.Time{}, noopJob)
 		return err == ErrDraining
 	})
 	g.release <- struct{}{} // executing job finishes; queued one cancels
@@ -432,50 +432,6 @@ func TestAsyncBatchDrainDeliversTerminal(t *testing.T) {
 	case <-drained:
 	case <-time.After(10 * time.Second):
 		t.Fatal("drainWork did not return")
-	}
-}
-
-// TestStreamMetricsGroupGauges pins the satellite fix: /metrics
-// exposes per-grouping-key queue depth and oldest-wait, not just a
-// global depth.
-func TestStreamMetricsGroupGauges(t *testing.T) {
-	s, g := newGatedServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
-	ts := httptest.NewServer(s.Handler())
-	defer s.queue.Drain()
-	defer close(g.release) // before Drain: the gated executing job must finish
-	defer ts.Close()
-
-	// The first sort job executes on the single worker; the second sort
-	// job and the wordcount job wait in the queue under their own keys.
-	body := batchBody(t,
-		client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 1},
-		client.AnalyzeRequest{Benchmark: "wordcount", SkipEIR: true, Seed: 1},
-		client.AnalyzeRequest{Benchmark: "sort", SkipEIR: true, Seed: 2},
-	)
-	resp, _, b := postAsyncBatch(t, ts.URL, body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit status = %d: %s", resp.StatusCode, b)
-	}
-	<-g.entered
-
-	snap := s.snapshot()
-	if snap.Stream.OpenHandles != 1 {
-		t.Errorf("open handles = %d, want 1", snap.Stream.OpenHandles)
-	}
-	byGroup := map[string]client.StreamGroupGauge{}
-	for _, gg := range snap.Stream.QueueGroups {
-		byGroup[gg.Group] = gg
-	}
-	srt, ok := byGroup["sort"]
-	if !ok || srt.Executing != 1 || srt.Depth != 1 {
-		t.Errorf("sort gauge = %+v (groups %v), want executing 1 depth 1", srt, byGroup)
-	}
-	wc, ok := byGroup["wordcount"]
-	if !ok || wc.Depth != 1 {
-		t.Errorf("wordcount gauge = %+v (groups %v), want depth 1", wc, byGroup)
-	}
-	if wc.OldestWaitMs < 0 {
-		t.Errorf("wordcount oldest-wait = %v, want >= 0", wc.OldestWaitMs)
 	}
 }
 

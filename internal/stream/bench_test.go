@@ -1,36 +1,16 @@
 package stream
 
 import (
-	"fmt"
 	"testing"
 
 	"counterminer/pkg/client"
 )
 
-// BenchmarkPrioritySchedule measures one enqueue+pop+done round trip
-// through the cross-batch priority heap with a realistic group fanout
-// (16 benchmark identities, jobs scattered across them).
-func BenchmarkPrioritySchedule(b *testing.B) {
-	s := NewScheduler[int]()
-	groups := make([]string, 16)
-	for i := range groups {
-		groups[i] = fmt.Sprintf("bench-%d", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := groups[i%len(groups)]
-		s.Enqueue(g, i)
-		_, popped, _ := s.Pop()
-		s.Done(popped)
-	}
-}
-
 // BenchmarkStreamFanout measures one job completion fanned out to 8
 // subscribers, each pulling its events — the hot path of a popular
 // handle (marshal once, notify 8, pull 8).
 func BenchmarkStreamFanout(b *testing.B) {
-	r := NewRegistry(1, 1, 1024)
+	r := NewRegistry(1, 1)
 	h, err := r.Open(b.N+1, client.BatchStats{Submitted: b.N + 1})
 	if err != nil {
 		b.Fatal(err)

@@ -7,24 +7,19 @@
 // monotonically as more cleaned profiles land — so a sweep's results
 // should render progressively, the way BayesPerf streams corrected
 // counter estimates online rather than batch-at-the-end. The package
-// provides three cooperating parts:
+// provides two cooperating parts:
 //
 //   - Handle: one asynchronous batch. Every job completion becomes a
-//     sequence-numbered event; events are retained in a bounded
-//     per-handle ring buffer (evicted payloads are rebuilt on demand
-//     from the per-job results, so a resume never loses data), and the
-//     terminal event carries the batch's final accounting. Subscribers
-//     attach with a cursor — the SSE layer's Last-Event-ID — and pull
-//     exactly the events they have not seen, so a dropped consumer
-//     replays missed completions and every result is delivered exactly
-//     once per stream.
+//     sequence-numbered event, encoded once and appended to the
+//     handle's event log (one frame per job plus the terminal event,
+//     which carries the batch's final accounting). Subscribers attach
+//     with a cursor — the SSE layer's Last-Event-ID — and pull exactly
+//     the events they have not seen, so a dropped consumer replays
+//     missed completions and every result is delivered exactly once
+//     per stream.
 //   - Registry: the server's table of handles, bounding how many may be
 //     open at once and how many finished ones are retained for late
 //     polling, with the counters behind /metrics.stream.
-//   - Scheduler (sched.go): the cross-batch priority queue that
-//     replaces FIFO admission, keyed by the batch planner's
-//     benchmark-identity grouping key so interleaved sweeps from
-//     different clients still dispatch benchmark-adjacent.
 package stream
 
 import (
@@ -74,8 +69,8 @@ const (
 
 // Event is one sequence-numbered frame of a handle's stream. Seq starts
 // at 1 and increments per job completion; the terminal event's Seq is
-// total+1. Data is the encoded JSON payload, cached in the ring so a
-// fanout to N subscribers marshals once.
+// total+1. Data is the encoded JSON payload, kept in the handle's log
+// so a fanout to N subscribers marshals once.
 type Event struct {
 	Seq  uint64
 	Name string
@@ -95,7 +90,6 @@ type Registry struct {
 	mu        sync.Mutex
 	openCap   int
 	retainCap int
-	ringSize  int
 	handles   map[string]*Handle
 	doneOrder []string // terminal handle IDs, oldest first (retention LRU)
 
@@ -105,23 +99,18 @@ type Registry struct {
 }
 
 // NewRegistry returns a registry admitting at most openCap concurrently
-// open handles, retaining at most retainCap finished ones for late
-// polling, with ringSize cached event frames per handle. Non-positive
-// arguments select 32, 64, and 256 respectively.
-func NewRegistry(openCap, retainCap, ringSize int) *Registry {
+// open handles and retaining at most retainCap finished ones for late
+// polling. Non-positive arguments select 32 and 64 respectively.
+func NewRegistry(openCap, retainCap int) *Registry {
 	if openCap <= 0 {
 		openCap = 32
 	}
 	if retainCap <= 0 {
 		retainCap = 64
 	}
-	if ringSize <= 0 {
-		ringSize = 256
-	}
 	return &Registry{
 		openCap:   openCap,
 		retainCap: retainCap,
-		ringSize:  ringSize,
 		handles:   make(map[string]*Handle),
 	}
 }
@@ -137,14 +126,13 @@ func (r *Registry) Open(total int, stats client.BatchStats) (*Handle, error) {
 		return nil, fmt.Errorf("%w (%d open, limit %d)", ErrHandleLimit, r.counters.OpenHandles, r.openCap)
 	}
 	h := &Handle{
-		id:      newHandleID(),
-		reg:     r,
-		created: time.Now(),
-		jobs:    make([]client.BatchJobResult, total),
-		done:    make([]bool, total),
-		ring:    make([]Event, r.ringSize),
-		stats:   stats,
-		subs:    make(map[*Subscriber]struct{}),
+		id:     newHandleID(),
+		reg:    r,
+		jobs:   make([]client.BatchJobResult, total),
+		done:   make([]bool, total),
+		events: make([]Event, 0, total+1),
+		stats:  stats,
+		subs:   make(map[*Subscriber]struct{}),
 	}
 	for i := range h.jobs {
 		h.jobs[i].Index = i
@@ -228,18 +216,6 @@ func (r *Registry) AddEventsSent(n int) {
 	r.mu.Unlock()
 }
 
-func (r *Registry) addRingEviction() {
-	r.mu.Lock()
-	r.counters.RingEvictions++
-	r.mu.Unlock()
-}
-
-func (r *Registry) addRingRebuild() {
-	r.mu.Lock()
-	r.counters.RingRebuilds++
-	r.mu.Unlock()
-}
-
 func (r *Registry) addLateCompletion() {
 	r.mu.Lock()
 	r.counters.LateCompletions++
@@ -252,15 +228,12 @@ func (r *Registry) addSubscriber(delta int) {
 	r.mu.Unlock()
 }
 
-// Stats assembles the /metrics.stream section; queueGroups is the
-// scheduler's per-group gauge contribution, passed through so the
-// section is one document.
-func (r *Registry) Stats(queueGroups []client.StreamGroupGauge) client.StreamCounters {
+// Stats assembles the /metrics.stream section.
+func (r *Registry) Stats() client.StreamCounters {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.counters
 	st.RetainedHandles = len(r.doneOrder)
-	st.QueueGroups = queueGroups
 	return st
 }
 
@@ -280,15 +253,13 @@ func newHandleID() string {
 // Handle is one asynchronous batch: per-job results for polling, the
 // completion-ordered event log for streaming, and the subscriber set.
 type Handle struct {
-	id      string
-	reg     *Registry
-	created time.Time
+	id  string
+	reg *Registry
 
 	mu        sync.Mutex
 	jobs      []client.BatchJobResult
 	done      []bool
-	order     []int   // job index per completion, order[seq-1]
-	ring      []Event // cached frames, slot (seq-1) % len
+	events    []Event // published frames, events[seq-1]; append-only
 	completed int
 	terminal  bool
 	canceled  bool
@@ -352,13 +323,11 @@ func (h *Handle) completeLocked(idx int, res client.BatchJobResult) {
 	h.jobs[idx] = res
 	h.done[idx] = true
 	h.completed++
-	h.order = append(h.order, idx)
 	if res.Error != nil {
 		h.stats.Errors++
 	}
-	seq := uint64(h.completed)
 	data, _ := json.Marshal(&res)
-	h.pushRingLocked(Event{Seq: seq, Name: EventResult, Data: data})
+	h.events = append(h.events, Event{Seq: uint64(h.completed), Name: EventResult, Data: data})
 	if h.completed == len(h.jobs) {
 		h.finishLocked()
 	}
@@ -375,41 +344,8 @@ func (h *Handle) finishLocked() {
 		status = StatusCanceled
 	}
 	data, _ := json.Marshal(&client.StreamDone{Status: status, Stats: h.stats})
-	h.pushRingLocked(Event{Seq: uint64(len(h.jobs)) + 1, Name: EventDone, Data: data})
+	h.events = append(h.events, Event{Seq: uint64(len(h.jobs)) + 1, Name: EventDone, Data: data})
 	h.reg.markFinished(h, h.canceled)
-}
-
-// pushRingLocked caches an encoded frame, evicting the slot's previous
-// occupant (evictions only cost a re-marshal on resume, never data).
-func (h *Handle) pushRingLocked(ev Event) {
-	slot := int((ev.Seq - 1) % uint64(len(h.ring)))
-	if h.ring[slot].Seq != 0 {
-		h.reg.addRingEviction()
-	}
-	h.ring[slot] = ev
-}
-
-// eventAt returns the frame for seq, from the ring when cached,
-// otherwise rebuilt from the per-job result (or the final stats for the
-// terminal seq).
-func (h *Handle) eventAtLocked(seq uint64) Event {
-	slot := int((seq - 1) % uint64(len(h.ring)))
-	if h.ring[slot].Seq == seq {
-		return h.ring[slot]
-	}
-	h.reg.addRingRebuild()
-	if h.terminal && seq == uint64(len(h.jobs))+1 {
-		status := StatusDone
-		if h.canceled {
-			status = StatusCanceled
-		}
-		data, _ := json.Marshal(&client.StreamDone{Status: status, Stats: h.stats})
-		return Event{Seq: seq, Name: EventDone, Data: data}
-	}
-	idx := h.order[seq-1]
-	res := h.jobs[idx]
-	data, _ := json.Marshal(&res)
-	return Event{Seq: seq, Name: EventResult, Data: data}
 }
 
 // EventsSince returns every event with sequence greater than cursor, in
@@ -419,18 +355,14 @@ func (h *Handle) eventAtLocked(seq uint64) Event {
 func (h *Handle) EventsSince(cursor uint64) ([]Event, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	last := uint64(h.completed)
-	if h.terminal {
-		last = uint64(len(h.jobs)) + 1
-	}
-	if cursor >= last {
+	n := uint64(len(h.events))
+	if cursor >= n {
 		return nil, h.terminal
 	}
-	evs := make([]Event, 0, last-cursor)
-	for seq := cursor + 1; seq <= last; seq++ {
-		evs = append(evs, h.eventAtLocked(seq))
-	}
-	return evs, h.terminal
+	// Published frames never change, and the clipped capacity keeps a
+	// caller's append from writing into the handle's array, so the
+	// slice is safe to read after the lock is released.
+	return h.events[cursor:n:n], h.terminal
 }
 
 // Cancel marks the handle canceled and runs the cancellation hook once

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -37,7 +38,7 @@ func decodeDone(t *testing.T, ev Event) client.StreamDone {
 // one event per completion in completion order, a terminal done event
 // with the final stats, and duplicate completions dropped.
 func TestHandleExactlyOnceCompletionOrder(t *testing.T) {
-	r := NewRegistry(4, 4, 16)
+	r := NewRegistry(4, 4)
 	h, err := r.Open(3, client.BatchStats{Submitted: 3, Executed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -65,49 +66,43 @@ func TestHandleExactlyOnceCompletionOrder(t *testing.T) {
 	if decodeResult(t, evs[1]).Key != "k" {
 		t.Fatal("duplicate completion overwrote the original result")
 	}
-	st := r.Stats(nil)
+	st := r.Stats()
 	if st.LateCompletions != 1 || st.HandlesFinished != 1 || st.OpenHandles != 0 {
 		t.Fatalf("registry counters %+v", st)
 	}
-	// Cursor semantics: a consumer that saw seq 2 replays exactly 3, 4.
-	evs, terminal = h.EventsSince(2)
-	if !terminal || len(evs) != 2 || evs[0].Seq != 3 || evs[1].Seq != 4 {
-		t.Fatalf("resume from 2: %d events, terminal=%v", len(evs), terminal)
+	// Cursor semantics: every resume cursor, 0 through total+1, replays
+	// exactly the log's suffix after it.
+	all := evs
+	for cursor := uint64(0); cursor <= 4; cursor++ {
+		evs, terminal := h.EventsSince(cursor)
+		if !terminal || uint64(len(evs)) != 4-cursor {
+			t.Fatalf("resume from %d: %d events, terminal=%v", cursor, len(evs), terminal)
+		}
+		for i, ev := range evs {
+			want := all[cursor+uint64(i)]
+			if ev.Seq != cursor+uint64(i)+1 || ev.Name != want.Name || !bytes.Equal(ev.Data, want.Data) {
+				t.Fatalf("resume from %d: event %d is seq %d %q, want seq %d %q",
+					cursor, i, ev.Seq, ev.Name, want.Seq, want.Name)
+			}
+		}
 	}
-}
 
-// TestHandleRingEvictionRebuild verifies the bounded ring: a stream
-// longer than the ring evicts frames, and a resume from the start
-// rebuilds every evicted event from the stored results — identical
-// sequence, nothing lost.
-func TestHandleRingEvictionRebuild(t *testing.T) {
-	r := NewRegistry(1, 1, 2)
-	h, err := r.Open(5, client.BatchStats{Submitted: 5})
+	// A caller's append to a returned slice never reaches the log, even
+	// while the log still has room past the slice's end.
+	h2, err := r.Open(2, client.BatchStats{Submitted: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		h.Complete(i, client.BatchJobResult{Key: "k"})
+	h2.Complete(0, client.BatchJobResult{Key: "a"})
+	early, _ := h2.EventsSince(0)
+	h2.Complete(1, client.BatchJobResult{Key: "b"})
+	_ = append(early, Event{Seq: 2, Name: EventResult, Data: []byte(`{"index":1,"key":"forged"}`)})
+	evs, terminal = h2.EventsSince(1)
+	if !terminal || len(evs) != 2 || evs[0].Seq != 2 {
+		t.Fatalf("resume from 1 after append: %d events, terminal=%v", len(evs), terminal)
 	}
-	st := r.Stats(nil)
-	if st.RingEvictions == 0 {
-		t.Fatalf("no ring evictions with ring=2 over 6 events: %+v", st)
-	}
-	evs, terminal := h.EventsSince(0)
-	if !terminal || len(evs) != 6 {
-		t.Fatalf("replay: %d events terminal=%v, want 6/true", len(evs), terminal)
-	}
-	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d", i, ev.Seq)
-		}
-		if i < 5 && decodeResult(t, ev).Index != i {
-			t.Fatalf("rebuilt event %d has wrong index", i)
-		}
-	}
-	decodeDone(t, evs[5])
-	if st := r.Stats(nil); st.RingRebuilds == 0 {
-		t.Fatal("full replay past evicted slots counted no rebuilds")
+	if got := decodeResult(t, evs[0]).Key; got != "b" {
+		t.Fatalf("event 2 carries key %q after a caller's append, want b", got)
 	}
 }
 
@@ -115,7 +110,7 @@ func TestHandleRingEvictionRebuild(t *testing.T) {
 // the handle stays open until every job lands, and the terminal event
 // reports "canceled".
 func TestHandleCancel(t *testing.T) {
-	r := NewRegistry(1, 1, 8)
+	r := NewRegistry(1, 1)
 	h, err := r.Open(2, client.BatchStats{Submitted: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +141,7 @@ func TestHandleCancel(t *testing.T) {
 	if snap := h.Snapshot(); snap.Status != StatusCanceled || snap.Completed != 2 {
 		t.Fatalf("snapshot %+v", snap)
 	}
-	if st := r.Stats(nil); st.HandlesCanceled != 1 || st.HandlesFinished != 0 {
+	if st := r.Stats(); st.HandlesCanceled != 1 || st.HandlesFinished != 0 {
 		t.Fatalf("registry counters %+v", st)
 	}
 }
@@ -154,7 +149,7 @@ func TestHandleCancel(t *testing.T) {
 // TestHandleForceFinish verifies the drain path: pending jobs complete
 // with the given typed error and the terminal event flushes.
 func TestHandleForceFinish(t *testing.T) {
-	r := NewRegistry(1, 1, 8)
+	r := NewRegistry(1, 1)
 	h, _ := r.Open(2, client.BatchStats{Submitted: 2})
 	h.Complete(0, client.BatchJobResult{Key: "k"})
 	h.ForceFinish("draining", "server draining")
@@ -175,7 +170,7 @@ func TestHandleForceFinish(t *testing.T) {
 // TestRegistryLimitsAndRetention verifies the open-handle cap and the
 // finished-handle retention LRU.
 func TestRegistryLimitsAndRetention(t *testing.T) {
-	r := NewRegistry(1, 1, 8)
+	r := NewRegistry(1, 1)
 	h1, err := r.Open(1, client.BatchStats{})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +195,7 @@ func TestRegistryLimitsAndRetention(t *testing.T) {
 	if _, ok := r.Get(h2.ID()); !ok {
 		t.Fatal("newest finished handle not retained")
 	}
-	if st := r.Stats(nil); st.HandlesExpired != 1 || st.RetainedHandles != 1 {
+	if st := r.Stats(); st.HandlesExpired != 1 || st.RetainedHandles != 1 {
 		t.Fatalf("retention counters %+v", st)
 	}
 }
@@ -209,7 +204,7 @@ func TestRegistryLimitsAndRetention(t *testing.T) {
 // wake on subscribe, a coalesced signal per burst of completions, and
 // gauge accounting on unsubscribe.
 func TestSubscriberNotify(t *testing.T) {
-	r := NewRegistry(1, 1, 8)
+	r := NewRegistry(1, 1)
 	h, _ := r.Open(2, client.BatchStats{})
 	sub := h.Subscribe()
 	select {
@@ -226,12 +221,12 @@ func TestSubscriberNotify(t *testing.T) {
 	if evs, _ := h.EventsSince(0); len(evs) != 1 {
 		t.Fatalf("pull saw %d events", len(evs))
 	}
-	if st := r.Stats(nil); st.Subscribers != 1 {
+	if st := r.Stats(); st.Subscribers != 1 {
 		t.Fatalf("subscriber gauge %d", st.Subscribers)
 	}
 	h.Unsubscribe(sub)
 	h.Unsubscribe(sub) // idempotent
-	if st := r.Stats(nil); st.Subscribers != 0 {
+	if st := r.Stats(); st.Subscribers != 0 {
 		t.Fatalf("subscriber gauge after unsubscribe %d", st.Subscribers)
 	}
 }
@@ -240,7 +235,7 @@ func TestSubscriberNotify(t *testing.T) {
 // handle is terminal afterwards, so every open stream sees a terminal
 // event before the listener closes.
 func TestRegistryDrainForceFinishes(t *testing.T) {
-	r := NewRegistry(4, 4, 8)
+	r := NewRegistry(4, 4)
 	h, _ := r.Open(1, client.BatchStats{})
 	r.Drain(0)
 	if !h.Terminal() {
@@ -257,7 +252,7 @@ func TestRegistryDrainForceFinishes(t *testing.T) {
 // that just received "done" always finds the handle counted in
 // /metrics.stream.
 func TestHandleCountsFinishBeforeTerminalVisible(t *testing.T) {
-	r := NewRegistry(4, 4, 4)
+	r := NewRegistry(4, 4)
 	for i := 1; i <= 2000; i++ {
 		h, err := r.Open(1, client.BatchStats{})
 		if err != nil {
@@ -270,7 +265,7 @@ func TestHandleCountsFinishBeforeTerminalVisible(t *testing.T) {
 			}
 			runtime.Gosched()
 		}
-		if got := r.Stats(nil).HandlesFinished; got != uint64(i) {
+		if got := r.Stats().HandlesFinished; got != uint64(i) {
 			t.Fatalf("after %d terminal events the registry counts %d finished handles", i, got)
 		}
 	}

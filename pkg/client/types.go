@@ -111,8 +111,8 @@ type BatchStats struct {
 	// Groups is the number of distinct benchmark-identity groups.
 	Groups int `json:"groups"`
 	// ScheduleOrder lists the distinct jobs' indexes in request order,
-	// the order they enter the admission queue's scheduler (duplicates
-	// and invalid jobs don't appear).
+	// the order they enter the admission queue (duplicates and invalid
+	// jobs don't appear).
 	ScheduleOrder []int `json:"schedule_order"`
 }
 
@@ -169,22 +169,6 @@ type StreamDone struct {
 	Stats BatchStats `json:"stats"`
 }
 
-// StreamGroupGauge is one benchmark-identity grouping key's live
-// admission-queue state — the per-group depth that makes priority
-// inversion observable where a single global depth gauge cannot.
-type StreamGroupGauge struct {
-	// Group is the grouping key in display form (benchmark, with a "+"
-	// joining a colocated pair).
-	Group string `json:"group"`
-	// Depth is how many jobs of the group wait for a worker; Executing
-	// how many run right now.
-	Depth     int `json:"depth"`
-	Executing int `json:"executing"`
-	// OldestWaitMs is how long the group's oldest queued job has waited
-	// (0 when nothing is queued).
-	OldestWaitMs float64 `json:"oldest_wait_ms"`
-}
-
 // StreamCounters is the streaming subsystem's /metrics section.
 // Pre-registered: present (zeroed) before the first async batch.
 type StreamCounters struct {
@@ -202,17 +186,9 @@ type StreamCounters struct {
 	// EventsSent counts SSE frames written to subscribers (heartbeat
 	// comments excluded).
 	EventsSent uint64 `json:"events_sent"`
-	// RingEvictions counts ring-buffer slots overwritten by newer
-	// events; RingRebuilds counts resume reads that re-encoded an
-	// evicted event from the stored per-job result (an eviction costs a
-	// re-marshal, never data).
-	RingEvictions uint64 `json:"ring_evictions"`
-	RingRebuilds  uint64 `json:"ring_rebuilds"`
 	// LateCompletions counts duplicate completions dropped by handles —
 	// the exactly-once guard's hit counter.
 	LateCompletions uint64 `json:"late_completions"`
-	// QueueGroups is the admission queue's per-grouping-key state.
-	QueueGroups []StreamGroupGauge `json:"queue_groups"`
 }
 
 // ClassifyRequest is POST /classify's body. The profile to classify
@@ -405,10 +381,9 @@ type Snapshot struct {
 	// distribution. Pre-registered — every cleaner appears (zeroed)
 	// from the first scrape.
 	Cleaners []CleanerCounters `json:"cleaners"`
-	// Stream is the streaming-batch subsystem: handle lifecycle, SSE
-	// fanout, ring-buffer accounting, and the admission queue's
-	// per-grouping-key depth. Pre-registered — present (zeroed) before
-	// the first async batch.
+	// Stream is the streaming-batch subsystem: handle lifecycle and
+	// SSE fanout. Pre-registered — present (zeroed) before the first
+	// async batch.
 	Stream StreamCounters `json:"stream"`
 }
 
