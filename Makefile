@@ -47,7 +47,7 @@ team-race:
 # series, broken stores at 0%/5%/20%), the fault unit tests, the
 # serving layer's overload/shutdown/drain paths and batch endpoint
 # (per-job error isolation under injected faults),
-# the sharded store's crash/eviction/migration paths, the cluster
+# the sharded store's crash/eviction/corruption paths, the cluster
 # plane's node-level chaos (lease failover, requeue, partition, seeded
 # worker kills), the Cleaner seam (registry, per-cleaner cache-key
 # separation, Bayesian determinism across worker counts), and the
@@ -56,9 +56,9 @@ team-race:
 # detector. Deterministic — a failure here is a real regression, not
 # flakiness.
 chaos:
-	$(GO) test -race -count=2 -run 'Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Shard|Evict|Migrate|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle|Priority' . ./internal/fault/ ./internal/serve/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
+	$(GO) test -race -count=2 -run 'Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Shard|Evict|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle' . ./internal/fault/ ./internal/serve/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
 
-# The store's on-disk readers take whatever bytes the disk holds,
+# The store's run-file reader takes whatever bytes the disk holds,
 # LoadCSV whatever file a user hands it, and the client's SSE parser
 # whatever a server or proxy sends; give each native fuzzer a short run
 # beyond its committed seed corpus. A short minimisation keeps the run
@@ -67,7 +67,6 @@ chaos:
 # selection against sorting.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzShardRunFile$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
-	$(GO) test -run='^$$' -fuzz='^FuzzMigrateShardFile$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadCSV$$' -fuzztime=10s -fuzzminimizetime=1s .
 	$(GO) test -run='^$$' -fuzz='^FuzzOrderStatistics$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/stats/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEvent$$' -fuzztime=10s -fuzzminimizetime=1s ./pkg/client/

@@ -81,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		grace         = fs.Duration("grace", 15*time.Second, "shutdown grace for in-flight HTTP exchanges")
 		dbPath        = fs.String("db", "", "persist collected runs to this store path (also backs /benchmarks)")
 		storeMem      = fs.String("store-mem", "", "store memory budget (e.g. 64MiB, 100MB): clean shards beyond it evict LRU and reload lazily (empty = unlimited)")
-		storeWB       = fs.Duration("store-writeback", 0, "background flush interval for dirty store shards (0 = store default, -1ns = off)")
 		anaWorkers    = fs.Int("analysis-workers", 0, "per-analysis worker count (0 = GOMAXPROCS); never changes results")
 		batchMax      = fs.Int("batch-max", 64, "max jobs one /analyze/batch request may carry")
 		cleanerDef    = fs.String("cleaner", "", "default data cleaner for requests that don't name one (threshold-knn or bayes; empty = threshold-knn)")
@@ -161,7 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ShutdownGrace:   *grace,
 		StorePath:       *dbPath,
 		StoreMemBytes:   storeMemBytes,
-		StoreWriteback:  *storeWB,
 		AnalysisWorkers: *anaWorkers,
 		BatchMax:        *batchMax,
 		DefaultCleaner:  *cleanerDef,

@@ -74,10 +74,6 @@ type Config struct {
 	// bytes: clean shards beyond the budget evict least-recently-used
 	// and reload lazily on next touch (0 = unlimited).
 	StoreMemBytes int64
-	// StoreWriteback paces the store's background writeback goroutine,
-	// which flushes dirty shards incrementally so eviction can keep up
-	// under a memory budget (0 = the store default, negative = off).
-	StoreWriteback time.Duration
 	// AnalysisWorkers is Options.Workers for each pipeline execution
 	// (default 0 = GOMAXPROCS). It never changes results, only speed.
 	AnalysisWorkers int
@@ -104,10 +100,9 @@ type Config struct {
 var ErrConfig = errors.New("serve: invalid configuration")
 
 // validate rejects Config fields whose negative values have no
-// defined meaning. QueueDepth, CacheSize, and StoreWriteback encode
-// "none"/"off" as negatives by contract; the others do not, and a
-// negative would otherwise fall through to a surprising default (an
-// ignored memory budget, for one).
+// defined meaning. QueueDepth and CacheSize encode "none" as negatives
+// by contract; the others do not, and a negative would otherwise fall
+// through to a surprising default (an ignored memory budget, for one).
 func (c Config) validate() error {
 	if c.StoreMemBytes < 0 {
 		return fmt.Errorf("%w: StoreMemBytes must be >= 0, got %d", ErrConfig, c.StoreMemBytes)
@@ -275,11 +270,12 @@ func (s *Server) Handler() http.Handler {
 // atomically. A clean shutdown returns nil.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// The background writeback keeps dirty shards flushing (and
-	// evictable under a memory budget) between requests; the final
-	// Flush below still catches mutations after the last tick.
+	// evictable under a memory budget) between requests, at the store's
+	// default interval; the final Flush below still catches mutations
+	// after the last tick.
 	stopWB := func() {}
-	if s.db != nil && s.cfg.StoreWriteback >= 0 {
-		stopWB = s.db.StartWriteback(s.cfg.StoreWriteback)
+	if s.db != nil {
+		stopWB = s.db.StartWriteback(0)
 	}
 	hs := s.httpServer()
 	errc := make(chan error, 1)

@@ -107,8 +107,8 @@ type Stats struct {
 }
 
 // Summarize computes store-wide statistics. Sample counts come from
-// each shard's maintained accounting (persisted in the shard index),
-// so summarising never forces a lazy load.
+// each shard's maintained accounting (read from the run files' heads
+// at Open), so summarising never forces a lazy load.
 func (db *DB) Summarize() Stats {
 	s := Stats{ByMode: make(map[string]int), SkippedRecords: db.Skipped()}
 	for _, sh := range db.snapshotShards() {

@@ -13,9 +13,8 @@ import (
 // resident across shards. When the budget is exceeded, shards are
 // evicted least-recently-used first and reload lazily on next touch.
 // A shard holding mutations not yet flushed is never evicted — flush
-// it, or run StartWriteback, to make it evictable; an unconverted v3
-// shard is evictable, since its runs reload from the .shard file. A
-// budget <= 0 (the default) is unlimited.
+// it, or run StartWriteback, to make it evictable. A budget <= 0 (the
+// default) is unlimited.
 //
 // The budget is a target, not a hard cap: the shard being served is
 // never evicted, and a working set of shards with unflushed mutations
@@ -25,27 +24,21 @@ func (db *DB) SetMemBudget(bytes int64) {
 	db.maybeEvict(nil)
 }
 
-// MemBudget returns the current eviction budget (<= 0 = unlimited).
-func (db *DB) MemBudget() int64 { return db.budget.Load() }
-
-// touch marks the shard most-recently-used. A shard a flush has
-// already dropped from the catalog stays out of the LRU list.
+// touch marks the shard most-recently-used.
 func (db *DB) touch(s *shard) {
 	db.mu.Lock()
-	switch {
-	case db.shards[s.bench] != s:
-	case s.elem == nil:
+	if s.elem == nil {
 		s.elem = db.lru.PushFront(s)
-	default:
+	} else {
 		db.lru.MoveToFront(s.elem)
 	}
 	db.mu.Unlock()
 }
 
-// maybeEvict evicts shards with no unflushed mutation (an unconverted
-// v3 shard included), least-recently-used first, until the resident
-// series bytes fit the budget. keep, when non-nil, names the
-// shard just served — it is never evicted in this pass.
+// maybeEvict evicts shards with no unflushed mutation,
+// least-recently-used first, until the resident series bytes fit the
+// budget. keep, when non-nil, names the shard just served — it is
+// never evicted in this pass.
 func (db *DB) maybeEvict(keep *shard) {
 	budget := db.budget.Load()
 	if budget <= 0 || db.resident.Load() <= budget {
@@ -78,8 +71,7 @@ func (db *DB) maybeEvict(keep *shard) {
 // counterminerd's /metrics.
 type ShardStats struct {
 	// Shards counts the catalog's benchmarks; Loaded how many have
-	// their series resident; Dirty how many carry unflushed mutations
-	// (or a v3 .shard file not yet converted).
+	// their series resident; Dirty how many carry unflushed runs.
 	Shards, Loaded, Dirty int
 	// ResidentBytes is the series payload held in memory;
 	// MemBudgetBytes the eviction target (0 = unlimited).

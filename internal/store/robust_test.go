@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -87,38 +85,6 @@ func TestOpenTruncatedFileSkipsTail(t *testing.T) {
 	}
 }
 
-// TestOpenGarbageTailSkips: garbage appended after the last intact
-// record of a v3 shard file loses nothing — every indexed record still
-// has its series, and the conversion writes them all.
-func TestOpenGarbageTailSkips(t *testing.T) {
-	path := copyV3Fixture(t)
-	f, err := os.OpenFile(filepath.Join(path, fixtureWordcountShard), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("\x01\x02not gob at all\xff\xfe")); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	db, err := Open(path)
-	if err != nil {
-		t.Fatalf("store with garbage shard tail failed to open: %v", err)
-	}
-	checkV3Fixture(t, db)
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if db.Skipped() != 0 {
-		t.Errorf("Skipped = %d, want 0 (all records survived)", db.Skipped())
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkV3Fixture(t, re)
-}
-
 // TestOpenCorruptShardIndexSkipsShard: a run file whose head is
 // destroyed loses that run only — the rest of the catalog opens
 // normally.
@@ -189,75 +155,6 @@ func TestStatsReportSkippedRecords(t *testing.T) {
 	db.Get("wordcount", 1, "MLPX") // the damage surfaces at Open already
 	if got := db.Summarize().SkippedRecords; got != 1 {
 		t.Errorf("Stats.SkippedRecords = %d, want 1", got)
-	}
-}
-
-// TestOpenLegacyV1 reads a version-1 single-blob file, skipping entries
-// whose two levels are inconsistent.
-func TestOpenLegacyV1(t *testing.T) {
-	good := RunMeta{
-		Benchmark: "wordcount", RunID: 1, Mode: "MLPX",
-		Events: []string{"A.EVENT"}, Intervals: 3,
-		SeriesTable: "series/wordcount/1/MLPX",
-	}
-	orphan := RunMeta{ // SeriesTable missing from SecondLevel
-		Benchmark: "sort", RunID: 2, Mode: "MLPX",
-		SeriesTable: "series/sort/2/MLPX",
-	}
-	invalid := RunMeta{ // no SeriesTable at all
-		Benchmark: "terasort", RunID: 3, Mode: "MLPX",
-	}
-	img := persisted{
-		Version: 1,
-		FirstLevel: map[string]RunMeta{
-			"wordcount/1/MLPX": good,
-			"sort/2/MLPX":      orphan,
-			"terasort/3/MLPX":  invalid,
-		},
-		SecondLevel: map[string]map[string][]float64{
-			good.SeriesTable:         {"A.EVENT": {1, 2, 3}, ipcColumn: {0.5, 0.6, 0.7}},
-			"series/terasort/3/MLPX": {"A.EVENT": {9}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.db")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := Open(path)
-	if err != nil {
-		t.Fatalf("legacy v1 file failed to open: %v", err)
-	}
-	if db.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (only the consistent record)", db.Len())
-	}
-	if db.Skipped() != 2 {
-		t.Errorf("Skipped = %d, want 2", db.Skipped())
-	}
-	rec, ok := db.Get("wordcount", 1, "MLPX")
-	if !ok {
-		t.Fatal("good legacy record missing")
-	}
-	if len(rec.IPC) != 3 || rec.Series["A.EVENT"][2] != 3 {
-		t.Errorf("legacy record damaged: %+v", rec)
-	}
-}
-
-func TestOpenFutureVersionErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(persisted{Version: 99}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "future.db")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("future format version opened without error")
 	}
 }
 

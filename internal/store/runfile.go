@@ -266,10 +266,10 @@ func parseRunHead(b []byte) (runHead, error) {
 		return h, fmt.Errorf("store: run file has %d samples", h.Samples)
 	}
 	m.RunID, m.Intervals, h.IPC = int(runID), int(intervals), flag == 1
-	m.SeriesTable = "series/" + key(m.Benchmark, m.RunID, m.Mode)
-	if !validMeta(*m) {
+	if m.Benchmark == "" || m.Mode == "" {
 		return h, errors.New("store: run file without benchmark or mode")
 	}
+	m.SeriesTable = "series/" + key(m.Benchmark, m.RunID, m.Mode)
 	return h, nil
 }
 

@@ -3,11 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -67,43 +65,6 @@ func TestCorruptionRunFileIsolated(t *testing.T) {
 		if !ok || !sameRecord(rec, mediumRecord(bench, 1)) {
 			t.Errorf("%s/1 damaged by its neighbours' corruption (found %v)", bench, ok)
 		}
-	}
-}
-
-// TestShardPutRacingEmptyingFlush: a Put that lands while a flush
-// removes its benchmark's emptied shard is not lost with that shard.
-func TestShardPutRacingEmptyingFlush(t *testing.T) {
-	db, err := Open(filepath.Join(t.TempDir(), "runs.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := db.Put(mediumRecord("alpha", 1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		db.Delete("alpha", 1, "MLPX")
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if err := db.Flush(); err != nil {
-				t.Error(err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if err := db.Put(mediumRecord("alpha", 2)); err != nil {
-				t.Error(err)
-			}
-		}()
-		wg.Wait()
-		if _, ok := db.Get("alpha", 2, "MLPX"); !ok {
-			t.Fatalf("iteration %d: a Put racing the emptying flush was lost", i)
-		}
-		db.Delete("alpha", 2, "MLPX")
 	}
 }
 
@@ -167,69 +128,4 @@ func checkRunFile(t *testing.T, raw []byte) {
 			t.Fatalf("column %q reads differently through the store", ev)
 		}
 	}
-}
-
-// FuzzMigrateShardFile: whatever bytes a v3 .shard file holds, opening,
-// reading and converting it neither panics nor hangs. An unreadable
-// index is skipped as one record; every run lost at load is counted;
-// and every run read converts to run files a reopen reads back
-// bit-identically, skipping nothing.
-func FuzzMigrateShardFile(f *testing.F) {
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		path := t.TempDir()
-		if err := os.WriteFile(filepath.Join(path, fixtureWordcountShard), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		db, err := Open(path)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		_, ierr := decodeShardIndex(gob.NewDecoder(bytes.NewReader(raw)), int64(len(raw)))
-		listed, openSkipped := db.Len(), db.Skipped()
-		if ierr != nil && (listed != 0 || openSkipped != 1) {
-			t.Fatalf("unreadable index: Len %d, Skipped %d; want 0, 1", listed, openSkipped)
-		}
-		before := allRuns(db)
-		if lost, counted := listed-len(before), db.Skipped()-openSkipped; lost != counted {
-			t.Fatalf("%d runs lost at load, %d counted", lost, counted)
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatalf("converting flush: %v", err)
-		}
-		if files := v3Files(t, path); ierr == nil && len(files) != 0 {
-			t.Fatalf(".shard file survived its conversion: %v", files)
-		}
-		re, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := allRuns(re)
-		if want := len(v3Files(t, path)); re.Skipped() != want {
-			t.Fatalf("reopen after the conversion skipped %d, want %d", re.Skipped(), want)
-		}
-		if len(after) != len(before) {
-			t.Fatalf("conversion kept %d of %d runs", len(after), len(before))
-		}
-		for k, rec := range before {
-			got := after[k]
-			if !reflect.DeepEqual(got.Meta, rec.Meta) || !sameBits(got.IPC, rec.IPC) || len(got.Series) != len(rec.Series) {
-				t.Fatalf("run %s converts to %+v, was %+v", k, got.Meta, rec.Meta)
-			}
-			for ev, vals := range rec.Series {
-				if !sameBits(got.Series[ev], vals) {
-					t.Fatalf("run %s column %q changed by the conversion", k, ev)
-				}
-			}
-		}
-	})
-}
-
-// allRuns reads every stored run, keyed.
-func allRuns(db *DB) map[string]Record {
-	out := map[string]Record{}
-	db.ForEachRun(func(rec Record) bool {
-		out[key(rec.Meta.Benchmark, rec.Meta.RunID, rec.Meta.Mode)] = rec
-		return true
-	})
-	return out
 }

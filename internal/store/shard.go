@@ -23,20 +23,10 @@ type shard struct {
 
 	mu     sync.RWMutex
 	loaded bool // series resident
-	// pending maps each key whose run file is stale to that file's
-	// name: the next flush writes the run if the key is still stored and
-	// removes the file otherwise. A shard with pending keys is loaded
-	// and never evicted.
-	pending map[string]string
-	// v3 names the benchmark's v3 .shard file until it is converted:
-	// runs with no run file load from there, and the next flush writes
-	// the shard's runs as run files and removes the .shard file. Until
-	// then the loaded runs are clean: eviction drops them and a reload
-	// reads the .shard file again.
-	v3 string
-	// dropped reports that a flush unlinked the emptied shard from the
-	// catalog; a Put that raced the flush retries on a fresh shard.
-	dropped bool
+	// pending holds the keys whose run file is stale: the next flush
+	// writes those runs. A shard with pending keys is loaded and never
+	// evicted.
+	pending map[string]struct{}
 	// metas indexes the shard's runs by key.
 	metas map[string]RunMeta
 	// series maps a series-table name to its per-event series (IPC
@@ -59,50 +49,40 @@ func newShard(bench string, loaded bool) *shard {
 	return s
 }
 
-// dirty reports that the next flush has work: stale run files or an
-// unconverted v3 file.
-func (s *shard) dirty() bool { return len(s.pending) > 0 || s.v3 != "" }
+// dirty reports that the next flush has work: stale run files.
+func (s *shard) dirty() bool { return len(s.pending) > 0 }
 
 // evictable reports whether the shard's series can be dropped: they are
 // resident and every run reloads from disk as it is in memory.
 func (s *shard) evictable() bool { return s.loaded && len(s.pending) == 0 }
 
 // markPending records that the run file of key k is stale.
-func (s *shard) markPending(k string, m RunMeta) {
+func (s *shard) markPending(k string) {
 	if s.pending == nil {
-		s.pending = make(map[string]string)
+		s.pending = make(map[string]struct{})
 	}
-	s.pending[k] = runFileName(m.RunID, m.Mode)
-}
-
-// validMeta checks the invariants every stored record satisfies.
-func validMeta(m RunMeta) bool {
-	return m.Benchmark != "" && m.Mode != "" && m.SeriesTable != ""
+	s.pending[k] = struct{}{}
 }
 
 // openDir reads a store directory: the head of every run file is
 // decoded eagerly; series stay on disk until first touch. A run file
 // that is unreadable, damaged or misnamed is skipped and counted; other
-// runs are unaffected. v3 .shard files merge in last, so that where a
-// crash left a run in both layouts, its run file wins.
+// runs are unaffected. A v3 .shard file is an error.
 func (db *DB) openDir() error {
 	entries, err := os.ReadDir(db.path)
 	if err != nil {
 		return fmt.Errorf("store: open: %w", err)
 	}
-	var v3 []string
 	for _, e := range entries {
 		switch name := e.Name(); {
 		case strings.HasPrefix(name, "."):
 			// Temp files of interrupted writes.
 		case e.IsDir():
 			db.openBenchDir(name)
-		case strings.HasSuffix(name, shardSuffix):
-			v3 = append(v3, name)
+		case strings.HasSuffix(name, ".shard"):
+			return fmt.Errorf("store: %s is a v3 .shard file, which this build no longer reads; %s",
+				filepath.Join(db.path, name), migrateHint)
 		}
-	}
-	for _, name := range v3 {
-		db.openShardFile(name)
 	}
 	return nil
 }
@@ -139,26 +119,12 @@ func (db *DB) openBenchDir(dirName string) {
 }
 
 // load makes the shard's series resident. The caller holds s.mu for
-// writing. Each run is read from its run file, or, when it has none,
-// from the benchmark's v3 .shard file. A run found in neither is
-// dropped from the shard and counted in db.skipped — the rest of the
-// shard (and every other shard) is unaffected.
-//
-// A .shard file that cannot be read at all is no longer the shard's to
-// convert: it stays on disk, so its runs come back at the next Open
-// (or, if it is damaged, Compact removes it).
+// writing. Each run is read from its run file; a run whose file cannot
+// be read is dropped from the shard and counted in db.skipped — the
+// rest of the shard (and every other shard) is unaffected.
 func (s *shard) load(db *DB) {
 	if s.loaded {
 		return
-	}
-	var old map[string]v3Run
-	if s.v3 != "" {
-		path := filepath.Join(db.path, s.v3)
-		var err error
-		if _, old, err = readShardFile(path, true); err != nil {
-			s.v3 = ""
-			db.noteDamage(path, err)
-		}
 	}
 	dir := filepath.Join(db.path, benchDirName(s.bench))
 	s.series = make(map[string]map[string][]float64, len(s.metas))
@@ -171,13 +137,9 @@ func (s *shard) load(db *DB) {
 			err = errors.New("store: run file holds another run")
 		}
 		if err != nil {
-			r, ok := old[k]
-			if !ok {
-				delete(s.metas, k)
-				db.skipped.Add(1)
-				continue
-			}
-			meta, table = r.meta, r.table
+			delete(s.metas, k)
+			db.skipped.Add(1)
+			continue
 		}
 		s.metas[k] = meta
 		s.series[meta.SeriesTable] = table
@@ -222,11 +184,11 @@ func (s *shard) evict(db *DB) {
 	db.evictions.Add(1)
 }
 
-// sortedKeys returns a map's keys in order, so a flush writes a shard's
-// files in a deterministic order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
+// sortedPending returns the pending keys in order, so a flush writes a
+// shard's files in a deterministic order.
+func (s *shard) sortedPending() []string {
+	keys := make([]string, 0, len(s.pending))
+	for k := range s.pending {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

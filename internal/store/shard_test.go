@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -109,6 +108,12 @@ func TestShardLazyLoadOnFirstTouch(t *testing.T) {
 	if n := db.Len(); n != 2 {
 		t.Fatalf("Len = %d, want 2", n)
 	}
+	if got := len(db.List()); got != 2 {
+		t.Fatalf("List = %d rows, want 2", got)
+	}
+	if rows := db.Select(Query{Benchmark: "alpha", Event: "A.EVENT"}); len(rows) != 1 || rows[0].Benchmark != "alpha" {
+		t.Fatalf("Select(alpha, A.EVENT) = %+v", rows)
+	}
 	if got := len(db.Benchmarks()); got != 2 {
 		t.Fatalf("Benchmarks = %d entries, want 2", got)
 	}
@@ -129,24 +134,6 @@ func TestShardLazyLoadOnFirstTouch(t *testing.T) {
 	}
 	if st.ResidentBytes != 3*200*bytesPerSample {
 		t.Errorf("ResidentBytes = %d, want %d", st.ResidentBytes, 3*200*bytesPerSample)
-	}
-}
-
-func TestListBenchmarkReadsOneShardOnly(t *testing.T) {
-	path, _ := shardedStore(t, "alpha", "beta")
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := db.ListBenchmark("alpha")
-	if len(rows) != 1 || rows[0].Benchmark != "alpha" {
-		t.Fatalf("ListBenchmark(alpha) = %+v", rows)
-	}
-	if st := db.ShardStats(); st.Loads != 0 {
-		t.Errorf("ListBenchmark loaded %d shards, want 0 (first level only)", st.Loads)
-	}
-	if rows := db.ListBenchmark("nope"); rows != nil {
-		t.Errorf("ListBenchmark(nope) = %+v, want nil", rows)
 	}
 }
 
@@ -172,8 +159,8 @@ func TestShardEvictionUnderMemBudget(t *testing.T) {
 	if st.Loads < 4 {
 		t.Errorf("Loads = %d, want reloads after eviction (>= 4)", st.Loads)
 	}
-	if st.ResidentBytes > db.MemBudget() {
-		t.Errorf("ResidentBytes %d exceeds budget %d after eviction pass", st.ResidentBytes, db.MemBudget())
+	if st.ResidentBytes > st.MemBudgetBytes {
+		t.Errorf("ResidentBytes %d exceeds budget %d after eviction pass", st.ResidentBytes, st.MemBudgetBytes)
 	}
 	if db.Skipped() != 0 {
 		t.Errorf("Skipped = %d after evict/reload cycles, want 0", db.Skipped())
@@ -334,202 +321,6 @@ func TestShardFlushInjectedIOErrorIsolation(t *testing.T) {
 	}
 }
 
-// writeV2File writes a legacy version-2 single-file store holding the
-// given records, canonicalised exactly as Put would store them.
-func writeV2File(t *testing.T, path string, recs []Record) {
-	t.Helper()
-	byKey := map[string]diskRecord{}
-	for _, rec := range recs {
-		k := key(rec.Meta.Benchmark, rec.Meta.RunID, rec.Meta.Mode)
-		meta := rec.Meta
-		meta.SeriesTable = "series/" + k
-		meta.Events = nil
-		for ev := range rec.Series {
-			meta.Events = append(meta.Events, ev)
-		}
-		sort.Strings(meta.Events)
-		if meta.Intervals == 0 {
-			meta.Intervals = len(rec.IPC)
-		}
-		events := append([]string(nil), meta.Events...)
-		if rec.IPC != nil {
-			events = append(events, ipcColumn)
-			sort.Strings(events)
-		}
-		series := make([]diskSeries, 0, len(events))
-		for _, ev := range events {
-			vals := rec.Series[ev]
-			if ev == ipcColumn {
-				vals = rec.IPC
-			}
-			series = append(series, diskSeries{Event: ev, Values: vals})
-		}
-		byKey[k] = diskRecord{Key: k, Meta: meta, Series: series}
-	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(&persisted{Version: 2}); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		dr := byKey[k]
-		if err := enc.Encode(&dr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMigrateV2SingleFile: a v2 single-file store opens, migrates on
-// first flush, and reopens intact — and the migrated run files are
-// byte-identical to the ones a fresh store produces from the same
-// records.
-func TestMigrateV2SingleFile(t *testing.T) {
-	recs := []Record{
-		mediumRecord("wordcount", 1), mediumRecord("wordcount", 2),
-		mediumRecord("pagerank", 1),
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "runs.db")
-	writeV2File(t, path, recs)
-
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.NeedsMigration() {
-		t.Fatal("v2 single file not flagged for migration")
-	}
-	if db.Len() != 3 || db.Skipped() != 0 {
-		t.Fatalf("legacy open: Len=%d Skipped=%d", db.Len(), db.Skipped())
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatalf("migration flush: %v", err)
-	}
-	if db.NeedsMigration() {
-		t.Error("store still flagged for migration after flush")
-	}
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		t.Fatalf("store path is not a directory after migration: %v", err)
-	}
-	if _, err := os.Stat(path + legacyBackupSuffix); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("migration backup left behind: %v", err)
-	}
-
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		got, ok := re.Get(rec.Meta.Benchmark, rec.Meta.RunID, rec.Meta.Mode)
-		if !ok {
-			t.Fatalf("record %s/%d missing after migration", rec.Meta.Benchmark, rec.Meta.RunID)
-		}
-		if !reflect.DeepEqual(got.Series, rec.Series) || !reflect.DeepEqual(got.IPC, rec.IPC) {
-			t.Errorf("record %s/%d damaged by migration", rec.Meta.Benchmark, rec.Meta.RunID)
-		}
-	}
-	if re.Skipped() != 0 {
-		t.Errorf("Skipped = %d after migration reopen, want 0", re.Skipped())
-	}
-
-	// Bit-identical round trip: a fresh store built from the same
-	// records produces the same run files.
-	fresh := filepath.Join(dir, "fresh.db")
-	fdb, err := Open(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := fdb.Put(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fdb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	migrated, direct := storeFiles(t, path), storeFiles(t, fresh)
-	if len(migrated) != 3 || !reflect.DeepEqual(migrated, direct) {
-		t.Errorf("migrated store (%d files) differs from a directly-built one (%d files)", len(migrated), len(direct))
-	}
-}
-
-// TestMigrateCrashRecovery: a crash between the migration's two renames
-// leaves the original file under the backup name; Open recovers it.
-func TestMigrateCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "runs.db")
-	writeV2File(t, path, []Record{mediumRecord("wordcount", 1)})
-	// Simulate the crash window: original parked, directory not yet in
-	// place.
-	if err := os.Rename(path, path+legacyBackupSuffix); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := Open(path)
-	if err != nil {
-		t.Fatalf("open after simulated crash: %v", err)
-	}
-	if _, ok := db.Get("wordcount", 1, "MLPX"); !ok {
-		t.Fatal("record lost in crash window")
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := re.Get("wordcount", 1, "MLPX"); !ok {
-		t.Error("record lost after recovered migration")
-	}
-}
-
-// TestMigrateInjectedErrorLeavesOriginal: a fault while writing the
-// migration directory leaves the legacy file byte-for-byte untouched.
-func TestMigrateInjectedErrorLeavesOriginal(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "runs.db")
-	writeV2File(t, path, []Record{mediumRecord("wordcount", 1), mediumRecord("pagerank", 1)})
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	injected := errors.New("disk on fire")
-	db.failFlush = func(bench string) error { return injected }
-	if err := db.Flush(); !errors.Is(err, injected) {
-		t.Fatalf("Flush error = %v, want injected fault", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("legacy file gone after failed migration: %v", err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("failed migration modified the legacy file")
-	}
-	// Retry without the fault succeeds.
-	db.failFlush = nil
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Errorf("store not migrated on retry: %v", err)
-	}
-}
-
 // TestShardDeterministicAcrossWorkers: concurrent Put traffic at any
 // worker count flushes to bit-identical run files.
 func TestShardDeterministicAcrossWorkers(t *testing.T) {
@@ -579,32 +370,9 @@ func TestShardDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestShardDeleteEmptyShardRemovesFile(t *testing.T) {
-	path, db := shardedStore(t, "alpha", "beta")
-	if !db.Delete("alpha", 1, "MLPX") {
-		t.Fatal("Delete returned false")
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(path, benchDirName("alpha"))); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("empty shard's directory still on disk: %v", err)
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != 1 {
-		t.Errorf("Len = %d after deleting alpha, want 1", re.Len())
-	}
-	if got := re.Benchmarks(); len(got) != 1 || got[0].Benchmark != "beta" {
-		t.Errorf("Benchmarks = %+v, want [beta]", got)
-	}
-}
-
 // TestCompactRewritesAndCleans: Compact drops what a damaged store
 // left behind — a damaged run file, the directory it emptied, stale
-// temp files — converts v3 shards, and leaves healthy runs alone.
+// temp files — and leaves healthy runs alone.
 func TestCompactRewritesAndCleans(t *testing.T) {
 	path, db := shardedStore(t, "alpha", "beta")
 	if err := db.Put(mediumRecord("beta", 2)); err != nil {
@@ -614,8 +382,8 @@ func TestCompactRewritesAndCleans(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Damage alpha's only run and beta's run 2 (a flipped series byte
-	// only the checksum sees), drop stale temp files in the store and
-	// in beta's directory, and add the v3 fixture's sort shard.
+	// only the checksum sees), and drop stale temp files in the store
+	// and in beta's directory.
 	file := runFile(path, "alpha", 1)
 	raw, err := os.ReadFile(file)
 	if err != nil {
@@ -638,13 +406,6 @@ func TestCompactRewritesAndCleans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v3, err := os.ReadFile(filepath.Join("testdata", "v3store", "sort-042bc8d1.shard"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(path, "sort-042bc8d1.shard"), v3, 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	db, err = Open(path)
 	if err != nil {
@@ -658,10 +419,10 @@ func TestCompactRewritesAndCleans(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	// sort's conversion, then five removals: alpha's damaged run and
-	// its directory, beta's damaged run 2, and the two temp files.
-	if n != 6 {
-		t.Errorf("Compact made %d changes, want 6", n)
+	// Five removals: alpha's damaged run and its directory, beta's
+	// damaged run 2, and the two temp files.
+	if n != 5 {
+		t.Errorf("Compact made %d changes, want 5", n)
 	}
 	if db.Skipped() != 2 {
 		t.Errorf("Compact found %d damaged runs, want 2", db.Skipped())
@@ -670,9 +431,6 @@ func TestCompactRewritesAndCleans(t *testing.T) {
 		if _, err := os.Stat(f); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("%s survived Compact: %v", f, err)
 		}
-	}
-	if files := v3Files(t, path); len(files) != 0 {
-		t.Errorf("Compact left .shard files: %v", files)
 	}
 	if after, err := os.ReadFile(runFile(path, "beta", 1)); err != nil || !bytes.Equal(after, beta1) {
 		t.Errorf("Compact rewrote a healthy run file (err %v)", err)
@@ -684,12 +442,11 @@ func TestCompactRewritesAndCleans(t *testing.T) {
 		t.Fatal(err)
 	}
 	re.Get("beta", 1, "MLPX")
-	re.Get("sort", 3, "MLPX")
 	if re.Skipped() != 0 {
 		t.Errorf("Skipped = %d after Compact, want 0", re.Skipped())
 	}
-	if n := re.Len(); n != 2 {
-		t.Errorf("Len = %d after Compact, want 2 (beta/1 and sort/3)", n)
+	if n := re.Len(); n != 1 {
+		t.Errorf("Len = %d after Compact, want 1 (beta/1)", n)
 	}
 	if _, ok := re.Get("beta", 1, "MLPX"); !ok {
 		t.Error("healthy run lost by Compact")
@@ -702,11 +459,11 @@ func TestCompactRewritesAndCleans(t *testing.T) {
 }
 
 // TestShardCompactKeepsUnreadableFiles: Compact removes only files it
-// read and found damaged. A run file or .shard file the OS cannot open
-// (here a dangling symlink, as EACCES or EMFILE would leave it) and a
-// run file that decodes but is misnamed stay on disk, still counted in
-// Skipped; a run file that was unreadable only while Compact ran reads
-// again once it is back.
+// read and found damaged. A run file the OS cannot open (here a
+// dangling symlink, as EACCES or EMFILE would leave it) and a run file
+// that decodes but is misnamed stay on disk, still counted in Skipped;
+// a run file that was unreadable only while Compact ran reads again
+// once it is back.
 func TestShardCompactKeepsUnreadableFiles(t *testing.T) {
 	path, db := shardedStore(t, "alpha", "beta")
 	if err := db.Put(mediumRecord("beta", 2)); err != nil {
@@ -717,30 +474,24 @@ func TestShardCompactKeepsUnreadableFiles(t *testing.T) {
 	}
 	gone := filepath.Join(t.TempDir(), "gone")
 	ghostRun := filepath.Join(path, benchDirName("alpha"), runFileName(5, "MLPX"))
-	ghostShard := filepath.Join(path, "ghost-00000000.shard")
-	for _, f := range []string{ghostRun, ghostShard} {
-		if err := os.Symlink(gone, f); err != nil {
-			t.Skip("no symlinks:", err)
-		}
+	if err := os.Symlink(gone, ghostRun); err != nil {
+		t.Skip("no symlinks:", err)
 	}
 	beta1, err := os.ReadFile(runFile(path, "beta", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	misnamed := runFile(path, "beta", 7)
-	junkShard := filepath.Join(path, "junk-00000000.shard")
-	for f, raw := range map[string][]byte{misnamed: beta1, junkShard: []byte("not a shard")} {
-		if err := os.WriteFile(f, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(misnamed, beta1, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	db, err = Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Skipped() != 4 {
-		t.Fatalf("Skipped = %d at Open, want 4 (two unopenable, one misnamed, one garbage .shard)", db.Skipped())
+	if db.Skipped() != 2 {
+		t.Fatalf("Skipped = %d at Open, want 2 (one unopenable, one misnamed)", db.Skipped())
 	}
 	// beta/1 becomes unopenable after Open, while Compact loads it.
 	if err := os.Remove(runFile(path, "beta", 1)); err != nil {
@@ -753,13 +504,10 @@ func TestShardCompactKeepsUnreadableFiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if n != 1 {
-		t.Errorf("Compact made %d changes, want 1 (the garbage .shard file)", n)
+	if n != 0 {
+		t.Errorf("Compact made %d changes, want 0", n)
 	}
-	if _, err := os.Stat(junkShard); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("garbage .shard file survived Compact: %v", err)
-	}
-	for _, f := range []string{ghostRun, ghostShard, misnamed, runFile(path, "beta", 1)} {
+	for _, f := range []string{ghostRun, misnamed, runFile(path, "beta", 1)} {
 		if _, err := os.Lstat(f); err != nil {
 			t.Errorf("Compact removed %s, which it could not read: %v", f, err)
 		}
@@ -805,7 +553,7 @@ func TestShardChaosConcurrentEvictionWriteback(t *testing.T) {
 					t.Error(err)
 				}
 				db.Get(bench, w*100+i, "MLPX")
-				db.ListBenchmark(bench)
+				db.Select(Query{Benchmark: bench})
 				if i%5 == 0 {
 					db.Summarize()
 					db.ShardStats()

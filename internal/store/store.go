@@ -13,19 +13,19 @@
 // per benchmark and one file per run. A run file's head is the run's
 // first-level row (read eagerly at Open); its body is the run's series
 // (read when the benchmark's shard is first touched). Flush writes only
-// the runs Put since the last flush and unlinks the runs Deleted, each
-// atomically (temp file + rename) and byte-deterministically, so its
-// cost follows the runs it adds, not the runs already stored. With
-// SetMemBudget the store is memory-bounded: clean shards evict under an
-// LRU byte budget and reload on demand, and StartWriteback flushes in
-// the background so eviction can keep up, letting one daemon host
-// catalogs far larger than RAM.
+// the runs Put since the last flush, each atomically (temp file +
+// rename) and byte-deterministically, so its cost follows the runs it
+// adds, not the runs already stored. With SetMemBudget the store is
+// memory-bounded: clean shards evict under an LRU byte budget and
+// reload on demand, and StartWriteback flushes in the background so
+// eviction can keep up, letting one daemon host catalogs far larger
+// than RAM.
 //
-// Earlier formats still open. A v3 store (one .shard file per
-// benchmark) converts to run files on the first Flush; the single-file
-// v1 blob and v2 record stream migrate there, keeping a
-// crash-recoverable backup of the original file until the rename
-// completes.
+// Run files are the only format the store reads. Open refuses a store
+// in an earlier format (a v1/v2 single file, or v3 .shard files) with
+// an error naming the file, and leaves it as it is; the cmstore migrate
+// of an earlier build (commit eff673a is the last that has it) converts
+// one to run files.
 package store
 
 import (
@@ -37,8 +37,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"counterminer/internal/timeseries"
 )
 
 // RunMeta is a first-level table row: everything about a run except the
@@ -77,14 +75,13 @@ type Record struct {
 // by mu; lock order is flushMu before shard.mu before db.mu, and db.mu
 // is never held while acquiring a shard lock.
 type DB struct {
-	path   string // store path; "" = purely in-memory
-	legacy bool   // opened from a single-file image; first Flush migrates
+	path string // store path; "" = purely in-memory
 
 	mu     sync.Mutex
 	shards map[string]*shard
 	lru    list.List // least-recently-used at the back; shard.elem guarded by mu
 
-	flushMu sync.Mutex // serialises Flush/writeback/migration/Compact; guards legacy
+	flushMu sync.Mutex // serialises Flush/writeback/Compact
 
 	budget   atomic.Int64 // eviction byte budget; <= 0 means unlimited
 	resident atomic.Int64 // resident second-level bytes across loaded shards
@@ -110,46 +107,41 @@ type DB struct {
 const ipcColumn = "__ipc__"
 
 // Open opens (or creates) a store at path. An empty path creates a
-// purely in-memory store that cannot be flushed. A directory opens as a
-// store of run files (only each file's head is read; series load
-// lazily), merging any v3 .shard files. A regular file opens as a
-// legacy v1/v2 single-file store, fully loaded, and migrates to run
-// files on first Flush.
+// purely in-memory store that cannot be flushed; a path that does not
+// exist opens empty, and the first Flush creates it. A directory opens
+// as a store of run files: only each file's head is read, and series
+// load lazily.
 //
 // Open is resilient to damage: run files that are corrupt, truncated,
 // or internally inconsistent are skipped (and counted in Skipped /
 // Stats.SkippedRecords) rather than failing the whole open — a damaged
-// file loses that run, not the catalog. Only an unreadable path, or a
-// single file that is not a store at all, returns an error.
+// file loses that run, not the catalog. Only an unreadable path, a
+// regular file at path, or a v3 .shard file in the directory returns
+// an error; the last two are stores in an earlier format, which Open
+// names and leaves as they are.
 func Open(path string) (*DB, error) {
 	db := &DB{path: path, shards: make(map[string]*shard)}
 	if path == "" {
 		return db, nil
 	}
 	fi, err := os.Stat(path)
-	if errors.Is(err, os.ErrNotExist) {
-		// A crash between migration renames leaves the original
-		// single-file image under the backup name; recover it.
-		bak := path + legacyBackupSuffix
-		if bfi, berr := os.Stat(bak); berr == nil && !bfi.IsDir() {
-			if err := os.Rename(bak, path); err != nil {
-				return nil, fmt.Errorf("store: recover %s: %w", bak, err)
-			}
-			return db, db.openLegacyFile()
-		}
+	switch {
+	case errors.Is(err, os.ErrNotExist):
 		return db, nil
-	}
-	if err != nil {
+	case err != nil:
 		return nil, fmt.Errorf("store: open: %w", err)
+	case !fi.IsDir():
+		return nil, fmt.Errorf("store: %s is a file, not a directory of run files; if it is a v1/v2 single-file store, %s", path, migrateHint)
 	}
-	if fi.IsDir() {
-		// A stale backup next to a completed migration is leftover
-		// junk from a crash after the directory rename; drop it.
-		os.Remove(path + legacyBackupSuffix)
-		return db, db.openDir()
+	if err := db.openDir(); err != nil {
+		return nil, err
 	}
-	return db, db.openLegacyFile()
+	return db, nil
 }
+
+// migrateHint ends Open's errors for a store in a format before run
+// files.
+const migrateHint = "convert the store with the cmstore migrate of an earlier build (commit eff673a is the last that has it)"
 
 // Skipped reports how many records have been dropped so far while
 // reading damaged files (0 for a healthy store). Because series load
@@ -232,30 +224,22 @@ func (db *DB) Put(rec Record) error {
 		series[ipcColumn] = append([]float64(nil), rec.IPC...)
 	}
 
-	for {
-		s := db.shardFor(meta.Benchmark, true)
-		s.mu.Lock()
-		if s.dropped {
-			// A flush emptied and unlinked this shard after we found
-			// it; the next lookup creates a fresh one.
-			s.mu.Unlock()
-			continue
-		}
-		s.load(db)
-		if old, ok := s.metas[k]; ok {
-			s.dropSeries(db, old.SeriesTable)
-		}
-		s.metas[k] = meta
-		s.series[table] = series
-		n := countSamples(series)
-		s.samples += n
-		db.resident.Add(n * bytesPerSample)
-		s.markPending(k, meta)
-		s.mu.Unlock()
-		db.touch(s)
-		db.maybeEvict(s)
-		return nil
+	s := db.shardFor(meta.Benchmark, true)
+	s.mu.Lock()
+	s.load(db)
+	if old, ok := s.metas[k]; ok {
+		s.dropSeries(db, old.SeriesTable)
 	}
+	s.metas[k] = meta
+	s.series[table] = series
+	n := countSamples(series)
+	s.samples += n
+	db.resident.Add(n * bytesPerSample)
+	s.markPending(k)
+	s.mu.Unlock()
+	db.touch(s)
+	db.maybeEvict(s)
+	return nil
 }
 
 // Get retrieves a record by key, loading the benchmark's shard if it
@@ -315,28 +299,6 @@ func (s *shard) get(benchmark string, runID int, mode string) (Record, bool) {
 	return rec, true
 }
 
-// Delete removes a record; it reports whether the record existed.
-func (db *DB) Delete(benchmark string, runID int, mode string) bool {
-	s := db.shardFor(benchmark, false)
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	s.load(db)
-	k := key(benchmark, runID, mode)
-	meta, ok := s.metas[k]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	delete(s.metas, k)
-	s.dropSeries(db, meta.SeriesTable)
-	s.markPending(k, meta)
-	s.mu.Unlock()
-	db.touch(s)
-	return true
-}
-
 // List returns the first-level rows, sorted by benchmark, run, mode. It
 // reads only shard metadata — no shard is loaded.
 func (db *DB) List() []RunMeta {
@@ -349,27 +311,6 @@ func (db *DB) List() []RunMeta {
 		s.mu.RUnlock()
 	}
 	sortMetas(out)
-	return out
-}
-
-// ListBenchmark returns the first-level rows of one benchmark, resolved
-// from its single owning shard (the rest of the catalog is never
-// touched).
-func (db *DB) ListBenchmark(benchmark string) []RunMeta {
-	s := db.shardFor(benchmark, false)
-	if s == nil {
-		return nil
-	}
-	s.mu.RLock()
-	out := make([]RunMeta, 0, len(s.metas))
-	for _, m := range s.metas {
-		out = append(out, m)
-	}
-	s.mu.RUnlock()
-	sortMetas(out)
-	if len(out) == 0 {
-		return nil
-	}
 	return out
 }
 
@@ -397,31 +338,6 @@ func (db *DB) Len() int {
 	return n
 }
 
-// SeriesSet returns a record's series as a timeseries.Set. The values
-// are copied exactly once, directly under the shard's read lock — there
-// is no intermediate Record (and the IPC column, which the set drops,
-// is never copied at all).
-func (db *DB) SeriesSet(benchmark string, runID int, mode string) (*timeseries.Set, error) {
-	var set *timeseries.Set
-	db.readShard(benchmark, func(s *shard) {
-		meta, ok := s.metas[key(benchmark, runID, mode)]
-		if !ok {
-			return
-		}
-		set = timeseries.NewSet()
-		for ev, vals := range s.series[meta.SeriesTable] {
-			if ev == ipcColumn {
-				continue
-			}
-			set.Put(timeseries.New(ev, append([]float64(nil), vals...)))
-		}
-	})
-	if set == nil {
-		return nil, fmt.Errorf("store: no record %s/%d/%s", benchmark, runID, mode)
-	}
-	return set, nil
-}
-
 // ForEachRun calls fn for every stored run in deterministic
 // (benchmark, runID, mode) order with a deep-copied record, loading
 // one shard at a time — iteration over a catalog larger than the
@@ -443,12 +359,9 @@ func (db *DB) ForEachRun(fn func(Record) bool) {
 }
 
 // Flush writes every run Put since the last flush, each to its own
-// file atomically (temp file + rename) and byte-deterministically, and
-// unlinks the files of runs Deleted since; untouched runs are not
-// rewritten. A v3 shard is rewritten as run files and its .shard file
-// removed, and a store opened from a legacy single file migrates to a
-// directory of run files. Flush is a no-op when nothing changed, and an
-// error for in-memory stores.
+// file atomically (temp file + rename) and byte-deterministically;
+// untouched runs are not rewritten. Flush is a no-op when nothing
+// changed, and an error for in-memory stores.
 //
 // The unit of atomicity is the run: after a process crash each run
 // file holds either its old or its new contents.
@@ -468,18 +381,15 @@ func (db *DB) flush() (int, error) {
 	return db.flushLocked()
 }
 
-// flushLocked migrates a legacy store or flushes every dirty shard, and
-// reports how many shards it wrote. The caller holds flushMu.
+// flushLocked flushes every dirty shard and reports how many shards it
+// wrote. The caller holds flushMu.
 func (db *DB) flushLocked() (int, error) {
-	if db.legacy {
-		return db.migrate()
-	}
 	written := 0
 	for _, s := range db.snapshotShards() {
 		wrote, err := db.flushShard(s)
 		if wrote {
 			written++
-			// Converting a v3 shard loads it; let it go if over budget.
+			// A written shard may be clean now; let it go if over budget.
 			db.maybeEvict(nil)
 		}
 		if err != nil {
@@ -489,72 +399,31 @@ func (db *DB) flushLocked() (int, error) {
 	return written, nil
 }
 
-// flushShard brings one dirty shard's files in line with memory: it
-// writes each pending run still stored, unlinks each pending run since
-// deleted, removes a converted v3 .shard file, and removes the
-// benchmark's directory once it holds no run (dropping the shard from
-// the catalog). It reports whether it changed any file.
+// flushShard writes each of one shard's pending runs to its run file.
+// It reports whether it wrote any.
 func (db *DB) flushShard(s *shard) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.dirty() {
 		return false, nil
 	}
-	if s.v3 != "" {
-		// Converting writes every run: those without a run file load
-		// from the .shard file, and the rest rewrite their own bytes.
-		s.load(db)
-		for k, m := range s.metas {
-			s.markPending(k, m)
-		}
-	}
 	dir := filepath.Join(db.path, benchDirName(s.bench))
-	if len(s.metas) > 0 {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return false, fmt.Errorf("store: flush: %w", err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return false, fmt.Errorf("store: flush: %w", err)
 	}
 	wrote := false
-	for _, k := range sortedKeys(s.pending) {
-		if meta, ok := s.metas[k]; ok {
-			if db.failFlush != nil {
-				if err := db.failFlush(s.bench); err != nil {
-					return wrote, fmt.Errorf("store: flush run %s: %w", k, err)
-				}
-			}
-			if err := writeRun(dir, meta, s.series[meta.SeriesTable]); err != nil {
+	for _, k := range s.sortedPending() {
+		if db.failFlush != nil {
+			if err := db.failFlush(s.bench); err != nil {
 				return wrote, fmt.Errorf("store: flush run %s: %w", k, err)
 			}
-		} else if err := os.Remove(filepath.Join(dir, s.pending[k])); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return wrote, fmt.Errorf("store: remove run %s: %w", k, err)
+		}
+		meta := s.metas[k]
+		if err := writeRun(dir, meta, s.series[meta.SeriesTable]); err != nil {
+			return wrote, fmt.Errorf("store: flush run %s: %w", k, err)
 		}
 		delete(s.pending, k)
 		wrote = true
 	}
-	if s.v3 != "" {
-		if err := os.Remove(filepath.Join(db.path, s.v3)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return wrote, fmt.Errorf("store: remove shard %s: %w", s.bench, err)
-		}
-		s.v3 = ""
-		wrote = true
-	}
-	if len(s.metas) == 0 {
-		if err := os.RemoveAll(dir); err != nil {
-			return wrote, fmt.Errorf("store: remove shard %s: %w", s.bench, err)
-		}
-		s.dropped = true
-		db.dropShard(s)
-	}
 	return wrote, nil
-}
-
-// dropShard unlinks a shard from the catalog.
-func (db *DB) dropShard(s *shard) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if s.elem != nil {
-		db.lru.Remove(s.elem)
-		s.elem = nil
-	}
-	delete(db.shards, s.bench)
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -116,29 +118,6 @@ func TestReplace(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	db, _ := Open("")
-	db.Put(sampleRecord("wc", 1))
-	if !db.Delete("wc", 1, "MLPX") {
-		t.Error("Delete returned false for existing record")
-	}
-	if db.Delete("wc", 1, "MLPX") {
-		t.Error("Delete returned true for missing record")
-	}
-	if db.Len() != 0 {
-		t.Errorf("Len = %d after delete", db.Len())
-	}
-	// Second-level table is gone too: a fresh Put then Get must not
-	// resurrect old series.
-	rec := sampleRecord("wc", 1)
-	delete(rec.Series, "B.EVENT")
-	db.Put(rec)
-	got, _ := db.Get("wc", 1, "MLPX")
-	if _, ok := got.Series["B.EVENT"]; ok {
-		t.Error("stale second-level data survived delete")
-	}
-}
-
 func TestListOrder(t *testing.T) {
 	db, _ := Open("")
 	db.Put(sampleRecord("b", 2))
@@ -151,27 +130,8 @@ func TestListOrder(t *testing.T) {
 	if list[0].Benchmark != "a" || list[1].RunID != 1 || list[2].RunID != 2 {
 		t.Errorf("order: %+v", list)
 	}
-	if got := db.ListBenchmark("b"); len(got) != 2 {
-		t.Errorf("ListBenchmark(b) = %d", len(got))
-	}
-}
-
-func TestSeriesSet(t *testing.T) {
-	db, _ := Open("")
-	db.Put(sampleRecord("wc", 1))
-	set, err := db.SeriesSet("wc", 1, "MLPX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Len() != 2 {
-		t.Errorf("set len = %d", set.Len())
-	}
-	// IPC must not appear as an event.
-	if _, ok := set.Get("__ipc__"); ok {
-		t.Error("IPC leaked into series set")
-	}
-	if _, err := db.SeriesSet("nope", 1, "MLPX"); err == nil {
-		t.Error("missing record should error")
+	if got := db.Select(Query{Benchmark: "b"}); len(got) != 2 {
+		t.Errorf("Select(b) = %d", len(got))
 	}
 }
 
@@ -197,6 +157,69 @@ func TestFlushAndReopen(t *testing.T) {
 	rec, ok := db2.Get("wordcount", 1, "MLPX")
 	if !ok || rec.Series["A.EVENT"][1] != 2 {
 		t.Errorf("reopened record = %+v, ok=%v", rec, ok)
+	}
+}
+
+// TestFlushReopenKeepsEveryBit: runs holding ±Inf, a NaN payload, −0,
+// the smallest subnormal and the largest float, a run without IPC, an
+// empty series and a replaced run all read back bit for bit before a
+// flush, after it and after a reopen.
+func TestFlushReopenKeepsEveryBit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.db")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pagerank/1/MLPX reaches disk once before it is replaced.
+	replaced := Record{Meta: RunMeta{Benchmark: "pagerank", RunID: 1, Mode: "MLPX"},
+		IPC: fixtureSeries(9, 30), Series: map[string][]float64{"A.EVENT": fixtureSeries(10, 30), "C.EVENT": fixtureSeries(11, 30)}}
+	if err := db.Put(replaced); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{
+		{Meta: RunMeta{Benchmark: "wordcount", RunID: 1, Mode: "MLPX"},
+			IPC: fixtureSeries(1, 40), Series: map[string][]float64{"A.EVENT": fixtureSeries(2, 40), "B.EVENT": fixtureSeries(3, 40)}},
+		{Meta: RunMeta{Benchmark: "wordcount", RunID: 2, Mode: "MLPX"},
+			IPC: fixtureSeries(4, 40), Series: map[string][]float64{"A.EVENT": fixtureSpecial(40), "C.EVENT": fixtureSeries(6, 40)}},
+		{Meta: RunMeta{Benchmark: "wordcount", RunID: 1, Mode: "OCOE"},
+			IPC: fixtureSeries(7, 33), Series: map[string][]float64{"A.EVENT": fixtureSeries(8, 33)}},
+		{Meta: RunMeta{Benchmark: "pagerank", RunID: 1, Mode: "MLPX"},
+			IPC: fixtureSeries(13, 25), Series: map[string][]float64{"B.EVENT": fixtureSeries(14, 25), "D.EVENT": fixtureSeries(15, 25)}},
+		{Meta: RunMeta{Benchmark: "sort", RunID: 3, Mode: "MLPX", Intervals: 17},
+			Series: map[string][]float64{"X.EVENT": fixtureSeries(12, 17), "EMPTY.EVENT": nil}},
+	}
+	for _, rec := range want {
+		if err := db.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, db *DB) {
+		t.Helper()
+		if n := db.Len(); n != len(want) {
+			t.Errorf("%s: Len = %d, want %d", when, n, len(want))
+		}
+		for _, rec := range want {
+			m := rec.Meta
+			if got, ok := db.Get(m.Benchmark, m.RunID, m.Mode); !ok || !sameRecord(got, rec) {
+				t.Errorf("%s: run %s/%d/%s lost or changed (found %v)", when, m.Benchmark, m.RunID, m.Mode, ok)
+			}
+		}
+	}
+	check("before the flush", db)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the flush", db)
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after a reopen", re)
+	if re.Skipped() != 0 {
+		t.Errorf("Skipped = %d after the reopen, want 0", re.Skipped())
 	}
 }
 
@@ -239,6 +262,34 @@ func TestOpenCorruptFileErrors(t *testing.T) {
 	}
 	if _, err := Open(path); err == nil {
 		t.Error("corrupt file should error")
+	}
+}
+
+// TestOpenRefusesOldFormats: a regular file at the store path (a v1/v2
+// single-file store) and a v3 .shard file in the store directory each
+// make Open fail with an error naming the file, and Open leaves every
+// file as it was.
+func TestOpenRefusesOldFormats(t *testing.T) {
+	single := filepath.Join(t.TempDir(), "runs.db")
+	dir, _ := shardedStore(t, "alpha")
+	shard := filepath.Join(dir, "wordcount-60a2407c.shard")
+	for _, f := range []string{single, shard} {
+		if err := os.WriteFile(f, []byte("\x1f\xff\x81\x03 a store before run files"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ name, path, file string }{
+		{"single file", single, single},
+		{"dir with .shard", dir, shard},
+	} {
+		before := storeFiles(t, filepath.Dir(c.file))
+		db, err := Open(c.path)
+		if err == nil || db != nil || !strings.Contains(err.Error(), c.file) || !strings.Contains(err.Error(), "cmstore migrate") {
+			t.Errorf("Open(%s) = %v, want an error naming %s and cmstore migrate", c.name, err, c.file)
+		}
+		if after := storeFiles(t, filepath.Dir(c.file)); !reflect.DeepEqual(after, before) {
+			t.Errorf("Open(%s) changed %s or the files beside it", c.name, c.file)
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ func TestPipelinePersistence(t *testing.T) {
 	if db.Len() != opts.Runs {
 		t.Errorf("persisted runs = %d, want %d", db.Len(), opts.Runs)
 	}
-	metas := db.ListBenchmark("scan")
+	metas := db.Select(store.Query{Benchmark: "scan"})
 	if len(metas) != opts.Runs {
 		t.Errorf("scan runs = %d", len(metas))
 	}

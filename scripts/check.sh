@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full pre-commit gate: formatting, vet, build, race-enabled tests, the
 # Analysis digests, race and chaos soaks, a fuzz smoke of the store's
-# readers, the CSV loader, the order statistics and the client's SSE
+# run-file reader, the CSV loader, the order statistics and the client's SSE
 # parser, and a short allocation-aware pass over the hot-path
 # micro-benchmarks.
 # Equivalent to `make check` for environments without make.
@@ -39,7 +39,7 @@ go test -count=1 -run '^TestServedAnalysisDigest$' ./internal/serve/
 
 echo "== chaos soak (seeded fault-injection + cancellation + overload + batch + store + cluster + cleaner + fingerprint + stream sweep) =="
 go test -race -count=2 \
-    -run 'Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Shard|Evict|Migrate|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle|Priority' \
+    -run 'Chaos|Retry|Injection|Transient|Permanent|Corruption|Sink|KeyedRNG|Cancel|Overload|Shutdown|Drain|Batch|Schedule|Shard|Evict|Cluster|Lease|Failover|Partition|Cleaner|Bayes|Classify|Fingerprint|Index|Stream|Handle' \
     . ./internal/fault/ ./internal/serve/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/
 
 # The fingerprint index is written by every persisting job and
@@ -56,16 +56,15 @@ echo "== team race soak =="
 go test -race -count=10 -run '^TestTeam' ./internal/parallel/
 go test -race -count=10 -run '^(TestFitOnTeamMatchesSerial|TestFitParallelMatchesSerial|TestFitCtxCancelStopsTeam|TestBestSplitTieBreakFeature)$' ./internal/sgbrt/
 
-# The store's on-disk readers take whatever bytes the disk holds,
+# The store's run-file reader takes whatever bytes the disk holds,
 # LoadCSV whatever file a user hands it, and the client's SSE parser
 # whatever a server or proxy sends; give each native fuzzer a short run
 # beyond its committed seed corpus. A short minimisation keeps the run
 # exploring; a failing input is still written under testdata/fuzz. The
 # order-statistics fuzzer checks the cleaners' and the fingerprint's
 # selection against sorting.
-echo "== fuzz smoke (store readers, CSV loader, order statistics, SSE parser) =="
+echo "== fuzz smoke (store run-file reader, CSV loader, order statistics, SSE parser) =="
 go test -run='^$' -fuzz='^FuzzShardRunFile$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
-go test -run='^$' -fuzz='^FuzzMigrateShardFile$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store/
 go test -run='^$' -fuzz='^FuzzLoadCSV$' -fuzztime=10s -fuzzminimizetime=1s .
 go test -run='^$' -fuzz='^FuzzOrderStatistics$' -fuzztime=10s -fuzzminimizetime=1s ./internal/stats/
 go test -run='^$' -fuzz='^FuzzReadEvent$' -fuzztime=10s -fuzzminimizetime=1s ./pkg/client/
