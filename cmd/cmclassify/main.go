@@ -27,15 +27,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 
 	counterminer "counterminer"
 	"counterminer/internal/collector"
 	"counterminer/internal/fingerprint"
+	"counterminer/internal/serve"
 	"counterminer/internal/sim"
 	"counterminer/internal/store"
-	"counterminer/internal/timeseries"
 	"counterminer/pkg/client"
 )
 
@@ -157,14 +156,12 @@ func collectDataSet(bench, colocate string, runs int, seed int64) (*counterminer
 		if err != nil {
 			return nil, err
 		}
-		for i := range run.IPC {
-			row := make([]float64, len(events))
-			for j, ev := range events {
-				row[j] = run.Series.MustGet(ev).Values[i]
-			}
-			ds.X = append(ds.X, row)
-			ds.Y = append(ds.Y, run.IPC[i])
+		X, y, err := run.TrainingMatrix(events)
+		if err != nil {
+			return nil, err
 		}
+		ds.X = append(ds.X, X...)
+		ds.Y = append(ds.Y, y...)
 	}
 	return ds, nil
 }
@@ -198,38 +195,18 @@ func classifyRemote(ctx context.Context, addr string, ds *counterminer.DataSet, 
 }
 
 // classifyOffline builds the fingerprint index from the store at
-// dbPath — same entries, same order-independent clustering as the
-// daemon's startup rebuild — and classifies against it in-process.
+// dbPath with the daemon's own entries, options and event vocabulary
+// (internal/serve) — same entries, same order-independent clustering,
+// same version as its startup rebuild — and classifies against it
+// in-process.
 func classifyOffline(ctx context.Context, dbPath string, ds *counterminer.DataSet, bench, colocate string, runs int, seed int64, top int) (*client.Classification, error) {
 	db, err := store.Open(dbPath)
 	if err != nil {
 		return nil, err
 	}
-	// vocab tracks the event set shared by every stored run; probes
-	// are collected over it so their embeddings are comparable with
-	// the index entries. A heterogeneous store falls back to the full
-	// catalogue (vocab reset to nil).
-	var (
-		entries []fingerprint.Entry
-		vocab   []string
-		uniform = true
-	)
+	var entries []fingerprint.Entry
 	db.ForEachRun(func(rec store.Record) bool {
-		set := timeseries.NewSet()
-		for ev, vals := range rec.Series {
-			set.Put(timeseries.New(ev, vals))
-		}
-		if vocab == nil && uniform {
-			vocab = rec.Meta.Events
-		} else if !slices.Equal(vocab, rec.Meta.Events) {
-			uniform, vocab = false, nil
-		}
-		entries = append(entries, fingerprint.Entry{
-			Key:   fmt.Sprintf("%s/%d/%s", rec.Meta.Benchmark, rec.Meta.RunID, rec.Meta.Mode),
-			Label: rec.Meta.Benchmark,
-			Suite: suiteOf(rec.Meta.Benchmark),
-			Vec:   fingerprint.Embed(set, rec.IPC),
-		})
+		entries = append(entries, serve.RunEntry(rec))
 		return true
 	})
 	ix := fingerprint.NewIndex(fingerprint.Options{})
@@ -241,7 +218,7 @@ func classifyOffline(ctx context.Context, dbPath string, ds *counterminer.DataSe
 			return nil, err
 		}
 	} else {
-		p, err := counterminer.NewPipeline(counterminer.Options{Runs: runs, Seed: seed, Events: vocab})
+		p, err := counterminer.NewPipeline(counterminer.Options{Runs: runs, Seed: seed, Events: serve.StoreEventVocabulary(db)})
 		if err != nil {
 			return nil, err
 		}
@@ -253,36 +230,7 @@ func classifyOffline(ctx context.Context, dbPath string, ds *counterminer.DataSe
 	if err != nil {
 		return nil, err
 	}
-
-	cls := &client.Classification{
-		Fingerprint:  vec,
-		Confidence:   res.Confidence,
-		Anomaly:      res.Anomaly,
-		AnomalyScore: res.AnomalyScore,
-		IndexVersion: res.IndexVersion,
-		Clusters:     res.Clusters,
-		Entries:      res.Entries,
-	}
-	for _, m := range res.Matches {
-		cls.Matches = append(cls.Matches, client.ClusterMatch{
-			Benchmark: m.Label, Suite: m.Suite, Distance: m.Distance, Members: m.Members,
-		})
-	}
-	for _, s := range res.Suites {
-		cls.Suites = append(cls.Suites, client.SuiteConfidence{Suite: s.Suite, Confidence: s.Confidence})
-	}
-	return cls, nil
-}
-
-// suiteOf resolves a stored run label to its benchmark suite; labels
-// of colocated runs ("a+b") resolve through the primary workload.
-func suiteOf(label string) string {
-	name, _, _ := strings.Cut(label, "+")
-	p, err := sim.ProfileByName(name)
-	if err != nil {
-		return ""
-	}
-	return p.Suite.String()
+	return serve.Classification(vec, res), nil
 }
 
 // printClassification renders the human summary.

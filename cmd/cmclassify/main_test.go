@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,9 +19,9 @@ import (
 	"counterminer/pkg/client"
 )
 
-// seedStore collects n MLPX runs per benchmark over the full
-// catalogue and persists them at a fresh store path.
-func seedStore(t *testing.T, benches []string, n int) string {
+// seedStore collects n MLPX runs per benchmark over events (nil: the
+// full catalogue) and persists them at a fresh store path.
+func seedStore(t *testing.T, benches []string, n int, events []string) string {
 	t.Helper()
 	dbPath := filepath.Join(t.TempDir(), "runs.db")
 	db, err := store.Open(dbPath)
@@ -26,13 +29,16 @@ func seedStore(t *testing.T, benches []string, n int) string {
 		t.Fatal(err)
 	}
 	coll := collector.New(sim.NewCatalogue())
+	if events == nil {
+		events = coll.Catalogue().Events()
+	}
 	for _, bench := range benches {
 		p, err := sim.ProfileByName(bench)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for runID := 1; runID <= n; runID++ {
-			run, err := coll.Collect(p, runID, collector.MLPX, coll.Catalogue().Events())
+			run, err := coll.Collect(p, runID, collector.MLPX, events)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +84,7 @@ func TestCmclassifyFlagValidation(t *testing.T) {
 }
 
 func TestCmclassifyOffline(t *testing.T) {
-	dbPath := seedStore(t, []string{"wordcount", "sort", "DataCaching"}, 2)
+	dbPath := seedStore(t, []string{"wordcount", "sort", "DataCaching"}, 2, nil)
 
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-db", dbPath, "-benchmark", "wordcount"}, &out, &errOut); code != 0 {
@@ -118,7 +124,7 @@ func TestCmclassifyOffline(t *testing.T) {
 }
 
 func TestCmclassifyCSV(t *testing.T) {
-	dbPath := seedStore(t, []string{"wordcount", "sort"}, 2)
+	dbPath := seedStore(t, []string{"wordcount", "sort"}, 2, nil)
 	db, err := store.Open(dbPath)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +152,7 @@ func TestCmclassifyCSV(t *testing.T) {
 }
 
 func TestCmclassifyRemote(t *testing.T) {
-	dbPath := seedStore(t, []string{"wordcount", "kmeans"}, 2)
+	dbPath := seedStore(t, []string{"wordcount", "kmeans"}, 2, nil)
 	s, err := serve.New(serve.Config{Workers: 1, QueueDepth: 4, CacheSize: 8, StorePath: dbPath})
 	if err != nil {
 		t.Fatal(err)
@@ -173,5 +179,59 @@ func TestCmclassifyRemote(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "unknown_benchmark") {
 		t.Errorf("stderr %q missing unknown_benchmark", errOut.String())
+	}
+}
+
+// TestCmclassifyOfflineMatchesServer: for a benchmark probe, cmclassify
+// offline and a serve.Server over the same store build the same index
+// and give the same verdict, bit for bit — over a full-catalogue store,
+// and over one whose runs share a smaller event set, which both collect
+// the probe over.
+func TestCmclassifyOfflineMatchesServer(t *testing.T) {
+	served, err := sim.NewCatalogue().Select([]string{"ICACHE.*", "L2_RQSTS.*", "BR_INST_RETIRED.*"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		events []string
+	}{{"full catalogue", nil}, {"served events", served}} {
+		t.Run(c.name, func(t *testing.T) {
+			dbPath := seedStore(t, []string{"wordcount", "kmeans", "DataCaching"}, 2, c.events)
+
+			var out, errOut bytes.Buffer
+			if code := run([]string{"-db", dbPath, "-benchmark", "kmeans", "-runs", "2", "-json"}, &out, &errOut); code != 0 {
+				t.Fatalf("run = %d, stderr %q", code, errOut.String())
+			}
+			var offline client.Classification
+			if err := json.Unmarshal(out.Bytes(), &offline); err != nil {
+				t.Fatalf("decode -json output: %v", err)
+			}
+
+			s, err := serve.New(serve.Config{Workers: 1, QueueDepth: 4, CacheSize: 8, StorePath: dbPath})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			resp, err := client.New(ts.URL).Classify(context.Background(), client.ClassifyRequest{Benchmark: "kmeans", Runs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemon := resp.Classification
+
+			if offline.IndexVersion != daemon.IndexVersion || offline.Entries != 6 {
+				t.Errorf("index version %s over %d entries offline, %s over %d served", offline.IndexVersion, offline.Entries, daemon.IndexVersion, daemon.Entries)
+			}
+			if math.Float64bits(offline.Confidence) != math.Float64bits(daemon.Confidence) {
+				t.Errorf("confidence %v offline, %v served", offline.Confidence, daemon.Confidence)
+			}
+			if !reflect.DeepEqual(offline.Matches, daemon.Matches) || len(offline.Matches) == 0 || offline.Matches[0].Benchmark != "kmeans" {
+				t.Errorf("matches offline %+v, served %+v; want kmeans first in both", offline.Matches, daemon.Matches)
+			}
+			if !reflect.DeepEqual(&offline, daemon) {
+				t.Errorf("classification offline %+v, served %+v", offline, *daemon)
+			}
+		})
 	}
 }

@@ -22,8 +22,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -33,51 +35,77 @@ import (
 	"counterminer/internal/collector"
 	"counterminer/internal/fault"
 	"counterminer/internal/sim"
+	"counterminer/internal/store"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("counterminer", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench     = flag.String("bench", "", "benchmark to analyse (see -list)")
-		colocate  = flag.String("colocate", "", "second benchmark to co-locate with -bench")
-		list      = flag.Bool("list", false, "list benchmarks and exit")
-		runs      = flag.Int("runs", 3, "benchmark executions to collect")
-		trees     = flag.Int("trees", 80, "SGBRT ensemble size")
-		events    = flag.String("events", "", "comma-separated event patterns (globs or abbreviations; empty = all 229)")
-		csvPath   = flag.String("csv", "", "analyse an external CSV data set (interval,<events...>,ipc) instead of a benchmark")
-		topK      = flag.Int("top", 10, "events/interactions to print")
-		skipEIR   = flag.Bool("fast", false, "skip EIR (single model fit)")
-		dbPath    = flag.String("db", "", "persist collected runs to this store path")
-		workers   = flag.Int("workers", 0, "analysis worker count (0 = GOMAXPROCS)")
-		retries   = flag.Int("retries", 3, "collect attempts per run")
-		retryWait = flag.Duration("retry-delay", 0, "base backoff between collect attempts (doubles per retry, capped)")
-		minRuns   = flag.Int("min-runs", 0, "run quorum: proceed when this many runs succeed (0 = all)")
-		chaos     = flag.Float64("chaos", 0, "fault-injection rate in [0,1): per-run failures, series corruption, store errors")
-		chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection seed (identical seeds replay identical failures)")
-		timeout   = flag.Duration("timeout", 0, "abort the analysis after this long (0 = no deadline)")
-		cleaner   = flag.String("cleaner", "", "data cleaner: threshold-knn (default, the paper's §III-B pipeline) or bayes (Bayesian multiplexing-error correction)")
+		bench     = fs.String("bench", "", "benchmark to analyse (see -list)")
+		colocate  = fs.String("colocate", "", "second benchmark to co-locate with -bench")
+		list      = fs.Bool("list", false, "list benchmarks and exit")
+		runs      = fs.Int("runs", 3, "benchmark executions to collect")
+		trees     = fs.Int("trees", 80, "SGBRT ensemble size")
+		events    = fs.String("events", "", "comma-separated event patterns (globs or abbreviations; empty = all 229)")
+		csvPath   = fs.String("csv", "", "analyse an external CSV data set (interval,<events...>,ipc) instead of a benchmark")
+		topK      = fs.Int("top", 10, "events/interactions to print")
+		skipEIR   = fs.Bool("fast", false, "skip EIR (single model fit)")
+		dbPath    = fs.String("db", "", "persist collected runs to this store path")
+		workers   = fs.Int("workers", 0, "analysis worker count (0 = GOMAXPROCS)")
+		retries   = fs.Int("retries", 3, "collect attempts per run")
+		retryWait = fs.Duration("retry-delay", 0, "base backoff between collect attempts (doubles per retry, capped)")
+		minRuns   = fs.Int("min-runs", 0, "run quorum: proceed when this many runs succeed (0 = all)")
+		chaos     = fs.Float64("chaos", 0, "fault-injection rate in [0,1): per-run failures, series corruption, store errors")
+		chaosSeed = fs.Int64("chaos-seed", 1, "fault-injection seed (identical seeds replay identical failures)")
+		timeout   = fs.Duration("timeout", 0, "abort the analysis after this long (0 = no deadline)")
+		cleaner   = fs.String("cleaner", "", "data cleaner: threshold-knn (default, the paper's §III-B pipeline) or bayes (Bayesian multiplexing-error correction)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "counterminer:", msg)
+		return 2
+	}
+	fatal := func(err error) int {
+		// An interrupted or timed-out analysis gets the conventional
+		// terminated-by-signal exit status; the typed error already
+		// names the stage that observed the cancellation.
+		fmt.Fprintln(stderr, "counterminer:", err)
+		if errors.Is(err, counterminer.ErrCanceled) {
+			return 130
+		}
+		return 1
+	}
 
 	// Flag validation: catch nonsense before spending any compute.
 	switch {
 	case *runs <= 0:
-		fatalUsage("-runs must be > 0")
+		return usage("-runs must be > 0")
 	case *trees <= 0:
-		fatalUsage("-trees must be > 0")
+		return usage("-trees must be > 0")
 	case *topK <= 0:
-		fatalUsage("-top must be > 0")
+		return usage("-top must be > 0")
 	case *workers < 0:
-		fatalUsage("-workers must be >= 0 (0 = GOMAXPROCS)")
+		return usage("-workers must be >= 0 (0 = GOMAXPROCS)")
 	case *retries <= 0:
-		fatalUsage("-retries must be > 0")
+		return usage("-retries must be > 0")
 	case *minRuns < 0 || *minRuns > *runs:
-		fatalUsage(fmt.Sprintf("-min-runs must be in [0, %d]", *runs))
+		return usage(fmt.Sprintf("-min-runs must be in [0, %d]", *runs))
 	case *chaos < 0 || *chaos >= 1:
-		fatalUsage("-chaos must be in [0, 1)")
+		return usage("-chaos must be in [0, 1)")
 	case *timeout < 0:
-		fatalUsage("-timeout must be >= 0")
+		return usage("-timeout must be >= 0")
 	}
-	checkCleaner(*cleaner)
+	if _, err := clean.Lookup(*cleaner); err != nil {
+		return usage(fmt.Sprintf("unknown cleaner %q; candidates: %s",
+			*cleaner, strings.Join(clean.Candidates(*cleaner), ", ")))
+	}
 
 	// Ctrl-C (SIGINT) or SIGTERM cancels the analysis context; every
 	// pipeline stage observes it within one unit of work, and the store's
@@ -102,23 +130,33 @@ func main() {
 		CleanOptions: clean.Options{Cleaner: *cleaner},
 	}
 	if *chaos > 0 {
-		opts.Source = fault.NewSource(collector.New(sim.NewCatalogue()), fault.Config{
+		cfg := fault.Config{
 			Seed:          *chaosSeed,
 			RunFailRate:   *chaos / 4,
 			TransientRate: *chaos,
 			CorruptRate:   *chaos,
 			StoreFailRate: *chaos,
-		})
+		}
+		opts.Source = fault.NewSource(collector.New(sim.NewCatalogue()), cfg)
+		// StorePath stays set, so each injected write failure in the
+		// degradation report names the store.
+		if *dbPath != "" {
+			db, err := store.Open(*dbPath)
+			if err != nil {
+				return fatal(err)
+			}
+			opts.Sink = fault.NewSink(db, cfg)
+		}
 	}
 	p, err := counterminer.NewPipeline(opts)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *list {
 		for _, b := range p.Benchmarks() {
-			fmt.Println(b)
+			fmt.Fprintln(stdout, b)
 		}
-		return
+		return 0
 	}
 	start := time.Now()
 	var a *counterminer.Analysis
@@ -126,31 +164,33 @@ func main() {
 	case *csvPath != "":
 		f, err := os.Open(*csvPath)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		data, err := counterminer.LoadCSV(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		a, err = counterminer.AnalyzeDataContext(ctx, data, opts)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	case *bench != "":
-		checkBenchmark(*bench, p.Benchmarks())
-		if *colocate != "" {
-			checkBenchmark(*colocate, p.Benchmarks())
+		for _, name := range []string{*bench, *colocate} {
+			if name != "" && !slices.Contains(p.Benchmarks(), name) {
+				return usage(fmt.Sprintf("unknown benchmark %q; candidates: %s",
+					name, strings.Join(candidates(name, p.Benchmarks()), ", ")))
+			}
 		}
 		if *events != "" {
 			sel, err := p.Catalogue().Select(strings.Split(*events, ","))
 			if err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 			opts.Events = sel
 			p, err = counterminer.NewPipeline(opts)
 			if err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 		}
 		if *colocate != "" {
@@ -159,88 +199,55 @@ func main() {
 			a, err = p.AnalyzeContext(ctx, *bench)
 		}
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "counterminer: -bench or -csv required (see -list)")
-		os.Exit(2)
+		return usage("-bench or -csv required (see -list)")
 	}
 
-	fmt.Printf("benchmark: %s  (analysed in %v)\n", a.Benchmark, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "benchmark: %s  (analysed in %v)\n", a.Benchmark, time.Since(start).Round(time.Millisecond))
 	if sr := a.StageReport(); sr != "" {
-		fmt.Printf("stages: %s\n", sr)
+		fmt.Fprintf(stdout, "stages: %s\n", sr)
 	}
-	fmt.Printf("events measured: %d   MAPM events: %d   model error: %.1f%%\n",
+	fmt.Fprintf(stdout, "events measured: %d   MAPM events: %d   model error: %.1f%%\n",
 		a.Events, a.MAPMEvents, a.ModelError)
-	fmt.Printf("cleaner: %s — %d outliers replaced, %d missing values filled\n",
+	fmt.Fprintf(stdout, "cleaner: %s — %d outliers replaced, %d missing values filled\n",
 		a.Cleaner, a.OutliersReplaced, a.MissingFilled)
 	if d := &a.Degradation; d.Degraded() {
-		fmt.Printf("degradation report:\n  %s\n", strings.ReplaceAll(d.String(), "\n", "\n  "))
+		fmt.Fprintf(stdout, "degradation report:\n  %s\n", strings.ReplaceAll(d.String(), "\n", "\n  "))
 	}
-	fmt.Printf("one-three SMI count: %d\n\n", a.SMICount())
+	fmt.Fprintf(stdout, "one-three SMI count: %d\n\n", a.SMICount())
 
-	fmt.Printf("top %d important events:\n", *topK)
+	fmt.Fprintf(stdout, "top %d important events:\n", *topK)
 	for i, e := range a.TopEvents(*topK) {
-		fmt.Printf("  %2d. %-4s %6.2f%%  %s\n", i+1, e.Abbrev, e.Importance, e.Event)
+		fmt.Fprintf(stdout, "  %2d. %-4s %6.2f%%  %s\n", i+1, e.Abbrev, e.Importance, e.Event)
 	}
-	fmt.Printf("\ntop %d event-pair interactions:\n", *topK)
+	fmt.Fprintf(stdout, "\ntop %d event-pair interactions:\n", *topK)
 	for i, pr := range a.TopInteractions(*topK) {
-		fmt.Printf("  %2d. %-9s %6.2f%%\n", i+1, pr.Key(), pr.Importance)
+		fmt.Fprintf(stdout, "  %2d. %-9s %6.2f%%\n", i+1, pr.Key(), pr.Importance)
 	}
 	if len(a.EIRNumEvents) > 1 {
-		fmt.Printf("\nEIR curve (events: model error):\n ")
+		fmt.Fprintf(stdout, "\nEIR curve (events: model error):\n ")
 		for i := range a.EIRNumEvents {
-			fmt.Printf(" %d:%.1f%%", a.EIRNumEvents[i], a.EIRErrors[i])
+			fmt.Fprintf(stdout, " %d:%.1f%%", a.EIRNumEvents[i], a.EIRErrors[i])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }
 
-// checkCleaner exits with a friendly candidate-listing error when name
-// is not a registered cleaner (empty selects the default).
-func checkCleaner(name string) {
-	if _, err := clean.Lookup(name); err != nil {
-		fmt.Fprintf(os.Stderr, "counterminer: unknown cleaner %q; candidates: %s\n",
-			name, strings.Join(clean.Candidates(name), ", "))
-		os.Exit(2)
-	}
-}
-
-// checkBenchmark exits with a friendly candidate-listing error when
-// name is not a known benchmark.
-func checkBenchmark(name string, all []string) {
-	for _, b := range all {
-		if b == name {
-			return
-		}
-	}
+// candidates lists the benchmarks whose names contain name, ignoring
+// case, or all of them when none does.
+func candidates(name string, all []string) []string {
 	low := strings.ToLower(name)
-	var cands []string
+	var out []string
 	for _, b := range all {
 		if strings.Contains(strings.ToLower(b), low) {
-			cands = append(cands, b)
+			out = append(out, b)
 		}
 	}
-	if len(cands) == 0 {
-		cands = all
+	if len(out) == 0 {
+		return all
 	}
-	fmt.Fprintf(os.Stderr, "counterminer: unknown benchmark %q; candidates: %s\n",
-		name, strings.Join(cands, ", "))
-	os.Exit(2)
-}
-
-func fatalUsage(msg string) {
-	fmt.Fprintln(os.Stderr, "counterminer:", msg)
-	os.Exit(2)
-}
-
-func fatal(err error) {
-	// An interrupted or timed-out analysis gets the conventional
-	// terminated-by-signal exit status; the typed error already names
-	// the stage that observed the cancellation.
-	fmt.Fprintln(os.Stderr, "counterminer:", err)
-	if errors.Is(err, counterminer.ErrCanceled) {
-		os.Exit(130)
-	}
-	os.Exit(1)
+	return out
 }

@@ -104,57 +104,6 @@ func DistanceOpt(s1, s2 []float64, opts Options) (float64, error) {
 	return prev[m], nil
 }
 
-// Path returns the optimal alignment path as (i, j) index pairs, plus
-// the DTW distance. It uses the full O(n·m) matrix and is intended for
-// diagnostics and tests rather than bulk scoring.
-func Path(s1, s2 []float64) ([][2]int, float64, error) {
-	if len(s1) == 0 || len(s2) == 0 {
-		return nil, 0, ErrEmptySeries
-	}
-	n, m := len(s1), len(s2)
-	dp := make([][]float64, n+1)
-	for i := range dp {
-		dp[i] = make([]float64, m+1)
-		for j := range dp[i] {
-			dp[i][j] = math.Inf(1)
-		}
-	}
-	dp[0][0] = 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			d := absDist(s1[i-1], s2[j-1])
-			best := dp[i-1][j]
-			if dp[i-1][j-1] < best {
-				best = dp[i-1][j-1]
-			}
-			if dp[i][j-1] < best {
-				best = dp[i][j-1]
-			}
-			dp[i][j] = d + best
-		}
-	}
-	// Backtrack.
-	var path [][2]int
-	i, j := n, m
-	for i > 0 && j > 0 {
-		path = append(path, [2]int{i - 1, j - 1})
-		diag, up, left := dp[i-1][j-1], dp[i-1][j], dp[i][j-1]
-		switch {
-		case diag <= up && diag <= left:
-			i, j = i-1, j-1
-		case up <= left:
-			i--
-		default:
-			j--
-		}
-	}
-	// Reverse in place.
-	for a, b := 0, len(path)-1; a < b; a, b = a+1, b-1 {
-		path[a], path[b] = path[b], path[a]
-	}
-	return path, dp[n][m], nil
-}
-
 // MLPXError implements eq. (4) of the paper:
 //
 //	error = |1 - dist_ref / dist_mea| * 100%

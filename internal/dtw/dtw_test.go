@@ -147,37 +147,6 @@ func TestWindowedIsUpperBound(t *testing.T) {
 	}
 }
 
-func TestPathEndpointsAndMonotonicity(t *testing.T) {
-	s1 := []float64{0, 1, 2, 3}
-	s2 := []float64{0, 3}
-	path, d, err := Path(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path[0] != [2]int{0, 0} {
-		t.Errorf("path start = %v", path[0])
-	}
-	last := path[len(path)-1]
-	if last != [2]int{3, 1} {
-		t.Errorf("path end = %v", last)
-	}
-	for k := 1; k < len(path); k++ {
-		di := path[k][0] - path[k-1][0]
-		dj := path[k][1] - path[k-1][1]
-		if di < 0 || dj < 0 || (di == 0 && dj == 0) || di > 1 || dj > 1 {
-			t.Fatalf("non-monotone path step %v -> %v", path[k-1], path[k])
-		}
-	}
-	// Path distance must equal Distance.
-	d2, err := Distance(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(d, d2, 1e-9) {
-		t.Errorf("Path distance %v != Distance %v", d, d2)
-	}
-}
-
 func TestMLPXErrorPerfectMeasurement(t *testing.T) {
 	ocoe := []float64{1, 2, 3, 4}
 	// dist_ref == dist_mea => error 0.

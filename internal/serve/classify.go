@@ -121,7 +121,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
-		job.Events = s.storeEventVocabulary()
+		job.Events = StoreEventVocabulary(s.db)
 		job = job.keyed()
 		base = job.Key
 		compute = func() ([]float64, error) {
@@ -159,7 +159,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			var res *fingerprint.Result
 			res, err = s.fpIndex.Classify(vec, req.TopK)
 			if err == nil {
-				verdict = classification(vec, res)
+				verdict = Classification(vec, res)
 			}
 		}
 		s.metrics.ObserveClassify(verdict, err, time.Since(start))
@@ -184,8 +184,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// classification maps the index's verdict onto the wire type.
-func classification(vec []float64, res *fingerprint.Result) *client.Classification {
+// Classification maps the index's verdict on vec onto the wire type.
+// /classify and cmclassify's offline mode both answer with it.
+func Classification(vec []float64, res *fingerprint.Result) *client.Classification {
 	out := &client.Classification{
 		Fingerprint:  vec,
 		Confidence:   res.Confidence,
@@ -246,14 +247,16 @@ func suiteOf(label string) string {
 	return p.Suite.String()
 }
 
-// runEntry turns one run into an index entry. Its embedding is the
+// RunEntry turns one run into an index entry. Its embedding is the
 // embedding of the run's raw persisted series — the same inputs the
 // pipeline's Fingerprint stage embeds — so index entries and
 // classify-time embeddings are directly comparable regardless of
 // which cleaner any analysis ran. A record the pipeline writes carries
 // that stage's embedding, which is taken as is; a record read back
-// from the store carries none and is embedded here.
-func runEntry(rec store.Record) fingerprint.Entry {
+// from the store carries none and is embedded here. The daemon's
+// startup rebuild, its indexing sink and cmclassify's offline index
+// all build their entries with it.
+func RunEntry(rec store.Record) fingerprint.Entry {
 	vec := rec.Embedding
 	if vec == nil {
 		set := timeseries.NewSet()
@@ -270,22 +273,23 @@ func runEntry(rec store.Record) fingerprint.Entry {
 	}
 }
 
-// storeEventVocabulary returns the event set shared by every stored
-// run, or nil (meaning the full catalogue) when the store is empty,
-// absent, or its runs disagree. Feature-hashed embeddings are only
-// comparable over comparable event sets, so a benchmark probe must be
-// collected over the same vocabulary as the index entries it is
-// matched against — against a store built from event-filtered
-// analyses, a full-catalogue probe would flag every workload as an
-// anomaly. The vocabulary lands in the fingerprint Job, so it
-// participates in the embedding's content address like any other event
-// filter.
-func (s *Server) storeEventVocabulary() []string {
-	if s.db == nil {
+// StoreEventVocabulary returns the event set shared by every run in
+// db, or nil (meaning the full catalogue) when db is nil or empty or
+// its runs disagree. Feature-hashed embeddings are only comparable
+// over comparable event sets, so a benchmark probe must be collected
+// over the same vocabulary as the index entries it is matched against
+// — against a store built from event-filtered analyses, a
+// full-catalogue probe would flag every workload as an anomaly. On
+// /classify the vocabulary lands in the fingerprint Job, so it
+// participates in the embedding's content address like any other
+// event filter; cmclassify's offline mode collects its probe over it
+// too.
+func StoreEventVocabulary(db *store.DB) []string {
+	if db == nil {
 		return nil
 	}
 	var vocab []string
-	for _, meta := range s.db.List() {
+	for _, meta := range db.List() {
 		if vocab == nil {
 			vocab = meta.Events
 			continue
@@ -306,7 +310,7 @@ func (s *Server) rebuildIndex() {
 	}
 	var entries []fingerprint.Entry
 	s.db.ForEachRun(func(rec store.Record) bool {
-		entries = append(entries, runEntry(rec))
+		entries = append(entries, RunEntry(rec))
 		return true
 	})
 	s.fpIndex.Fill(entries)

@@ -212,7 +212,7 @@ func TestClassifyStoreEventVocabulary(t *testing.T) {
 	defer ts.Close()
 	defer s.queue.Drain()
 
-	if vocab := s.storeEventVocabulary(); len(vocab) != len(events) {
+	if vocab := StoreEventVocabulary(s.db); len(vocab) != len(events) {
 		t.Fatalf("store vocabulary has %d events, want %d", len(vocab), len(events))
 	}
 	resp, body := postClassify(t, ts.URL, `{"benchmark":"wordcount"}`)
@@ -259,7 +259,7 @@ func TestClassifyStoreEventVocabulary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.queue.Drain()
-	if vocab := s2.storeEventVocabulary(); vocab != nil {
+	if vocab := StoreEventVocabulary(s2.db); vocab != nil {
 		t.Errorf("heterogeneous store produced vocabulary %v, want nil", vocab)
 	}
 }

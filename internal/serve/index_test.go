@@ -22,7 +22,7 @@ import (
 func storeIndex(db *store.DB) *fingerprint.Index {
 	var all []fingerprint.Entry
 	db.ForEachRun(func(rec store.Record) bool {
-		all = append(all, runEntry(rec))
+		all = append(all, RunEntry(rec))
 		return true
 	})
 	ix := fingerprint.NewIndex(fingerprint.Options{})
@@ -31,7 +31,7 @@ func storeIndex(db *store.DB) *fingerprint.Index {
 }
 
 // TestIndexMatchesStoreAfterMixedLoad: once no job is writing, every
-// stored run has exactly one index entry, equal to runEntry of its
+// stored run has exactly one index entry, equal to RunEntry of its
 // current record, so the live index version equals a fresh rebuild
 // from the store. The mix covers every way a run reaches the store —
 // sequential analyses, a co-located pair, a batch — plus a fingerprint
@@ -170,7 +170,7 @@ func TestIndexUpsertsOnlyPersistedRuns(t *testing.T) {
 		}
 	}
 	check("at startup", 300)
-	planted := runEntry(stored(1))
+	planted := RunEntry(stored(1))
 	planted.Vec = make([]float64, fingerprint.Dim)
 	planted.Vec[0] = 1
 	s.fpIndex.Upsert(planted)

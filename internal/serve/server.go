@@ -610,7 +610,7 @@ const persistStripes = 64
 // the stripe.
 func (k indexingSink) Put(rec store.Record) error {
 	s := k.s
-	entry := runEntry(rec)
+	entry := RunEntry(rec)
 	h := fnv.New32a()
 	h.Write([]byte(rec.Meta.Benchmark))
 	mu := &s.persistMu[h.Sum32()%persistStripes]

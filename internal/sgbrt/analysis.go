@@ -1,128 +1,12 @@
 package sgbrt
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
-// Model-analysis utilities: staged prediction for choosing the tree
-// count, partial dependence for visualising how one event drives the
-// modelled IPC, and pair grids for the interaction ranker.
-
-// StagedPredict returns the model's prediction after each boosting
-// stage: out[k] is the prediction using the first k+1 trees. It is the
-// standard way to pick the tree count by watching held-out error
-// flatten.
-func (e *Ensemble) StagedPredict(x []float64) ([]float64, error) {
-	if len(x) != e.nFeatures {
-		return nil, fmt.Errorf("sgbrt: staged predict with %d features, model has %d", len(x), e.nFeatures)
-	}
-	out := make([]float64, len(e.trees))
-	acc := e.base
-	for k, t := range e.trees {
-		v, err := t.Predict(x)
-		if err != nil {
-			return nil, err
-		}
-		acc += e.params.LearningRate * v
-		out[k] = acc
-	}
-	return out, nil
-}
-
-// StagedMAPE returns the held-out MAPE after each boosting stage,
-// useful for early-stopping analyses.
-func (e *Ensemble) StagedMAPE(X [][]float64, y []float64) ([]float64, error) {
-	if len(X) == 0 {
-		return nil, errors.New("sgbrt: staged MAPE on empty data")
-	}
-	if len(X) != len(y) {
-		return nil, fmt.Errorf("sgbrt: %d rows but %d targets", len(X), len(y))
-	}
-	sums := make([]float64, len(e.trees))
-	counts := 0
-	for i, row := range X {
-		if y[i] == 0 {
-			continue
-		}
-		staged, err := e.StagedPredict(row)
-		if err != nil {
-			return nil, err
-		}
-		for k, p := range staged {
-			d := (y[i] - p) / y[i]
-			if d < 0 {
-				d = -d
-			}
-			sums[k] += d
-		}
-		counts++
-	}
-	if counts == 0 {
-		return nil, errors.New("sgbrt: staged MAPE undefined (all targets zero)")
-	}
-	for k := range sums {
-		sums[k] = sums[k] / float64(counts) * 100
-	}
-	return sums, nil
-}
-
-// PartialDependence evaluates the model's average response to feature
-// j over a grid of its observed values: for each grid point v the
-// feature is clamped to v in every row of X and the predictions are
-// averaged. It returns the grid and the averaged responses.
-func (e *Ensemble) PartialDependence(X [][]float64, j, gridSize int) (grid, response []float64, err error) {
-	if len(X) == 0 {
-		return nil, nil, errors.New("sgbrt: partial dependence on empty data")
-	}
-	if j < 0 || j >= e.nFeatures {
-		return nil, nil, fmt.Errorf("sgbrt: feature %d out of range [0,%d)", j, e.nFeatures)
-	}
-	if gridSize < 2 {
-		gridSize = 10
-	}
-	col := make([]float64, len(X))
-	for i, row := range X {
-		if len(row) != e.nFeatures {
-			return nil, nil, fmt.Errorf("sgbrt: row %d has %d features", i, len(row))
-		}
-		col[i] = row[j]
-	}
-	sort.Float64s(col)
-	grid = make([]float64, gridSize)
-	for k := 0; k < gridSize; k++ {
-		idx := int((float64(k) + 0.5) / float64(gridSize) * float64(len(col)))
-		if idx >= len(col) {
-			idx = len(col) - 1
-		}
-		grid[k] = col[idx]
-	}
-
-	// Cap the averaging set for tractability.
-	stride := 1
-	if len(X) > 256 {
-		stride = len(X) / 256
-	}
-	response = make([]float64, gridSize)
-	point := make([]float64, e.nFeatures)
-	for k, v := range grid {
-		sum, n := 0.0, 0
-		for i := 0; i < len(X); i += stride {
-			copy(point, X[i])
-			point[j] = v
-			p, err := e.Predict(point)
-			if err != nil {
-				return nil, nil, err
-			}
-			sum += p
-			n++
-		}
-		response[k] = sum / float64(n)
-	}
-	return grid, response, nil
-}
+// Pair grids for the interaction ranker: one model evaluated over the
+// grid of two features' values with every other input fixed.
 
 // maxPairGrid is the most values PredictPairGrid takes per axis: the
 // grid indices that reach a node travel as one 64-bit mask.

@@ -73,7 +73,7 @@ type Ensemble struct {
 	// The training inputs of a fit, kept so that a later fit on fewer
 	// of the columns can reuse this one's leading trees: the matrix, a
 	// copy of the targets and a copy of the column list (callers may
-	// rewrite theirs in place). A loaded model has none.
+	// rewrite theirs in place).
 	ps       *Presorted
 	y        []float64
 	features []int

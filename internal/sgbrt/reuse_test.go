@@ -1,7 +1,6 @@
 package sgbrt
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -129,16 +128,6 @@ func TestFitReusesProvablyUnchangedTrees(t *testing.T) {
 	checkReuse(t, "reordered columns {3, 1, 2}", ps, []int{3, 1, 2}, y, params, prev, 0)
 	prefix := fitOn(t, ps, []int{0, 1, 2, 3}, y, params, nil)
 	checkReuse(t, "a column absent from prev", ps, []int{0, 1, 4}, y, params, prefix, 0)
-
-	var buf bytes.Buffer
-	if err := prev.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReuse(t, "a loaded prev", ps, without(all, 6), y, params, loaded, 0)
 
 	// Column subsampling draws depend on the column count: no reuse even
 	// when nothing is dropped.

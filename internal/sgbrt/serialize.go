@@ -2,14 +2,13 @@ package sgbrt
 
 import (
 	"encoding/gob"
-	"errors"
-	"fmt"
 	"io"
 )
 
-// Serialization lets a fitted performance model be stored next to the
-// counter data it was trained on (the paper's workflow re-analyses
-// collected data offline) and reloaded without refitting.
+// Save writes a fitted ensemble's byte image: its parameters, base and
+// every node of every tree. Nothing reads the image back; two fits are
+// the same model exactly when their images are equal, which is how the
+// tests compare an optimised fit against a reference one.
 
 // wireNode mirrors node with exported fields for encoding.
 type wireNode struct {
@@ -29,19 +28,15 @@ type wireTree struct {
 
 // wireEnsemble mirrors Ensemble.
 type wireEnsemble struct {
-	Version   int
 	Params    Params
 	Base      float64
 	Trees     []wireTree
 	NFeatures int
 }
 
-const wireVersion = 1
-
 // Save encodes the ensemble to w.
 func (e *Ensemble) Save(w io.Writer) error {
 	img := wireEnsemble{
-		Version:   wireVersion,
 		Params:    e.params,
 		Base:      e.base,
 		NFeatures: e.nFeatures,
@@ -58,52 +53,4 @@ func (e *Ensemble) Save(w io.Writer) error {
 		img.Trees = append(img.Trees, wt)
 	}
 	return gob.NewEncoder(w).Encode(&img)
-}
-
-// Load decodes an ensemble previously written by Save.
-func Load(r io.Reader) (*Ensemble, error) {
-	var img wireEnsemble
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
-		return nil, fmt.Errorf("sgbrt: load: %w", err)
-	}
-	if img.Version != wireVersion {
-		return nil, fmt.Errorf("sgbrt: load: format version %d, want %d", img.Version, wireVersion)
-	}
-	if img.NFeatures <= 0 {
-		return nil, errors.New("sgbrt: load: invalid feature count")
-	}
-	e := &Ensemble{params: img.Params, base: img.Base, nFeatures: img.NFeatures}
-	for k, wt := range img.Trees {
-		if wt.NFeatures != img.NFeatures {
-			return nil, fmt.Errorf("sgbrt: load: tree %d has %d features, model has %d", k, wt.NFeatures, img.NFeatures)
-		}
-		t := &Tree{nFeatures: wt.NFeatures}
-		for i, wn := range wt.Nodes {
-			if wn.Feature >= t.nFeatures {
-				return nil, fmt.Errorf("sgbrt: load: split feature %d out of range", wn.Feature)
-			}
-			// Save writes nodes in depth-first preorder, so every child
-			// follows its parent; a child at or before its parent would
-			// make prediction loop forever.
-			if wn.Feature >= 0 &&
-				(wn.Left <= i || wn.Left >= len(wt.Nodes) || wn.Right <= i || wn.Right >= len(wt.Nodes)) {
-				return nil, fmt.Errorf("sgbrt: load: tree %d node %d: child index out of range", k, i)
-			}
-			t.nodes = append(t.nodes, node{
-				feature: wn.Feature, threshold: wn.Threshold,
-				left: wn.Left, right: wn.Right,
-				value: wn.Value, improvement: wn.Improvement, samples: wn.Samples,
-			})
-		}
-		if len(t.nodes) == 0 {
-			return nil, errors.New("sgbrt: load: empty tree")
-		}
-		e.trees = append(e.trees, t)
-	}
-	return e, nil
-}
-
-// encodeWire is a test hook that encodes a raw wire image.
-func encodeWire(w io.Writer, img *wireEnsemble) error {
-	return gob.NewEncoder(w).Encode(img)
 }

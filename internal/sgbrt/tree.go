@@ -66,8 +66,7 @@ type Tree struct {
 	// stable says every split won its node by more than gainEpsilon
 	// over each candidate of an earlier feature and passed the MinLeaf
 	// recount, so growing the tree again on fewer features that keep
-	// its split features picks the same splits (see pickSplit). It is
-	// not serialized: a loaded tree is never reused.
+	// its split features picks the same splits (see pickSplit).
 	stable bool
 }
 

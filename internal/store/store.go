@@ -22,10 +22,11 @@
 // than RAM.
 //
 // Run files are the only format the store reads. Open refuses a store
-// in an earlier format (a v1/v2 single file, or v3 .shard files) with
-// an error naming the file, and leaves it as it is; the cmstore migrate
-// of an earlier build (commit eff673a is the last that has it) converts
-// one to run files.
+// in an earlier format (a v1/v2 single file, the <path>.v2.bak an
+// interrupted migrate left, or v3 .shard files) with an error naming
+// the file, and leaves it as it is; the cmstore migrate of an earlier
+// build (commit eff673a is the last that has it) converts one to run
+// files.
 package store
 
 import (
@@ -116,9 +117,10 @@ const ipcColumn = "__ipc__"
 // or internally inconsistent are skipped (and counted in Skipped /
 // Stats.SkippedRecords) rather than failing the whole open — a damaged
 // file loses that run, not the catalog. Only an unreadable path, a
-// regular file at path, or a v3 .shard file in the directory returns
-// an error; the last two are stores in an earlier format, which Open
-// names and leaves as they are.
+// regular file at path, a v3 .shard file in the directory, or a
+// missing path with a <path>.v2.bak beside it returns an error; the
+// last three are stores in an earlier format, which Open names and
+// leaves as they are.
 func Open(path string) (*DB, error) {
 	db := &DB{path: path, shards: make(map[string]*shard)}
 	if path == "" {
@@ -127,6 +129,14 @@ func Open(path string) (*DB, error) {
 	fi, err := os.Stat(path)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
+		// An earlier build's cmstore migrate set the single-file store
+		// aside as <path>.v2.bak while it wrote run files; after a crash
+		// between its two renames the backup is the only copy of the
+		// runs, and an empty store here would hide it.
+		bak := path + ".v2.bak"
+		if _, err := os.Stat(bak); err == nil {
+			return nil, fmt.Errorf("store: %s does not exist, but %s, a v1/v2 single-file store an interrupted migrate set aside, does; rename it to %s and %s", path, bak, path, migrateHint)
+		}
 		return db, nil
 	case err != nil:
 		return nil, fmt.Errorf("store: open: %w", err)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -273,7 +274,11 @@ func TestOpenRefusesOldFormats(t *testing.T) {
 	single := filepath.Join(t.TempDir(), "runs.db")
 	dir, _ := shardedStore(t, "alpha")
 	shard := filepath.Join(dir, "wordcount-60a2407c.shard")
-	for _, f := range []string{single, shard} {
+	// A missing store with the single file an interrupted migrate set
+	// aside beside it: the backup is the only copy of the runs.
+	missing := filepath.Join(t.TempDir(), "runs.db")
+	bak := missing + ".v2.bak"
+	for _, f := range []string{single, shard, bak} {
 		if err := os.WriteFile(f, []byte("\x1f\xff\x81\x03 a store before run files"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -281,6 +286,7 @@ func TestOpenRefusesOldFormats(t *testing.T) {
 	for _, c := range []struct{ name, path, file string }{
 		{"single file", single, single},
 		{"dir with .shard", dir, shard},
+		{"missing path with .v2.bak", missing, bak},
 	} {
 		before := storeFiles(t, filepath.Dir(c.file))
 		db, err := Open(c.path)
@@ -290,6 +296,9 @@ func TestOpenRefusesOldFormats(t *testing.T) {
 		if after := storeFiles(t, filepath.Dir(c.file)); !reflect.DeepEqual(after, before) {
 			t.Errorf("Open(%s) changed %s or the files beside it", c.name, c.file)
 		}
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Open of a missing path with a .v2.bak created %s (stat: %v)", missing, err)
 	}
 }
 

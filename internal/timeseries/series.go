@@ -9,15 +9,8 @@
 // tolerate ragged lengths.
 package timeseries
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Series is one sampled event time series. The zero value is an empty,
-// ready-to-append series.
+// Series is one sampled event time series. The zero value is an empty
+// series.
 type Series struct {
 	// Event is the canonical event name, e.g. "ICACHE.MISSES".
 	Event string
@@ -35,9 +28,6 @@ func New(event string, values []float64) *Series {
 // Len reports the number of sampled values.
 func (s *Series) Len() int { return len(s.Values) }
 
-// Append adds one sampled value to the end of the series.
-func (s *Series) Append(v float64) { s.Values = append(s.Values, v) }
-
 // At returns the i-th sampled value.
 func (s *Series) At(i int) float64 { return s.Values[i] }
 
@@ -46,200 +36,4 @@ func (s *Series) Clone() *Series {
 	out := &Series{Event: s.Event, Values: make([]float64, len(s.Values))}
 	copy(out.Values, s.Values)
 	return out
-}
-
-// String implements fmt.Stringer with a compact summary rather than the
-// full value dump, since series routinely hold thousands of samples.
-func (s *Series) String() string {
-	if s.Len() == 0 {
-		return fmt.Sprintf("%s[empty]", s.Event)
-	}
-	return fmt.Sprintf("%s[n=%d mean=%.4g min=%.4g max=%.4g]",
-		s.Event, s.Len(), s.Mean(), s.Min(), s.Max())
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty series.
-func (s *Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
-// Std returns the population standard deviation, or 0 for a series with
-// fewer than two samples.
-func (s *Series) Std() float64 {
-	n := len(s.Values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	ss := 0.0
-	for _, v := range s.Values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Min returns the minimum value; +Inf for an empty series.
-func (s *Series) Min() float64 {
-	min := math.Inf(1)
-	for _, v := range s.Values {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max returns the maximum value; -Inf for an empty series.
-func (s *Series) Max() float64 {
-	max := math.Inf(-1)
-	for _, v := range s.Values {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Sum returns the sum of all sampled values.
-func (s *Series) Sum() float64 {
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum
-}
-
-// Quantile returns the q-th (0 ≤ q ≤ 1) quantile using linear
-// interpolation between order statistics. It returns an error for an
-// empty series or a q outside [0, 1].
-func (s *Series) Quantile(q float64) (float64, error) {
-	if len(s.Values) == 0 {
-		return 0, errors.New("timeseries: quantile of empty series")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("timeseries: quantile %v out of [0,1]", q)
-	}
-	sorted := make([]float64, len(s.Values))
-	copy(sorted, s.Values)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 0.5 quantile, or 0 for an empty series.
-func (s *Series) Median() float64 {
-	m, err := s.Quantile(0.5)
-	if err != nil {
-		return 0
-	}
-	return m
-}
-
-// CountWithin reports how many values fall in [lo, hi] (inclusive).
-func (s *Series) CountWithin(lo, hi float64) int {
-	n := 0
-	for _, v := range s.Values {
-		if v >= lo && v <= hi {
-			n++
-		}
-	}
-	return n
-}
-
-// Normalize returns a copy rescaled to zero mean and unit standard
-// deviation. A constant series is returned as all zeros.
-func (s *Series) Normalize() *Series {
-	out := s.Clone()
-	m, sd := s.Mean(), s.Std()
-	for i := range out.Values {
-		if sd == 0 {
-			out.Values[i] = 0
-		} else {
-			out.Values[i] = (out.Values[i] - m) / sd
-		}
-	}
-	return out
-}
-
-// Scale returns a copy with every value multiplied by f.
-func (s *Series) Scale(f float64) *Series {
-	out := s.Clone()
-	for i := range out.Values {
-		out.Values[i] *= f
-	}
-	return out
-}
-
-// Resample returns a copy stretched or squeezed to exactly n samples by
-// linear interpolation. It is used to simulate run-length
-// nondeterminism, not for alignment (alignment uses DTW).
-func (s *Series) Resample(n int) (*Series, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("timeseries: resample to %d samples", n)
-	}
-	if len(s.Values) == 0 {
-		return nil, errors.New("timeseries: resample of empty series")
-	}
-	out := &Series{Event: s.Event, Values: make([]float64, n)}
-	if len(s.Values) == 1 {
-		for i := range out.Values {
-			out.Values[i] = s.Values[0]
-		}
-		return out, nil
-	}
-	if n == 1 {
-		out.Values[0] = s.Mean()
-		return out, nil
-	}
-	step := float64(len(s.Values)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		pos := float64(i) * step
-		lo := int(math.Floor(pos))
-		if lo >= len(s.Values)-1 {
-			out.Values[i] = s.Values[len(s.Values)-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out.Values[i] = s.Values[lo]*(1-frac) + s.Values[lo+1]*frac
-	}
-	return out, nil
-}
-
-// ZeroRuns returns the [start, end) index ranges of maximal runs of
-// exactly-zero values. The cleaner uses this to locate candidate missing
-// values.
-func (s *Series) ZeroRuns() [][2]int {
-	var runs [][2]int
-	start := -1
-	for i, v := range s.Values {
-		if v == 0 {
-			if start < 0 {
-				start = i
-			}
-		} else if start >= 0 {
-			runs = append(runs, [2]int{start, i})
-			start = -1
-		}
-	}
-	if start >= 0 {
-		runs = append(runs, [2]int{start, len(s.Values)})
-	}
-	return runs
 }

@@ -1,88 +1,6 @@
 package timeseries
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func almostEqual(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
-}
-
-func TestEmptySeriesStats(t *testing.T) {
-	s := New("EV", nil)
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", s.Len())
-	}
-	if s.Mean() != 0 {
-		t.Errorf("Mean of empty = %v, want 0", s.Mean())
-	}
-	if s.Std() != 0 {
-		t.Errorf("Std of empty = %v, want 0", s.Std())
-	}
-	if !math.IsInf(s.Min(), 1) {
-		t.Errorf("Min of empty = %v, want +Inf", s.Min())
-	}
-	if !math.IsInf(s.Max(), -1) {
-		t.Errorf("Max of empty = %v, want -Inf", s.Max())
-	}
-	if _, err := s.Quantile(0.5); err == nil {
-		t.Error("Quantile of empty series should error")
-	}
-	if _, err := s.Resample(5); err == nil {
-		t.Error("Resample of empty series should error")
-	}
-}
-
-func TestMeanStdKnownValues(t *testing.T) {
-	s := New("EV", []float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if got := s.Mean(); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := s.Std(); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("Std = %v, want 2", got)
-	}
-	if got := s.Sum(); !almostEqual(got, 40, 1e-12) {
-		t.Errorf("Sum = %v, want 40", got)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	s := New("EV", []float64{1, 2, 3, 4, 5})
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		got, err := s.Quantile(c.q)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", c.q, err)
-		}
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if _, err := s.Quantile(-0.1); err == nil {
-		t.Error("Quantile(-0.1) should error")
-	}
-	if _, err := s.Quantile(1.1); err == nil {
-		t.Error("Quantile(1.1) should error")
-	}
-}
-
-func TestMedianUnsortedInput(t *testing.T) {
-	s := New("EV", []float64{9, 1, 5, 3, 7})
-	if got := s.Median(); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Median = %v, want 5", got)
-	}
-	// Median must not mutate the underlying order.
-	if s.Values[0] != 9 {
-		t.Error("Median mutated the series")
-	}
-}
+import "testing"
 
 func TestCloneIsDeep(t *testing.T) {
 	s := New("EV", []float64{1, 2, 3})
@@ -93,154 +11,5 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if c.Event != s.Event {
 		t.Error("Clone lost event name")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	s := New("EV", []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	n := s.Normalize()
-	if !almostEqual(n.Mean(), 0, 1e-9) {
-		t.Errorf("normalized mean = %v, want 0", n.Mean())
-	}
-	if !almostEqual(n.Std(), 1, 1e-9) {
-		t.Errorf("normalized std = %v, want 1", n.Std())
-	}
-	// Constant series becomes all zeros, not NaN.
-	c := New("EV", []float64{4, 4, 4}).Normalize()
-	for _, v := range c.Values {
-		if v != 0 {
-			t.Errorf("constant series normalized to %v, want 0", v)
-		}
-	}
-}
-
-func TestResampleEndpoints(t *testing.T) {
-	s := New("EV", []float64{0, 10, 20, 30})
-	r, err := s.Resample(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 7 {
-		t.Fatalf("resampled length = %d, want 7", r.Len())
-	}
-	if !almostEqual(r.Values[0], 0, 1e-12) || !almostEqual(r.Values[6], 30, 1e-12) {
-		t.Errorf("resample endpoints = %v, %v; want 0, 30", r.Values[0], r.Values[6])
-	}
-	// Mean is approximately preserved for a linear ramp.
-	if !almostEqual(r.Mean(), s.Mean(), 1e-9) {
-		t.Errorf("resample mean = %v, want %v", r.Mean(), s.Mean())
-	}
-	if _, err := s.Resample(0); err == nil {
-		t.Error("Resample(0) should error")
-	}
-}
-
-func TestResampleSingleValue(t *testing.T) {
-	s := New("EV", []float64{7})
-	r, err := s.Resample(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range r.Values {
-		if v != 7 {
-			t.Errorf("resampled single value = %v, want 7", v)
-		}
-	}
-	one, err := New("EV", []float64{1, 3}).Resample(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(one.Values[0], 2, 1e-12) {
-		t.Errorf("resample to 1 = %v, want mean 2", one.Values[0])
-	}
-}
-
-func TestZeroRuns(t *testing.T) {
-	s := New("EV", []float64{0, 0, 5, 0, 3, 0, 0, 0})
-	runs := s.ZeroRuns()
-	want := [][2]int{{0, 2}, {3, 4}, {5, 8}}
-	if len(runs) != len(want) {
-		t.Fatalf("ZeroRuns = %v, want %v", runs, want)
-	}
-	for i := range want {
-		if runs[i] != want[i] {
-			t.Errorf("run %d = %v, want %v", i, runs[i], want[i])
-		}
-	}
-	if got := New("EV", []float64{1, 2}).ZeroRuns(); got != nil {
-		t.Errorf("ZeroRuns with no zeros = %v, want nil", got)
-	}
-}
-
-func TestCountWithin(t *testing.T) {
-	s := New("EV", []float64{1, 2, 3, 4, 5})
-	if got := s.CountWithin(2, 4); got != 3 {
-		t.Errorf("CountWithin(2,4) = %d, want 3", got)
-	}
-	if got := s.CountWithin(10, 20); got != 0 {
-		t.Errorf("CountWithin(10,20) = %d, want 0", got)
-	}
-}
-
-// Property: quantile is monotone in q and bounded by min/max.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				vals = append(vals, math.Mod(v, 1e6))
-			}
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		s := New("EV", vals)
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			val, err := s.Quantile(q)
-			if err != nil {
-				return false
-			}
-			if val < prev-1e-9 {
-				return false
-			}
-			if val < s.Min()-1e-9 || val > s.Max()+1e-9 {
-				return false
-			}
-			prev = val
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Normalize yields mean ~0 and std ~1 (or all zeros).
-func TestNormalizeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(200)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = rng.NormFloat64()*50 + 100
-		}
-		norm := New("EV", vals).Normalize()
-		if !almostEqual(norm.Mean(), 0, 1e-6) {
-			t.Fatalf("trial %d: mean %v", trial, norm.Mean())
-		}
-		if norm.Std() != 0 && !almostEqual(norm.Std(), 1, 1e-6) {
-			t.Fatalf("trial %d: std %v", trial, norm.Std())
-		}
-	}
-}
-
-func TestStringSummary(t *testing.T) {
-	if got := New("EV", nil).String(); got != "EV[empty]" {
-		t.Errorf("String of empty = %q", got)
-	}
-	s := New("EV", []float64{1, 2, 3}).String()
-	if s == "" || s == "EV[empty]" {
-		t.Errorf("String of non-empty = %q", s)
 	}
 }

@@ -72,23 +72,6 @@ func (set *Set) Clone() *Set {
 	return out
 }
 
-// MinLen returns the length of the shortest series in the set, or 0 for
-// an empty set. Ragged sets are the norm (OCOE runs have different
-// lengths), so consumers that need a rectangular matrix truncate to
-// MinLen.
-func (set *Set) MinLen() int {
-	min := -1
-	for _, s := range set.series {
-		if min < 0 || s.Len() < min {
-			min = s.Len()
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
 // Matrix returns a rectangular sample matrix X with one row per
 // measurement interval and one column per event (in the order given),
 // truncated to the shortest *requested* series — series in the set but

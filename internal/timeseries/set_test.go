@@ -43,18 +43,6 @@ func TestSetEventsSorted(t *testing.T) {
 	}
 }
 
-func TestSetMinLen(t *testing.T) {
-	set := NewSet()
-	if set.MinLen() != 0 {
-		t.Errorf("MinLen of empty = %d", set.MinLen())
-	}
-	set.Put(New("A", []float64{1, 2, 3}))
-	set.Put(New("B", []float64{1, 2}))
-	if set.MinLen() != 2 {
-		t.Errorf("MinLen = %d, want 2", set.MinLen())
-	}
-}
-
 func TestSetMatrix(t *testing.T) {
 	set := NewSet()
 	set.Put(New("A", []float64{1, 2, 3}))

@@ -420,8 +420,10 @@ type StoreShardStats struct {
 	// ShardLoads and ShardEvictions count lazy loads and LRU evictions.
 	ShardLoads     uint64 `json:"shard_loads"`
 	ShardEvictions uint64 `json:"shard_evictions"`
-	// WritebackFlushes counts shard files written by the background
-	// writeback goroutine; WritebackErrors its failed passes.
+	// WritebackFlushes counts the shards the background writeback
+	// goroutine flushed, summed over its passes (each flushed shard
+	// writes one run file per run put since its last flush);
+	// WritebackErrors counts its failed passes.
 	WritebackFlushes uint64 `json:"writeback_flushes"`
 	WritebackErrors  uint64 `json:"writeback_errors"`
 	// SkippedRecords counts records dropped reading damaged files.

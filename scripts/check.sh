@@ -4,7 +4,7 @@
 # run-file reader, the CSV loader, the order statistics and the client's SSE
 # parser, and a short allocation-aware pass over the hot-path
 # micro-benchmarks.
-# Equivalent to `make check` for environments without make.
+# This script is the gate's one definition: `make check` and CI run it.
 set -eu
 
 cd "$(dirname "$0")/.."
