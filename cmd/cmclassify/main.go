@@ -209,7 +209,7 @@ func classifyOffline(ctx context.Context, dbPath string, ds *counterminer.DataSe
 		entries = append(entries, serve.RunEntry(rec))
 		return true
 	})
-	ix := fingerprint.NewIndex(fingerprint.Options{})
+	ix := fingerprint.NewIndex()
 	ix.Fill(entries)
 
 	var vec []float64

@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -106,6 +105,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Sprintf("unknown cleaner %q; candidates: %s",
 			*cleaner, strings.Join(clean.Candidates(*cleaner), ", ")))
 	}
+	if *list {
+		for _, b := range sim.AllBenchmarkNames() {
+			fmt.Fprintln(stdout, b)
+		}
+		return 0
+	}
+	var selected []string
+	switch {
+	case *csvPath != "" && *bench != "":
+		return usage("-bench and -csv are mutually exclusive")
+	case *csvPath != "":
+		// A CSV brings its own events; -events and -colocate apply to
+		// benchmarks only.
+	case *bench != "":
+		for _, name := range []string{*bench, *colocate} {
+			if _, err := sim.ProfileByName(name); name != "" && err != nil {
+				return usage(fmt.Sprintf("unknown benchmark %q; candidates: %s",
+					name, strings.Join(sim.Candidates(name), ", ")))
+			}
+		}
+		if *events != "" {
+			sel, err := sim.NewCatalogue().Select(strings.Split(*events, ","))
+			if err != nil {
+				return usage(err.Error())
+			}
+			selected = sel
+		}
+	default:
+		return usage("-bench or -csv required (see -list)")
+	}
 
 	// Ctrl-C (SIGINT) or SIGTERM cancels the analysis context; every
 	// pipeline stage observes it within one unit of work, and the store's
@@ -128,6 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Retry:        counterminer.RetryPolicy{Attempts: *retries, BaseDelay: *retryWait},
 		MinRuns:      *minRuns,
 		CleanOptions: clean.Options{Cleaner: *cleaner},
+		Events:       selected,
 	}
 	if *chaos > 0 {
 		cfg := fault.Config{
@@ -152,12 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(err)
 	}
-	if *list {
-		for _, b := range p.Benchmarks() {
-			fmt.Fprintln(stdout, b)
-		}
-		return 0
-	}
 	start := time.Now()
 	var a *counterminer.Analysis
 	switch {
@@ -175,34 +199,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatal(err)
 		}
-	case *bench != "":
-		for _, name := range []string{*bench, *colocate} {
-			if name != "" && !slices.Contains(p.Benchmarks(), name) {
-				return usage(fmt.Sprintf("unknown benchmark %q; candidates: %s",
-					name, strings.Join(candidates(name, p.Benchmarks()), ", ")))
-			}
-		}
-		if *events != "" {
-			sel, err := p.Catalogue().Select(strings.Split(*events, ","))
-			if err != nil {
-				return fatal(err)
-			}
-			opts.Events = sel
-			p, err = counterminer.NewPipeline(opts)
-			if err != nil {
-				return fatal(err)
-			}
-		}
-		if *colocate != "" {
-			a, err = p.AnalyzeColocatedContext(ctx, *bench, *colocate)
-		} else {
-			a, err = p.AnalyzeContext(ctx, *bench)
-		}
-		if err != nil {
-			return fatal(err)
-		}
+	case *colocate != "":
+		a, err = p.AnalyzeColocatedContext(ctx, *bench, *colocate)
 	default:
-		return usage("-bench or -csv required (see -list)")
+		a, err = p.AnalyzeContext(ctx, *bench)
+	}
+	if err != nil {
+		return fatal(err)
 	}
 
 	fmt.Fprintf(stdout, "benchmark: %s  (analysed in %v)\n", a.Benchmark, time.Since(start).Round(time.Millisecond))
@@ -234,20 +237,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 	return 0
-}
-
-// candidates lists the benchmarks whose names contain name, ignoring
-// case, or all of them when none does.
-func candidates(name string, all []string) []string {
-	low := strings.ToLower(name)
-	var out []string
-	for _, b := range all {
-		if strings.Contains(strings.ToLower(b), low) {
-			out = append(out, b)
-		}
-	}
-	if len(out) == 0 {
-		return all
-	}
-	return out
 }

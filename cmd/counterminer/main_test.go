@@ -22,6 +22,8 @@ func TestCounterminerFlagValidation(t *testing.T) {
 		{[]string{"-bench", "wordcount", "-chaos", "1"}, "-chaos must be in [0, 1)"},
 		{[]string{"-bench", "wordcount", "-cleaner", "knn"}, `unknown cleaner "knn"; candidates: threshold-knn`},
 		{[]string{"-bench", "Wordcnt"}, `unknown benchmark "Wordcnt"; candidates:`},
+		{[]string{"-bench", "wordcount", "-events", "BR_*,NO_SUCH_EVENT"}, `pattern "NO_SUCH_EVENT" matches no event`},
+		{[]string{"-bench", "wordcount", "-csv", "run.csv"}, "-bench and -csv are mutually exclusive"},
 		{nil, "-bench or -csv required"},
 	} {
 		var out, errOut bytes.Buffer

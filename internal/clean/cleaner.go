@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"counterminer/internal/timeseries"
 )
@@ -27,7 +26,7 @@ type Meta struct {
 	Groups int
 }
 
-// Cleaner is the pluggable Clean-stage seam: one strategy for repairing
+// Cleaner is the Clean-stage seam: one strategy for repairing
 // multiplexing errors in a collected series set. Implementations must
 // be deterministic — bit-identical output for identical input at any
 // Options.Workers value — because the pipeline's results are content-
@@ -69,31 +68,15 @@ func (e *UnknownCleanerError) Error() string {
 // Is matches ErrUnknownCleaner.
 func (e *UnknownCleanerError) Is(target error) bool { return target == ErrUnknownCleaner }
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Cleaner)
-)
-
-// Register adds a cleaner under its Name. It panics on an empty name or
-// a duplicate registration — both are programming errors, caught at
-// init time.
-func Register(c Cleaner) {
-	name := c.Name()
-	if name == "" {
-		panic("clean: Register with empty cleaner name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("clean: duplicate cleaner " + name)
-	}
-	registry[name] = c
+// registry holds every cleaner under its Name. Nothing writes it after
+// package initialisation, so reads need no lock.
+var registry = map[string]Cleaner{
+	DefaultCleaner: thresholdKNN{},
+	BayesCleaner:   newBayes(),
 }
 
 // Names returns every registered cleaner name, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]string, 0, len(registry))
 	for name := range registry {
 		out = append(out, name)
@@ -109,9 +92,7 @@ func Lookup(name string) (Cleaner, error) {
 	if name == "" {
 		name = DefaultCleaner
 	}
-	regMu.RLock()
 	c, ok := registry[name]
-	regMu.RUnlock()
 	if !ok {
 		return nil, &UnknownCleanerError{Name: name, Candidates: Candidates(name)}
 	}
@@ -189,9 +170,4 @@ func (thresholdKNN) Name() string { return DefaultCleaner }
 
 func (thresholdKNN) Clean(ctx context.Context, in *timeseries.Set, _ Meta, opts Options) (*timeseries.Set, SetReport, error) {
 	return SetCtx(ctx, in, opts)
-}
-
-func init() {
-	Register(thresholdKNN{})
-	Register(newBayes())
 }

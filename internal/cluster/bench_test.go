@@ -10,7 +10,7 @@ import (
 // dispatched job hashes its grouping key onto the ring once, so this
 // bound is paid per job even on a healthy fleet.
 func BenchmarkRingLookup(b *testing.B) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 16; i++ {
 		r.Add(NodeID(fmt.Sprintf("worker-%d", i)))
 	}
@@ -31,7 +31,7 @@ func BenchmarkRingLookup(b *testing.B) {
 // walk — paid only on failover, but inside the lease-expiry window, so
 // it must stay cheap.
 func BenchmarkRingSuccessors(b *testing.B) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 16; i++ {
 		r.Add(NodeID(fmt.Sprintf("worker-%d", i)))
 	}

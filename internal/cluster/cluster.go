@@ -34,7 +34,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -115,23 +114,16 @@ type ExecResponse struct {
 
 // errorFromWire reconstructs a typed error from a worker's terminal
 // ExecResponse.Error so error identity survives the network hop: the
-// coordinator's serve layer maps the reconstructed error back to
-// exactly the status and code the worker observed.
+// code names its sentinel in serve.ErrorCodes, and the coordinator's
+// serve layer maps the reconstructed error back to exactly the status
+// and code the worker observed.
 func errorFromWire(er *client.ErrorResponse) error {
-	sentinel := map[string]error{
-		"queue_full":      serve.ErrQueueFull,
-		"draining":        serve.ErrDraining,
-		"not_leader":      serve.ErrNotLeader,
-		"no_workers":      serve.ErrNoWorkers,
-		"budget_exceeded": context.DeadlineExceeded,
-		"canceled":        counterminer.ErrCanceled,
-		"quorum_not_met":  counterminer.ErrQuorum,
-		"series_invalid":  counterminer.ErrSeriesInvalid,
-	}[er.Error]
-	if sentinel == nil {
-		return fmt.Errorf("cluster: worker error: %s", er.Message)
+	for _, c := range serve.ErrorCodes {
+		if c.Code == er.Error {
+			return fmt.Errorf("%s: %w", er.Message, c.Err)
+		}
 	}
-	return fmt.Errorf("%s: %w", er.Message, sentinel)
+	return fmt.Errorf("cluster: worker error: %s", er.Message)
 }
 
 // wireError encodes a worker-side terminal error for the exec

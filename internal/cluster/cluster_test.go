@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"sync"
@@ -265,6 +266,19 @@ func TestCoordinatorWithoutWorkersRejectsTyped(t *testing.T) {
 	}
 }
 
+// TestErrorCodesSurviveTheWorkerHop: a worker's error, encoded on the
+// wire and decoded by the coordinator, maps back to the status and
+// code of its sentinel, for every word of the serving layer's error
+// vocabulary.
+func TestErrorCodesSurviveTheWorkerHop(t *testing.T) {
+	for _, c := range serve.ErrorCodes {
+		status, code := serve.ErrorStatus(errorFromWire(wireError(fmt.Errorf("x: %w", c.Err))))
+		if status != c.Status || code != c.Code {
+			t.Errorf("%s: decoded as %d %s, want %d %s", c.Code, status, code, c.Status, c.Code)
+		}
+	}
+}
+
 func TestFollowerCoordinatorAnswersNotLeader(t *testing.T) {
 	// An elector that never steps never leaves follower.
 	elector, err := NewElector(ElectorConfig{ID: "c2", Store: NewMemoryLease(), TTL: time.Hour, Every: time.Hour})
@@ -374,7 +388,7 @@ func TestSeededWorkerKillFailsOverMidJob(t *testing.T) {
 	waitFor(t, "workers registered", func() bool { return coord.Registry().Live() == 2 })
 
 	// Aim at whatever the ring gives the doomed worker.
-	ring := NewRing(0)
+	ring := NewRing()
 	ring.Add("w1")
 	ring.Add("w2")
 	var target string

@@ -15,6 +15,10 @@ import (
 	"counterminer/pkg/client"
 )
 
+// retryPause is the wait before re-picking when every live worker has
+// already failed a job.
+const retryPause = 50 * time.Millisecond
+
 // CoordinatorConfig configures a Coordinator.
 type CoordinatorConfig struct {
 	// ID is this coordinator's identity.
@@ -30,11 +34,6 @@ type CoordinatorConfig struct {
 	// loop safeguard, not the delivery deadline — the request context's
 	// compute budget is what actually bounds a dispatch in time.
 	MaxAttempts int
-	// RetryPause is the wait before re-picking when every live worker
-	// has already failed a job (default 50ms).
-	RetryPause time.Duration
-	// Clock supplies the time (default time.Now; tests inject).
-	Clock func() time.Time
 	// Sleep waits for d or ctx (default: a timer; tests inject).
 	Sleep func(ctx context.Context, d time.Duration) error
 }
@@ -48,12 +47,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 10
-	}
-	if c.RetryPause <= 0 {
-		c.RetryPause = 50 * time.Millisecond
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	if c.Sleep == nil {
 		c.Sleep = func(ctx context.Context, d time.Duration) error {
@@ -106,7 +99,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:      cfg,
-		registry: NewRegistry(cfg.WorkerTTL, cfg.Clock),
+		registry: NewRegistry(cfg.WorkerTTL, nil),
 		inflight: make(map[string]*dispatch),
 	}
 	c.registry.onExpire = c.requeueWorker
@@ -245,7 +238,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, job serve.Job) (*countermine
 			// Every live worker already failed this job; give the fleet
 			// a beat and start over.
 			avoid = make(map[NodeID]bool)
-			if err := c.cfg.Sleep(ctx, c.cfg.RetryPause); err != nil {
+			if err := c.cfg.Sleep(ctx, retryPause); err != nil {
 				d.complete(nil, err)
 				return d.result()
 			}

@@ -30,10 +30,6 @@ type ElectorConfig struct {
 	// Every is the step interval — renew cadence as leader, poll
 	// cadence otherwise (default TTL/4).
 	Every time.Duration
-	// Clock supplies the time (default time.Now; tests inject).
-	Clock func() time.Time
-	// OnChange, if set, observes every state transition.
-	OnChange func(from, to ElectorState, term uint64)
 }
 
 func (c ElectorConfig) withDefaults() ElectorConfig {
@@ -42,9 +38,6 @@ func (c ElectorConfig) withDefaults() ElectorConfig {
 	}
 	if c.Every <= 0 {
 		c.Every = c.TTL / 4
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c
 }
@@ -113,26 +106,26 @@ func (e *Elector) Step(now time.Time) ElectorState {
 		if e.resigned {
 			e.resigned = false
 			e.cfg.Store.Release(e.cfg.ID, e.term)
-			e.transition(StateFollower)
+			e.state = StateFollower
 			return e.state
 		}
 		if _, ok, err := e.cfg.Store.Renew(e.cfg.ID, e.term, now, e.cfg.TTL); err != nil || !ok {
 			// Lease lost or arbiter unreachable: stop acting as leader
 			// immediately. The term fence protects anything already sent.
-			e.transition(StateFollower)
+			e.state = StateFollower
 		}
 	case StateCandidate:
 		lease, won, err := e.cfg.Store.TryAcquire(e.cfg.ID, now, e.cfg.TTL)
 		if err != nil {
-			e.transition(StateFollower)
+			e.state = StateFollower
 			return e.state
 		}
 		if won {
 			e.term = lease.Term
 			e.elections++
-			e.transition(StateLeader)
+			e.state = StateLeader
 		} else {
-			e.transition(StateFollower)
+			e.state = StateFollower
 		}
 	default: // StateFollower
 		e.resigned = false
@@ -141,22 +134,10 @@ func (e *Elector) Step(now time.Time) ElectorState {
 			return e.state
 		}
 		if !held || lease.ExpiredAt(now) || lease.Owner == e.cfg.ID {
-			e.transition(StateCandidate)
+			e.state = StateCandidate
 		}
 	}
 	return e.state
-}
-
-// transition records a state change. Callers hold e.mu.
-func (e *Elector) transition(to ElectorState) {
-	from := e.state
-	if from == to {
-		return
-	}
-	e.state = to
-	if e.cfg.OnChange != nil {
-		e.cfg.OnChange(from, to, e.term)
-	}
 }
 
 // Run steps the elector every cfg.Every until ctx ends, releasing any
@@ -170,7 +151,7 @@ func (e *Elector) Run(ctx context.Context) {
 			e.mu.Lock()
 			if e.state == StateLeader {
 				e.cfg.Store.Release(e.cfg.ID, e.term)
-				e.transition(StateFollower)
+				e.state = StateFollower
 			}
 			e.mu.Unlock()
 			return

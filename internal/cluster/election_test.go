@@ -97,29 +97,3 @@ func TestElectorResignForcesPromptFailover(t *testing.T) {
 		t.Fatalf("term after resign-takeover = %d, want 2", term)
 	}
 }
-
-func TestElectorOnChangeObservesTransitions(t *testing.T) {
-	store := NewMemoryLease()
-	var trail []ElectorState
-	e, err := NewElector(ElectorConfig{
-		ID: "c1", Store: store, TTL: time.Second,
-		OnChange: func(from, to ElectorState, term uint64) { trail = append(trail, to) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Unix(1000, 0)
-	e.Step(t0)
-	e.Step(t0)
-	e.Resign()
-	e.Step(t0)
-	want := []ElectorState{StateCandidate, StateLeader, StateFollower}
-	if len(trail) != len(want) {
-		t.Fatalf("transitions = %v, want %v", trail, want)
-	}
-	for i := range want {
-		if trail[i] != want[i] {
-			t.Fatalf("transition %d = %v, want %v", i, trail[i], want[i])
-		}
-	}
-}

@@ -18,24 +18,21 @@ import (
 // (including a freshly elected one) computes identical routes from an
 // identical membership view.
 type Ring struct {
-	replicas int
-
 	mu    sync.RWMutex
 	keys  []uint64          // sorted virtual-node positions
 	owner map[uint64]NodeID // position → node
 	nodes map[NodeID]struct{}
 }
 
-// NewRing returns an empty ring with the given virtual-node count per
-// member (default 64; more virtual nodes smooth the key distribution).
-func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
+// replicas is the virtual-node count per member; more virtual nodes
+// smooth the key distribution.
+const replicas = 64
+
+// NewRing returns an empty ring.
+func NewRing() *Ring {
 	return &Ring{
-		replicas: replicas,
-		owner:    make(map[uint64]NodeID),
-		nodes:    make(map[NodeID]struct{}),
+		owner: make(map[uint64]NodeID),
+		nodes: make(map[NodeID]struct{}),
 	}
 }
 
@@ -47,7 +44,7 @@ func (r *Ring) Add(id NodeID) {
 		return
 	}
 	r.nodes[id] = struct{}{}
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < replicas; i++ {
 		h := hash64(fmt.Sprintf("%s#%d", id, i))
 		if prev, ok := r.owner[h]; ok {
 			// A virtual-node hash collision (vanishingly rare): resolve

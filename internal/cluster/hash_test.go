@@ -6,8 +6,8 @@ import (
 )
 
 func TestRingLookupDeterministicAcrossJoinOrder(t *testing.T) {
-	a := NewRing(0)
-	b := NewRing(0)
+	a := NewRing()
+	b := NewRing()
 	nodes := []NodeID{"w1", "w2", "w3", "w4"}
 	for _, n := range nodes {
 		a.Add(n)
@@ -26,7 +26,7 @@ func TestRingLookupDeterministicAcrossJoinOrder(t *testing.T) {
 }
 
 func TestRingStableKeysSameNode(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	r.Add("w1")
 	r.Add("w2")
 	r.Add("w3")
@@ -43,7 +43,7 @@ func TestRingStableKeysSameNode(t *testing.T) {
 }
 
 func TestRingRemoveMovesOnlyDepartedKeys(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, n := range []NodeID{"w1", "w2", "w3"} {
 		r.Add(n)
 	}
@@ -68,7 +68,7 @@ func TestRingRemoveMovesOnlyDepartedKeys(t *testing.T) {
 }
 
 func TestRingDistributionRoughlyBalanced(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	nodes := []NodeID{"w1", "w2", "w3"}
 	for _, n := range nodes {
 		r.Add(n)
@@ -88,7 +88,7 @@ func TestRingDistributionRoughlyBalanced(t *testing.T) {
 }
 
 func TestRingSuccessorsOwnerFirstAllDistinct(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, n := range []NodeID{"w1", "w2", "w3"} {
 		r.Add(n)
 	}
@@ -111,7 +111,7 @@ func TestRingSuccessorsOwnerFirstAllDistinct(t *testing.T) {
 }
 
 func TestRingEmptyAndIdempotentMutation(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if _, ok := r.Lookup("x"); ok {
 		t.Error("lookup on empty ring reported ok")
 	}

@@ -46,7 +46,7 @@ func NewRegistry(ttl time.Duration, clock func() time.Time) *Registry {
 		ttl:     ttl,
 		clock:   clock,
 		workers: make(map[NodeID]*workerInfo),
-		ring:    NewRing(0),
+		ring:    NewRing(),
 	}
 }
 

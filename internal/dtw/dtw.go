@@ -21,11 +21,7 @@ type Options struct {
 	// s1[i] with s2[j] when |i·len2/len1 − j| <= w, which bounds both
 	// runtime and pathological warping.
 	Window int
-	// Distance is the pointwise distance; nil means absolute difference.
-	Distance func(a, b float64) float64
 }
-
-func absDist(a, b float64) float64 { return math.Abs(a - b) }
 
 // Distance returns the unconstrained DTW distance between s1 and s2
 // using absolute pointwise differences.
@@ -39,14 +35,10 @@ func DistanceOpt(s1, s2 []float64, opts Options) (float64, error) {
 	if len(s1) == 0 || len(s2) == 0 {
 		return 0, ErrEmptySeries
 	}
-	dist := opts.Distance
-	if dist == nil {
-		dist = absDist
-	}
 	// Keep s2 as the inner (column) dimension; swap so columns are the
-	// shorter side for memory economy. DTW is symmetric for symmetric
-	// pointwise distances, and our band is defined relative to the
-	// diagonal so swapping is safe.
+	// shorter side for memory economy. DTW over absolute differences is
+	// symmetric, and our band is defined relative to the diagonal, so
+	// swapping is safe.
 	if len(s2) > len(s1) {
 		s1, s2 = s2, s1
 	}
@@ -82,7 +74,7 @@ func DistanceOpt(s1, s2 []float64, opts Options) (float64, error) {
 			}
 		}
 		for j := lo; j <= hi; j++ {
-			d := dist(s1[i-1], s2[j-1])
+			d := math.Abs(s1[i-1] - s2[j-1])
 			best := prev[j] // insertion
 			if prev[j-1] < best {
 				best = prev[j-1] // match

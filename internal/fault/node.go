@@ -36,23 +36,16 @@ type NodeConfig struct {
 	// worker's lease renewal is silently dropped.
 	HeartbeatDropRate float64
 	// HeartbeatDelayRate is the per-heartbeat probability that the
-	// renewal is delayed by HeartbeatDelay before being sent.
+	// renewal is delayed by heartbeatDelay before being sent.
 	HeartbeatDelayRate float64
-	// HeartbeatDelay is how long a delayed heartbeat waits (default
-	// 50ms when a delay fires with no duration configured).
-	HeartbeatDelay time.Duration
 	// WorkerKillRate is the per-exec probability that the worker dies
 	// permanently upon receiving that job: it stops heartbeating and
 	// fails every current and future exec, like a killed process.
 	WorkerKillRate float64
 }
 
-func (c NodeConfig) withDefaults() NodeConfig {
-	if c.HeartbeatDelay <= 0 {
-		c.HeartbeatDelay = 50 * time.Millisecond
-	}
-	return c
-}
+// heartbeatDelay is how long a delayed heartbeat waits.
+const heartbeatDelay = 50 * time.Millisecond
 
 // NodeChaos draws deterministic node-level failure decisions. All
 // methods are nil-safe and pure: the same receiver, identifiers, and
@@ -63,7 +56,7 @@ type NodeChaos struct {
 
 // NewNodeChaos returns a decision source for cfg.
 func NewNodeChaos(cfg NodeConfig) *NodeChaos {
-	return &NodeChaos{cfg: cfg.withDefaults()}
+	return &NodeChaos{cfg: cfg}
 }
 
 // RPCDropError is an injected cluster-plane failure: a dropped request
@@ -119,7 +112,7 @@ func (n *NodeChaos) DelayHeartbeat(worker string, seq uint64) (time.Duration, bo
 		return 0, false
 	}
 	if newRNG(n.cfg.Seed, "hb-delay", worker, u64str(seq)).float64() < n.cfg.HeartbeatDelayRate {
-		return n.cfg.HeartbeatDelay, true
+		return heartbeatDelay, true
 	}
 	return 0, false
 }

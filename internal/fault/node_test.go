@@ -95,7 +95,8 @@ func TestNodeChaosZeroRatesInjectNothing(t *testing.T) {
 	}
 }
 
-// TestNodeChaosRateOneAlwaysFires and default heartbeat delay.
+// TestNodeChaosRateOneAlwaysFires: at rate 1 every exec kills the
+// worker and every heartbeat waits the fixed 50 ms delay.
 func TestNodeChaosRateOneAlwaysFires(t *testing.T) {
 	n := NewNodeChaos(NodeConfig{WorkerKillRate: 1, HeartbeatDelayRate: 1})
 	for seq := uint64(0); seq < 50; seq++ {
@@ -104,7 +105,7 @@ func TestNodeChaosRateOneAlwaysFires(t *testing.T) {
 		}
 		d, ok := n.DelayHeartbeat("w", seq)
 		if !ok || d != 50*time.Millisecond {
-			t.Fatalf("delay-rate-1 heartbeat %d = (%v, %v), want default 50ms", seq, d, ok)
+			t.Fatalf("delay-rate-1 heartbeat %d = (%v, %v), want 50ms", seq, d, ok)
 		}
 	}
 }

@@ -168,7 +168,7 @@ func TestIndexSeparationCalibration(t *testing.T) {
 		t.Errorf("min inter distance %.4f <= tau %.2f: distinct benchmarks would merge", minInter, DefaultTau)
 	}
 
-	ix := NewIndex(Options{})
+	ix := NewIndex()
 	var entries []Entry
 	for _, b := range benches {
 		for run, v := range vecs[b] {
@@ -247,15 +247,15 @@ func TestIndexInsertionOrderInvariant(t *testing.T) {
 			})
 		}
 	}
-	forward := NewIndex(Options{})
+	forward := NewIndex()
 	for _, e := range entries {
 		forward.Upsert(e)
 	}
-	backward := NewIndex(Options{})
+	backward := NewIndex()
 	for i := len(entries) - 1; i >= 0; i-- {
 		backward.Upsert(entries[i])
 	}
-	bulk := NewIndex(Options{})
+	bulk := NewIndex()
 	bulk.Fill(entries)
 
 	if forward.Version() != backward.Version() || forward.Version() != bulk.Version() {
@@ -274,7 +274,7 @@ func TestIndexInsertionOrderInvariant(t *testing.T) {
 }
 
 func TestIndexVersionTracksContent(t *testing.T) {
-	ix := NewIndex(Options{})
+	ix := NewIndex()
 	if ix.Version() != "empty" {
 		t.Fatalf("empty index version %q", ix.Version())
 	}
@@ -313,7 +313,7 @@ func TestIndexVersionGolden(t *testing.T) {
 		label := fmt.Sprintf("bench%d", i%6)
 		entries = append(entries, Entry{Key: fmt.Sprintf("%s/%d/MLPX", label, i), Label: label, Suite: fmt.Sprintf("suite%d", i%2), Vec: vec})
 	}
-	ix := NewIndex(Options{})
+	ix := NewIndex()
 	ix.Fill(entries)
 	const want = "e37fa90413e2e9479e1fc0e8106a36fb"
 	if v, n := ix.Version(), ix.NumClusters(); v != want || n != 6 {
@@ -332,7 +332,7 @@ func TestIndexReadsAfterWriteAreFresh(t *testing.T) {
 	}
 	a := Entry{Key: "a/1/MLPX", Label: "a", Suite: "s", Vec: unit(0)}
 	b := Entry{Key: "b/1/MLPX", Label: "b", Suite: "s", Vec: unit(1)}
-	want := NewIndex(Options{})
+	want := NewIndex()
 	want.Fill([]Entry{a, b})
 	wantVersion := want.Version()
 	if wantVersion == "empty" {
@@ -375,7 +375,7 @@ func TestIndexReadsAfterWriteAreFresh(t *testing.T) {
 	}
 	for _, r := range readers {
 		t.Run(r.name, func(t *testing.T) {
-			ix := NewIndex(Options{})
+			ix := NewIndex()
 			ix.Fill([]Entry{a})
 			ix.Version() // cluster the one-entry index; only the upsert makes it stale
 			ix.Upsert(b)
@@ -385,7 +385,7 @@ func TestIndexReadsAfterWriteAreFresh(t *testing.T) {
 		})
 	}
 
-	ix := NewIndex(Options{})
+	ix := NewIndex()
 	ix.Fill([]Entry{a, b})
 	v := ix.Version()
 	ix.Fill(nil)
@@ -421,7 +421,7 @@ func TestIndexConcurrentWritesAndReads(t *testing.T) {
 		vec[4+gen%8] = 0.05
 		return Entry{Key: fmt.Sprintf("b%d/%d/MLPX", k%4, k), Label: fmt.Sprintf("b%d", k%4), Suite: "s", Vec: vec}
 	}
-	ix := NewIndex(Options{})
+	ix := NewIndex()
 	var writers, readers sync.WaitGroup
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -488,7 +488,7 @@ func TestIndexConcurrentWritesAndReads(t *testing.T) {
 	for _, e := range ix.entries {
 		final = append(final, e)
 	}
-	fresh := NewIndex(Options{})
+	fresh := NewIndex()
 	fresh.Fill(final)
 	if fresh.Version() == "empty" {
 		t.Fatalf("a fresh index over %d entries reports the empty version", len(final))
@@ -499,14 +499,14 @@ func TestIndexConcurrentWritesAndReads(t *testing.T) {
 }
 
 func TestClassifyEmptyIndex(t *testing.T) {
-	ix := NewIndex(Options{})
+	ix := NewIndex()
 	if _, err := ix.Classify(make([]float64, Dim), 3); err != ErrEmpty {
 		t.Fatalf("err = %v, want ErrEmpty", err)
 	}
 }
 
 func TestClassifyMatchBound(t *testing.T) {
-	ix := NewIndex(Options{})
+	ix := NewIndex()
 	var entries []Entry
 	for i := 0; i < 5; i++ {
 		vec := make([]float64, Dim)
@@ -551,7 +551,7 @@ func BenchmarkEmbed(b *testing.B) {
 
 func BenchmarkIndexLookup(b *testing.B) {
 	coll := newColl()
-	ix := NewIndex(Options{})
+	ix := NewIndex()
 	var entries []Entry
 	var probe []float64
 	for _, bench := range sim.AllBenchmarkNames() {
@@ -594,7 +594,7 @@ func BenchmarkIndexUpsert(b *testing.B) {
 				name += ",read"
 			}
 			b.Run(name, func(b *testing.B) {
-				ix := NewIndex(Options{})
+				ix := NewIndex()
 				ix.Fill(entries)
 				ix.Version()
 				b.ReportAllocs()

@@ -101,36 +101,12 @@ type Result struct {
 	Entries  int
 }
 
-// Options tune the index; zero values take the calibrated defaults.
-type Options struct {
-	Tau   float64
-	Slack float64
-	Floor float64
-	Temp  float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Tau <= 0 {
-		o.Tau = DefaultTau
-	}
-	if o.Slack <= 0 {
-		o.Slack = DefaultSlack
-	}
-	if o.Floor <= 0 {
-		o.Floor = DefaultFloor
-	}
-	if o.Temp <= 0 {
-		o.Temp = DefaultTemp
-	}
-	return o
-}
-
 // Index is an online leader-clustering index over run fingerprints.
 // It is safe for concurrent use.
 //
 // Determinism contract: the clustering is a pure function of the
-// entry set (and options), not of insertion order — every read after a
-// write re-runs the leader pass over all entries in sorted-key order.
+// entry set, not of insertion order — every read after a write re-runs
+// the leader pass over all entries in sorted-key order.
 // Two indexes holding the same entries therefore have identical
 // clusters and an identical Version() on every node of a cluster,
 // which is what lets the index version participate in the classify
@@ -141,8 +117,6 @@ func (o Options) withDefaults() Options {
 // Clusters, NumClusters, Classify) rebuilds once, so a burst of writes
 // between two reads pays for one leader pass.
 type Index struct {
-	opts Options
-
 	mu         sync.RWMutex
 	entries    map[string]Entry
 	stale      bool // entries changed since the last rebuild
@@ -151,10 +125,9 @@ type Index struct {
 	reclusters uint64 // rebuilds so far
 }
 
-// NewIndex returns an empty index with the given options.
-func NewIndex(opts Options) *Index {
+// NewIndex returns an empty index.
+func NewIndex() *Index {
 	return &Index{
-		opts:    opts.withDefaults(),
 		entries: make(map[string]Entry),
 		version: "empty",
 	}
@@ -267,7 +240,7 @@ func (ix *Index) rebuild() {
 				best, bestD = ci, d
 			}
 		}
-		if best >= 0 && bestD <= ix.opts.Tau {
+		if best >= 0 && bestD <= DefaultTau {
 			assign[i] = best
 		} else {
 			leaders = append(leaders, e)
@@ -332,7 +305,8 @@ func (ix *Index) rebuild() {
 }
 
 // hash computes the content address of the entry set, given in key
-// order, and the options. Each entry's bytes go to the hash in one
+// order, and of the four clustering constants, so recalibrating one
+// changes every Version. Each entry's bytes go to the hash in one
 // write.
 func (ix *Index) hash(sorted []Entry) string {
 	if len(sorted) == 0 {
@@ -340,7 +314,7 @@ func (ix *Index) hash(sorted []Entry) string {
 	}
 	h := sha256.New()
 	var buf []byte
-	for _, f := range []float64{ix.opts.Tau, ix.opts.Slack, ix.opts.Floor, ix.opts.Temp} {
+	for _, f := range []float64{DefaultTau, DefaultSlack, DefaultFloor, DefaultTemp} {
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
 	}
 	for _, e := range sorted {
@@ -414,7 +388,7 @@ func (ix *Index) classify(vec []float64, k int) (*Result, error) {
 	weights := make([]float64, len(ds))
 	sum := 0.0
 	for i, s := range ds {
-		w := math.Exp(-(s.d - d0) / ix.opts.Temp)
+		w := math.Exp(-(s.d - d0) / DefaultTemp)
 		weights[i] = w
 		sum += w
 	}
@@ -444,9 +418,9 @@ func (ix *Index) classify(vec []float64, k int) (*Result, error) {
 	}
 
 	nearest := ix.clusters[ds[0].ci]
-	boundary := nearest.Radius * ix.opts.Slack
-	if boundary < ix.opts.Floor {
-		boundary = ix.opts.Floor
+	boundary := nearest.Radius * DefaultSlack
+	if boundary < DefaultFloor {
+		boundary = DefaultFloor
 	}
 	return &Result{
 		Matches:      matches,

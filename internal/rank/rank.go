@@ -35,13 +35,6 @@ type Options struct {
 	// PruneStep is the number of events dropped per EIR iteration
 	// (default 10).
 	PruneStep int
-	// TestFraction is the held-out fraction for model scoring (default
-	// 0.25).
-	TestFraction float64
-	// MinEvents stops EIR when a prune would leave fewer events (default
-	// PruneStep, so the loop runs until no full prune is possible). The
-	// first model, on every event, is fitted whatever the event count.
-	MinEvents int
 	// Seed controls the train/test split shuffle.
 	Seed int64
 }
@@ -49,12 +42,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.PruneStep <= 0 {
 		o.PruneStep = DefaultPruneStep
-	}
-	if o.TestFraction <= 0 || o.TestFraction >= 1 {
-		o.TestFraction = DefaultTestFraction
-	}
-	if o.MinEvents <= 0 {
-		o.MinEvents = o.PruneStep
 	}
 	return o
 }
@@ -176,7 +163,7 @@ func newDataset(X [][]float64, y []float64, events []string, opts Options) (*dat
 			return nil, fmt.Errorf("rank: target %d is %v", i, v)
 		}
 	}
-	trainX, trainY, testX, testY, err := split(X, y, opts.TestFraction, opts.Seed)
+	trainX, trainY, testX, testY, err := split(X, y, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -252,14 +239,14 @@ func (d *dataset) test(cols []int) [][]float64 {
 
 // split shuffles row indices deterministically and carves off the test
 // fraction.
-func split(X [][]float64, y []float64, frac float64, seed int64) (trainX [][]float64, trainY []float64, testX [][]float64, testY []float64, err error) {
+func split(X [][]float64, y []float64, seed int64) (trainX [][]float64, trainY []float64, testX [][]float64, testY []float64, err error) {
 	n := len(X)
 	if len(y) != n {
 		return nil, nil, nil, nil, fmt.Errorf("rank: %d rows but %d targets", n, len(y))
 	}
-	nTest := int(float64(n) * frac)
+	nTest := int(float64(n) * DefaultTestFraction)
 	if nTest < 1 || n-nTest < 2 {
-		return nil, nil, nil, nil, fmt.Errorf("rank: %d samples too few for a %.2f test split", n, frac)
+		return nil, nil, nil, nil, fmt.Errorf("rank: %d samples too few for a %.2f test split", n, DefaultTestFraction)
 	}
 	idx := rand.New(rand.NewSource(seed)).Perm(n)
 	for k, i := range idx {
@@ -312,8 +299,10 @@ func (r *EIRResult) Curve() ([]int, []float64) {
 
 // EIR runs the refinement loop: fit a model on all events, rank, drop
 // the PruneStep least-important events, refit, and repeat while a
-// prune leaves at least MinEvents. It returns every step plus the MAPM;
-// with too few events for one prune, that is the single first model.
+// prune leaves at least PruneStep events. It returns every step plus
+// the MAPM; the first model, on every event, is fitted whatever the
+// event count, so with too few events for one prune the MAPM is that
+// single model.
 func EIR(X [][]float64, y []float64, events []string, opts Options) (*EIRResult, error) {
 	return EIRCtx(context.Background(), X, y, events, opts)
 }
@@ -352,7 +341,7 @@ func EIRCtx(ctx context.Context, X [][]float64, y []float64, events []string, op
 			Model:       m,
 			ReusedTrees: m.Ensemble.ReusedTrees(),
 		})
-		if len(cur)-opts.PruneStep < opts.MinEvents {
+		if len(cur)-opts.PruneStep < opts.PruneStep {
 			break
 		}
 		prev = m.Ensemble

@@ -101,7 +101,7 @@ func TestFitValidation(t *testing.T) {
 func TestNonFiniteTargetRejectedAtEveryRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	X, y, events := synthData(rng, 30, 2, 2)
-	opts := Options{Params: sgbrt.Params{Trees: 2, Seed: 1}, MinEvents: 2}
+	opts := Options{Params: sgbrt.Params{Trees: 2, Seed: 1}}
 	for i := range y {
 		saved := y[i]
 		y[i] = math.NaN()
@@ -178,23 +178,16 @@ func TestEIRValidation(t *testing.T) {
 }
 
 // TestEIRSingleStepWhenSmall: with too few events for one prune, EIR
-// is the single model on every event — also under the default
-// MinEvents, which exceeds the event count.
+// is the single model on every event.
 func TestEIRSingleStepWhenSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	X, y, events := synthData(rng, 300, 2, 6)
-	for _, opts := range []Options{
-		{Params: fastParams, PruneStep: 10, MinEvents: 5},
-		{Params: fastParams},
-	} {
-		res, err := EIR(X, y, events, opts)
-		if err != nil {
-			t.Fatalf("MinEvents %d: %v", opts.MinEvents, err)
-		}
-		if len(res.Steps) != 1 || res.Steps[0].NumEvents != 8 || res.Best != 0 {
-			t.Errorf("MinEvents %d: curve %v best %d, want one 8-event step (prune 10)",
-				opts.MinEvents, res.Steps, res.Best)
-		}
+	res, err := EIR(X, y, events, Options{Params: fastParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Steps) != 1 || res.Steps[0].NumEvents != 8 || res.Best != 0 {
+		t.Errorf("curve %v best %d, want one 8-event step (prune 10)", res.Steps, res.Best)
 	}
 }
 

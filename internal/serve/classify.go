@@ -100,15 +100,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		base = hashVec(vec)
 		compute = func() ([]float64, error) { return vec, nil }
 	} else {
-		for _, name := range []string{req.Benchmark, req.Colocate} {
-			if name == "" {
-				continue
-			}
-			if _, err := sim.ProfileByName(name); err != nil {
-				writeError(w, http.StatusNotFound, "unknown_benchmark",
-					fmt.Sprintf("unknown benchmark %q; candidates: %s", name, strings.Join(candidates(name), ", ")))
-				return
-			}
+		if herr := checkBenchmarks(req.Benchmark, req.Colocate); herr != nil {
+			s.metrics.IncBadRequest()
+			writeError(w, herr.status, herr.code, herr.msg)
+			return
 		}
 		job := Job{Kind: KindFingerprint, AnalyzeRequest: client.AnalyzeRequest{
 			Benchmark: req.Benchmark,

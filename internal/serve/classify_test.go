@@ -171,8 +171,13 @@ func TestClassifyValidation(t *testing.T) {
 		{`{"benchmark":"wordcount","top_k":-1}`, http.StatusBadRequest, "bad_request"},
 		{`{"events":["A"],"x":[[1],[2]],"ipc":[1]}`, http.StatusBadRequest, "bad_request"},
 	}
+	// Every rejection counts in bad_requests, as on /analyze.
 	for _, tc := range cases {
+		before := s.snapshot().Requests.BadRequests
 		resp, body := postClassify(t, ts.URL, tc.body)
+		if got := s.snapshot().Requests.BadRequests - before; got != 1 {
+			t.Errorf("%s: bad_requests rose by %d, want 1", tc.body, got)
+		}
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status = %d, want %d (%s)", tc.body, resp.StatusCode, tc.status, body)
 			continue

@@ -25,7 +25,7 @@ func storeIndex(db *store.DB) *fingerprint.Index {
 		all = append(all, RunEntry(rec))
 		return true
 	})
-	ix := fingerprint.NewIndex(fingerprint.Options{})
+	ix := fingerprint.NewIndex()
 	ix.Fill(all)
 	return ix
 }

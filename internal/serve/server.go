@@ -235,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 			db.SetMemBudget(cfg.StoreMemBytes)
 		}
 		s.db = db
-		s.fpIndex = fingerprint.NewIndex(fingerprint.Options{})
+		s.fpIndex = fingerprint.NewIndex()
 		s.rebuildIndex()
 	}
 	s.analyze = s.runPipeline
@@ -503,16 +503,8 @@ func (s *Server) resolve(req client.AnalyzeRequest) (Job, *httpError) {
 	if req.Benchmark == "" {
 		return Job{}, &httpError{http.StatusBadRequest, "bad_request", "benchmark is required (see GET /benchmarks)"}
 	}
-	for _, name := range []string{req.Benchmark, req.Colocate} {
-		if name == "" {
-			continue
-		}
-		if _, err := sim.ProfileByName(name); err != nil {
-			return Job{}, &httpError{
-				http.StatusNotFound, "unknown_benchmark",
-				fmt.Sprintf("unknown benchmark %q; candidates: %s", name, strings.Join(candidates(name), ", ")),
-			}
-		}
+	if herr := checkBenchmarks(req.Benchmark, req.Colocate); herr != nil {
+		return Job{}, herr
 	}
 	if req.Runs < 0 || req.Trees < 0 || req.PruneStep < 0 || req.TopK < 0 || req.MinRuns < 0 {
 		return Job{}, &httpError{http.StatusBadRequest, "bad_request", "runs, trees, prune_step, top_k, and min_runs must be >= 0"}
@@ -627,54 +619,64 @@ func (k indexingSink) Put(rec store.Record) error {
 // one file each, and nothing else.
 func (k indexingSink) Flush() error { return k.s.db.Flush() }
 
-// candidates lists benchmarks whose name contains the given string
-// (case-insensitive), falling back to the full catalog.
-func candidates(name string) []string {
-	all := sim.AllBenchmarkNames()
-	low := strings.ToLower(name)
-	var out []string
-	for _, b := range all {
-		if strings.Contains(strings.ToLower(b), low) {
-			out = append(out, b)
+// checkBenchmarks rejects the first non-empty name that names no
+// benchmark, listing the candidates; /analyze, its batch and stream
+// members, and /classify all check their benchmark and colocate with
+// it.
+func checkBenchmarks(names ...string) *httpError {
+	for _, name := range names {
+		if name == "" {
+			continue
+		}
+		if _, err := sim.ProfileByName(name); err != nil {
+			return &httpError{
+				http.StatusNotFound, "unknown_benchmark",
+				fmt.Sprintf("unknown benchmark %q; candidates: %s", name, strings.Join(sim.Candidates(name), ", ")),
+			}
 		}
 	}
-	if len(out) == 0 {
-		return all
-	}
-	return out
+	return nil
+}
+
+// ErrorCode is one word of the serving layer's error vocabulary: the
+// HTTP status and wire code of every error matching Err.
+type ErrorCode struct {
+	Err    error
+	Status int
+	Code   string
+}
+
+// ErrorCodes is the error vocabulary, in the order ErrorStatus tries
+// it: a canceled stage whose context ran out of budget matches both
+// context.DeadlineExceeded and counterminer.ErrCanceled, and reports
+// budget_exceeded. The cluster layer speaks the same vocabulary over
+// its worker RPCs: a worker encodes its outcome with ErrorStatus and
+// the coordinator looks the code up here to decode it back into the
+// matching sentinel, so error identity survives one network hop
+// exactly.
+var ErrorCodes = []ErrorCode{
+	{ErrQueueFull, http.StatusTooManyRequests, "queue_full"},
+	{ErrDraining, http.StatusServiceUnavailable, "draining"},
+	{ErrNotLeader, http.StatusServiceUnavailable, "not_leader"},
+	{ErrNoWorkers, http.StatusServiceUnavailable, "no_workers"},
+	{ErrNoIndex, http.StatusServiceUnavailable, "no_index"},
+	{fingerprint.ErrEmpty, http.StatusServiceUnavailable, "index_empty"},
+	{context.DeadlineExceeded, http.StatusGatewayTimeout, "budget_exceeded"},
+	{counterminer.ErrCanceled, http.StatusServiceUnavailable, "canceled"},
+	{counterminer.ErrQuorum, http.StatusBadGateway, "quorum_not_met"},
+	{counterminer.ErrSeriesInvalid, http.StatusBadGateway, "series_invalid"},
 }
 
 // ErrorStatus maps an analysis, admission, or cluster error onto the
-// typed HTTP rejection the client sees. It is exported because the
-// cluster layer speaks the same error vocabulary over its worker RPCs:
-// a worker encodes its outcome with ErrorStatus and the coordinator
-// decodes it back into the matching sentinel, so error identity
-// survives one network hop exactly.
+// typed HTTP rejection the client sees: the first row of ErrorCodes
+// that err matches, else 500 internal.
 func ErrorStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests, "queue_full"
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable, "draining"
-	case errors.Is(err, ErrNotLeader):
-		return http.StatusServiceUnavailable, "not_leader"
-	case errors.Is(err, ErrNoWorkers):
-		return http.StatusServiceUnavailable, "no_workers"
-	case errors.Is(err, ErrNoIndex):
-		return http.StatusServiceUnavailable, "no_index"
-	case errors.Is(err, fingerprint.ErrEmpty):
-		return http.StatusServiceUnavailable, "index_empty"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "budget_exceeded"
-	case errors.Is(err, counterminer.ErrCanceled):
-		return http.StatusServiceUnavailable, "canceled"
-	case errors.Is(err, counterminer.ErrQuorum):
-		return http.StatusBadGateway, "quorum_not_met"
-	case errors.Is(err, counterminer.ErrSeriesInvalid):
-		return http.StatusBadGateway, "series_invalid"
-	default:
-		return http.StatusInternalServerError, "internal"
+	for _, c := range ErrorCodes {
+		if errors.Is(err, c.Err) {
+			return c.Status, c.Code
+		}
 	}
+	return http.StatusInternalServerError, "internal"
 }
 
 // writeJSON encodes v before it writes the status, so a value that

@@ -28,9 +28,6 @@ type Params struct {
 	// Subsample is the fraction of rows sampled (without replacement)
 	// per stage — the "stochastic" in SGBRT (default 0.7).
 	Subsample float64
-	// ColSample is the fraction of features each tree may split on
-	// (sampled per stage). Zero or >= 1 uses all features.
-	ColSample float64
 	// MaxDepth is the per-tree depth limit (default 3).
 	MaxDepth int
 	// MinLeaf is the per-leaf minimum sample count (default 1).
@@ -171,18 +168,10 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 		sampleSize = n
 	}
 
-	useColSample := params.ColSample > 0 && params.ColSample < 1
-	nCols := p
-	if useColSample {
-		nCols = int(params.ColSample * float64(p))
-		if nCols < 1 {
-			nCols = 1
-		}
-	}
 	// One team runs every fan-out of the fit, level scans and F updates
 	// alike, and stops on every return.
 	workers := params.Workers
-	if sampleSize*nCols < parallelLevelThreshold {
+	if sampleSize*p < parallelLevelThreshold {
 		workers = 1
 	}
 	team := parallel.NewTeam(workers)
@@ -194,24 +183,9 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 		MaxDepth: params.MaxDepth,
 		MinLeaf:  params.MinLeaf,
 	}, team)
-	colPerm := make([]int, p)
-	for i := range colPerm {
-		colPerm[i] = i
-	}
-	mask := make([]bool, p)
 	for stage := 0; stage < params.Trees; stage++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		if useColSample {
-			rng.Shuffle(p, func(a, b int) { colPerm[a], colPerm[b] = colPerm[b], colPerm[a] })
-			for i := range mask {
-				mask[i] = false
-			}
-			for _, c := range colPerm[:nCols] {
-				mask[c] = true
-			}
-			tb.p.FeatureMask = mask
 		}
 		// Stochastic row subsample without replacement. A reused stage
 		// draws it too, so the later stages see the same random stream.
@@ -247,8 +221,7 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 // trees of prev that a fit of features on (ps, y, params) grows exactly
 // as prev grew them; none when prev does not qualify. prev qualifies
 // when it was fitted on ps with bit-equal targets and equal Params
-// apart from Workers, without column subsampling (its draws depend on
-// the column count), and features keeps prev's first column and a
+// apart from Workers, and features keeps prev's first column and a
 // subset of the rest in prev's order: node sums accumulate in feature
 // 0's row order. Its trees are reused up to the first that is not
 // stable or splits on a dropped column. By induction over the stages,
@@ -256,7 +229,7 @@ func (ps *Presorted) FitCtx(ctx context.Context, features []int, y []float64, pa
 // node sees the same rows and, per kept feature, the same candidate,
 // and a stable winner wins again among fewer (DESIGN.md §6).
 func (ps *Presorted) reusableTrees(prev *Ensemble, features []int, y []float64, params Params) []*Tree {
-	if prev == nil || prev.ps != ps || params.ColSample > 0 && params.ColSample < 1 {
+	if prev == nil || prev.ps != ps {
 		return nil
 	}
 	a, b := prev.params, params

@@ -222,45 +222,3 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Errorf("out-of-range subsample not defaulted: %v", p.Subsample)
 	}
 }
-
-func TestColSampleStillLearns(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	X, y := friedmanData(rng, 600, 3)
-	full, err := Fit(X, y, Params{Trees: 120, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := Fit(X, y, Params{Trees: 120, ColSample: 0.5, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mFull, _ := full.MAPE(X, y)
-	mSub, _ := sub.MAPE(X, y)
-	// Column subsampling regularises; training error may rise but must
-	// stay in the same ballpark (the model still learns).
-	if mSub > 3*mFull+5 {
-		t.Errorf("ColSample training MAPE %v far above full %v", mSub, mFull)
-	}
-	// Importances still favour the relevant features.
-	imp := sub.Importances()
-	relevant := 0.0
-	for j := 0; j < 5; j++ {
-		relevant += imp[j]
-	}
-	if relevant < 75 {
-		t.Errorf("relevant importance share = %v%% with ColSample", relevant)
-	}
-}
-
-func TestColSampleTinyFractionClamps(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	X, y := friedmanData(rng, 100, 0)
-	// A fraction so small it rounds to zero columns must clamp to one.
-	e, err := Fit(X, y, Params{Trees: 10, ColSample: 0.01, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.NumTrees() != 10 {
-		t.Errorf("trees = %d", e.NumTrees())
-	}
-}

@@ -62,7 +62,7 @@ func assertSameEnsemble(t *testing.T, label string, got, want *Ensemble) {
 
 // TestLevelBuilderMatchesReference is the bit-identity oracle: on random
 // tie-heavy inputs, for MinLeaf 1–4, MaxDepth 1–6, with and without
-// column and row subsampling, at 1 and 3 workers, the level-synchronous
+// row subsampling, at 1 and 3 workers, the level-synchronous
 // builder must induce exactly the trees of the depth-first reference.
 func TestLevelBuilderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
@@ -82,7 +82,6 @@ func TestLevelBuilderMatchesReference(t *testing.T) {
 			MaxDepth:  1 + rng.Intn(6),
 			MinLeaf:   1 + rng.Intn(4),
 			Subsample: []float64{1, 0.7}[rng.Intn(2)],
-			ColSample: []float64{0, 0.5}[rng.Intn(2)],
 			Seed:      rng.Int63(),
 		}
 		for _, workers := range []int{1, 3} {

@@ -58,7 +58,7 @@ func TestBestSplitTieBreakThreshold(t *testing.T) {
 
 // TestFitParallelMatchesSerial: the fitted ensemble must be
 // bit-identical for any worker count — tree structure, predictions,
-// and importances. The fit's 350 sample rows × 7 sampled columns are
+// and importances. The fit's 350 sample rows × 12 columns are
 // above parallelLevelThreshold, so it runs on a team.
 func TestFitParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -73,7 +73,7 @@ func TestFitParallelMatchesSerial(t *testing.T) {
 		X[i] = row
 		y[i] = 2*row[0] - row[1] + row[2]*row[3]/25 + rng.NormFloat64()*0.5
 	}
-	base := Params{Trees: 25, Seed: 9, ColSample: 0.6}
+	base := Params{Trees: 25, Seed: 9}
 
 	serial, err := Fit(X, y, withWorkers(base, 1))
 	if err != nil {

@@ -163,10 +163,6 @@ func (b *refBuilder) bestSplit(lo, hi int) (feat int, thr, improvement float64, 
 
 	nf := len(b.cols)
 	scan := func(f int) {
-		if b.p.FeatureMask != nil && !b.p.FeatureMask[f] {
-			b.cands[f] = splitCand{}
-			return
-		}
 		b.cands[f] = refScanFeature(b.cols[f], b.y, b.orders[f][lo:hi], totalSum, totalSq, parentSSE, b.p.MinLeaf)
 	}
 	if b.workers > 1 && n*nf >= refParallelNodeThreshold {
@@ -305,30 +301,7 @@ func refFit(X [][]float64, y []float64, params Params) (*Ensemble, error) {
 		MaxDepth: params.MaxDepth,
 		MinLeaf:  params.MinLeaf,
 	}, params.Workers)
-	useColSample := params.ColSample > 0 && params.ColSample < 1
-	nCols := 0
-	if useColSample {
-		nCols = int(params.ColSample * float64(p))
-		if nCols < 1 {
-			nCols = 1
-		}
-	}
-	colPerm := make([]int, p)
-	for i := range colPerm {
-		colPerm[i] = i
-	}
-	mask := make([]bool, p)
 	for stage := 0; stage < params.Trees; stage++ {
-		if useColSample {
-			rng.Shuffle(p, func(a, b int) { colPerm[a], colPerm[b] = colPerm[b], colPerm[a] })
-			for i := range mask {
-				mask[i] = false
-			}
-			for _, c := range colPerm[:nCols] {
-				mask[c] = true
-			}
-			tb.p.FeatureMask = mask
-		}
 		for i := range residual {
 			residual[i] = y[i] - F[i]
 		}

@@ -111,11 +111,10 @@ func TestFitReusesProvablyUnchangedTrees(t *testing.T) {
 	y2[7] += 1e-9
 	checkReuse(t, "other targets", ps, all, y2, params, prev, 0)
 	for name, p := range map[string]Params{
-		"other seed":        {Trees: 30, MaxDepth: 3, Seed: 4},
-		"other tree count":  {Trees: 31, MaxDepth: 3, Seed: 3},
-		"other depth":       {Trees: 30, MaxDepth: 4, Seed: 3},
-		"other subsample":   {Trees: 30, MaxDepth: 3, Seed: 3, Subsample: 1},
-		"column subsampled": {Trees: 30, MaxDepth: 3, Seed: 3, ColSample: 0.5},
+		"other seed":       {Trees: 30, MaxDepth: 3, Seed: 4},
+		"other tree count": {Trees: 31, MaxDepth: 3, Seed: 3},
+		"other depth":      {Trees: 30, MaxDepth: 4, Seed: 3},
+		"other subsample":  {Trees: 30, MaxDepth: 3, Seed: 3, Subsample: 1},
 	} {
 		checkReuse(t, name, ps, without(all, 6), y, p, prev, 0)
 	}
@@ -128,11 +127,6 @@ func TestFitReusesProvablyUnchangedTrees(t *testing.T) {
 	checkReuse(t, "reordered columns {3, 1, 2}", ps, []int{3, 1, 2}, y, params, prev, 0)
 	prefix := fitOn(t, ps, []int{0, 1, 2, 3}, y, params, nil)
 	checkReuse(t, "a column absent from prev", ps, []int{0, 1, 4}, y, params, prefix, 0)
-
-	// Column subsampling draws depend on the column count: no reuse even
-	// when nothing is dropped.
-	cs := Params{Trees: 30, MaxDepth: 3, Seed: 3, ColSample: 0.5}
-	checkReuse(t, "column subsampled, same columns", ps, all, y, cs, fitOn(t, ps, all, y, cs, nil), 0)
 
 	// EIR compacts its column list in place and rewrites its targets
 	// nowhere, but a caller may do either: the ensemble keeps copies.
@@ -264,25 +258,17 @@ func TestPickSplit(t *testing.T) {
 	}{
 		{"clear winner", []splitCand{cand(1), cand(3), {}, cand(2)}, 1, true, true},
 		{"near-tie chain", []splitCand{cand(1), cand(1 + 0.6e-12), cand(1 + 1.2e-12)}, 2, false, true},
+		{"near-tie chain without its first feature", []splitCand{cand(1 + 0.6e-12), cand(1 + 1.2e-12)}, 0, true, true},
 		{"exact tie goes to the earlier feature", []splitCand{cand(2), cand(2)}, 0, true, true},
 		{"later near tie loses", []splitCand{cand(2), cand(2 + 0.5e-12)}, 0, true, true},
 		{"winner within epsilon of an earlier loser", []splitCand{cand(1), cand(5), cand(5 + 0.4e-12), cand(5 + 1.1e-12)}, 3, false, true},
 		{"no candidate", []splitCand{{}, {}}, 0, true, false},
 	}
 	for _, c := range cases {
-		active := make([]int, len(c.cands))
-		for f := range active {
-			active[f] = f
-		}
-		feat, best, stable := pickSplit(c.cands, active)
+		feat, best, stable := pickSplit(c.cands)
 		if best.ok != c.ok || (c.ok && feat != c.feat) || stable != c.stable {
 			t.Errorf("%s: feature %d (ok %v) stable %v, want feature %d (ok %v) stable %v",
 				c.name, feat, best.ok, stable, c.feat, c.ok, c.stable)
 		}
-	}
-	// Masked-out features are not candidates.
-	cands := []splitCand{cand(1), cand(1 + 0.6e-12), cand(1 + 1.2e-12)}
-	if feat, _, stable := pickSplit(cands, []int{1, 2}); feat != 1 || !stable {
-		t.Errorf("over features {1, 2}: feature %d stable %v, want 1 stable", feat, stable)
 	}
 }

@@ -77,9 +77,6 @@ type TreeParams struct {
 	MaxDepth int
 	// MinLeaf is the minimum number of samples in a leaf (default 1).
 	MinLeaf int
-	// FeatureMask, when non-nil, restricts splits to features with
-	// mask[f] == true (per-tree column subsampling).
-	FeatureMask []bool
 }
 
 func (p TreeParams) withDefaults() TreeParams {
@@ -183,8 +180,6 @@ type builder struct {
 	// previous level (1 = right). Nodes of one level own disjoint rows,
 	// so one array serves the whole level.
 	right []uint8
-	// active lists, ascending, the features the tree may split on.
-	active []int
 	// level holds the nodes of the depth being grown, children of one
 	// parent adjacent and left first; next collects their children.
 	level, next []segment
@@ -197,7 +192,7 @@ type builder struct {
 }
 
 // segment is one node of a level: its rows are [lo, hi) of every
-// active feature's working order.
+// feature's working order.
 type segment struct {
 	lo, hi int
 	// sum and sq are the node's target sum and sum of squares,
@@ -238,7 +233,6 @@ func newBuilder(cols [][]float64, full [][]int32, y []float64, p TreeParams, tea
 	}
 	b.keep = make([]uint8, n)
 	b.right = make([]uint8, n)
-	b.active = make([]int, 0, nf)
 	return b
 }
 
@@ -252,12 +246,6 @@ func (b *builder) build(sample []int) (*Tree, error) {
 	n := filterInto(b.orders[0], b.full[0], b.keep)
 	if n == 0 {
 		return nil, errors.New("sgbrt: empty sample index")
-	}
-	b.active = b.active[:0]
-	for f := range b.cols {
-		if b.p.FeatureMask == nil || b.p.FeatureMask[f] {
-			b.active = append(b.active, f)
-		}
 	}
 	b.nodes = b.nodes[:0]
 	b.stable = true
@@ -316,24 +304,24 @@ func (b *builder) open(depth int) int {
 	return splittable
 }
 
-// scan is the level's parallel phase: one task per active feature
-// (scanActive), run on the team.
+// scan is the level's parallel phase: one task per feature
+// (scanColumn), run on the team.
 func (b *builder) scan(root bool) {
 	if need := len(b.level) * len(b.cols); cap(b.cands) < need {
 		b.cands = make([]splitCand, need)
 	} else {
 		b.cands = b.cands[:need]
 	}
-	b.team.Run(len(b.active), func(k int) { b.scanActive(k, root) })
+	b.team.Run(len(b.cols), func(f int) { b.scanColumn(f, root) })
 }
 
-// scanActive is the level task of the k-th active feature: it brings
-// the feature's order up to this level — projecting the sample at the
-// root, partitioning under the previous level's splits below it;
-// feature 0's order is already current — and scans it for the
-// feature's best split of every open node.
-func (b *builder) scanActive(k int, root bool) {
-	f, nf := b.active[k], len(b.cols)
+// scanColumn is the level task of feature f: it brings the feature's
+// order up to this level — projecting the sample at the root,
+// partitioning under the previous level's splits below it; feature 0's
+// order is already current — and scans it for the feature's best split
+// of every open node.
+func (b *builder) scanColumn(f int, root bool) {
+	nf := len(b.cols)
 	if f != 0 {
 		if root {
 			filterInto(b.orders[f], b.full[f], b.keep)
@@ -362,7 +350,7 @@ func (b *builder) reduce() {
 		if !s.open {
 			continue
 		}
-		feat, best, stable := pickSplit(b.cands[k*nf:(k+1)*nf], b.active)
+		feat, best, stable := pickSplit(b.cands[k*nf : (k+1)*nf])
 		if !best.ok {
 			continue
 		}
@@ -389,22 +377,21 @@ func (b *builder) reduce() {
 	}
 }
 
-// pickSplit picks a node's split from cands, indexed by feature, over
-// the features of active in ascending order: the first ok candidate,
-// replaced only by a later one whose gain is more than gainEpsilon
-// higher. stable reports that the winner also beats every ok candidate
-// of an earlier feature by more than gainEpsilon. Then the pick is the
-// same over any subset of the features that keeps the winner: every
-// earlier candidate it meets loses to it, and no later one beat it
-// over the full set. Without the rule a near-tie chain breaks that:
-// gains a=1, b=1+0.6e-12, c=1+1.2e-12 pick c, but b without a. With no
-// ok candidate, best.ok is false and stable is true.
-func pickSplit(cands []splitCand, active []int) (feat int, best splitCand, stable bool) {
+// pickSplit picks a node's split from cands, indexed by feature, in
+// ascending feature order: the first ok candidate, replaced only by a
+// later one whose gain is more than gainEpsilon higher. stable reports
+// that the winner also beats every ok candidate of an earlier feature
+// by more than gainEpsilon. Then the pick is the same over any subset
+// of the features that keeps the winner: every earlier candidate it
+// meets loses to it, and no later one beat it over the full set.
+// Without the rule a near-tie chain breaks that: gains a=1,
+// b=1+0.6e-12, c=1+1.2e-12 pick c, but b without a. With no ok
+// candidate, best.ok is false and stable is true.
+func pickSplit(cands []splitCand) (feat int, best splitCand, stable bool) {
 	// rival is the highest gain among the ok candidates before the
 	// winner, seen among those so far.
 	rival, seen := math.Inf(-1), math.Inf(-1)
-	for _, f := range active {
-		c := cands[f]
+	for f, c := range cands {
 		if !c.ok {
 			continue
 		}

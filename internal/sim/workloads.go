@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 )
 
 // Suite identifies the benchmark suite a workload belongs to.
@@ -207,6 +208,24 @@ func AllBenchmarkNames() []string {
 	out := make([]string, len(profiles))
 	for i, p := range profiles {
 		out[i] = p.Name
+	}
+	return out
+}
+
+// Candidates lists the benchmark names that contain name, ignoring
+// case, or all of them when none does: what a command or the daemon
+// offers in place of an unknown benchmark.
+func Candidates(name string) []string {
+	all := AllBenchmarkNames()
+	low := strings.ToLower(name)
+	var out []string
+	for _, b := range all {
+		if strings.Contains(strings.ToLower(b), low) {
+			out = append(out, b)
+		}
+	}
+	if len(out) == 0 {
+		return all
 	}
 	return out
 }

@@ -586,7 +586,7 @@ func (ar *analysisRun) validate(ctx context.Context) error {
 
 // clean repairs every surviving run's series and assembles the
 // training matrix, dispatching through the configured Cleaner (the
-// pluggable Clean-stage seam). Each run's raw series set is snapshotted
+// Clean-stage seam). Each run's raw series set is snapshotted
 // first so Persist can store the run exactly as collected (every event,
 // quarantined ones included) — whichever cleaner ran, the store always
 // holds the raw measurement.

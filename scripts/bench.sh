@@ -3,12 +3,12 @@
 #
 # Usage: scripts/bench.sh [count]
 #
-# Runs the same sweep as `make bench`, but at the default -benchtime
-# (each entry averages at least a second of iterations, where `make
-# bench` runs one) and with -count=<count> (default 3), and writes
-# BENCH_<n>.json in the repo root, where <n> is the first
-# unused number — earlier reports are never overwritten, so a series of
-# runs across commits forms a comparable history. Each benchmark
+# Runs the same sweep as `make bench` (scripts/sweep.sh), but at the
+# default -benchtime (each entry averages at least a second of
+# iterations, where `make bench` runs one) and with -count=<count>
+# (default 3), and writes BENCH_<n>.json in the repo root, where <n> is
+# the first unused number — earlier reports are never overwritten, so a
+# series of runs across commits forms a comparable history. Each benchmark
 # contributes one result entry per repetition; consumers aggregate
 # (min/median) as they see fit.
 #
@@ -34,9 +34,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+. ./scripts/sweep.sh
+
 COUNT="${1:-3}"
-PATTERN="${BENCH_PATTERN:-Fit|BuildTreeOrdered|PredictAll|EIR|RankPairs|Distance|Store|Ring|Heartbeat|RegistryPick|BayesClean|ThresholdKNNClean|Embed|IndexLookup|IndexUpsert|StreamFanout|Collect}"
-PKGS="${BENCH_PKGS:-./internal/sgbrt/ ./internal/rank/ ./internal/interact/ ./internal/dtw/ ./internal/store/ ./internal/cluster/ ./internal/clean/ ./internal/fingerprint/ ./internal/stream/ ./internal/collector/}"
+PATTERN="${BENCH_PATTERN:-$SWEEP_PATTERN}"
+PKGS="${BENCH_PKGS:-$SWEEP_PKGS}"
 
 n=1
 while [ -e "BENCH_${n}.json" ]; do
